@@ -348,13 +348,18 @@ def total_atmospheric_loss(
     scenario: WeatherScenario,
     geometry: LinkGeometry,
     outage_prob: float = 1e-3,
+    rytov_var: float | None = None,
 ) -> LossBreakdown:
     """Full loss breakdown for a scenario/geometry pair.
 
     Scattering rates are multiplied by their layer thicknesses; the
     scintillation margin is evaluated over the full path at the given
     outage probability; the total is the plain sum of all components.
+    A caller that already holds ``rytov_variance(geometry, scenario)``
+    passes it as ``rytov_var`` to skip the path quadrature.
     """
+    if rytov_var is None:
+        rytov_var = rytov_variance(geometry, scenario)
     wavelength = geometry.wavelength_m
     l_fog = (
         fog_attenuation_db_per_km(scenario.visibility_km, wavelength)
@@ -363,7 +368,7 @@ def total_atmospheric_loss(
     )
     l_rain = rain_attenuation_db_per_km(scenario.rain_rate) * scenario.rain_layer_km
     l_cloud = cloud_attenuation_db(scenario.cloud, wavelength)
-    l_sci = scintillation_loss_db(rytov_variance(geometry, scenario), outage_prob)
+    l_sci = scintillation_loss_db(rytov_var, outage_prob)
     l_geom = geometric_loss_db(geometry)
     total = l_sci + l_fog + l_rain + l_cloud + l_geom
     return LossBreakdown(

@@ -51,10 +51,16 @@ def scintillation_index(rytov_var: float) -> float:
         raise ValueError(f"rytov_var must be >= 0, got {rytov_var}")
     if rytov_var == 0:
         return 0.0
+    t_large, t_small = _log_intensity_variances(rytov_var)
+    return math.exp(t_large + t_small) - 1.0
+
+
+def _log_intensity_variances(rytov_var: float) -> tuple[float, float]:
+    """Plane-wave large- and small-scale log-intensity variances."""
     s = rytov_var
     t_large = 0.49 * s / (1.0 + 1.11 * s ** (6.0 / 5.0)) ** (7.0 / 6.0)
     t_small = 0.51 * s / (1.0 + 0.69 * s ** (6.0 / 5.0)) ** (5.0 / 6.0)
-    return math.exp(t_large + t_small) - 1.0
+    return t_large, t_small
 
 
 def gamma_gamma_params(rytov_var: float) -> tuple[float, float]:
@@ -69,9 +75,7 @@ def gamma_gamma_params(rytov_var: float) -> tuple[float, float]:
             "gamma-gamma parameters require rytov_var > 0; "
             "use the log-normal model for the zero-turbulence case"
         )
-    s = rytov_var
-    t_large = 0.49 * s / (1.0 + 1.11 * s ** (6.0 / 5.0)) ** (7.0 / 6.0)
-    t_small = 0.51 * s / (1.0 + 0.69 * s ** (6.0 / 5.0)) ** (5.0 / 6.0)
+    t_large, t_small = _log_intensity_variances(rytov_var)
     alpha = 1.0 / (math.exp(t_large) - 1.0)
     beta = 1.0 / (math.exp(t_small) - 1.0)
     return alpha, beta

@@ -16,7 +16,7 @@ import sys
 from . import __version__, pipeline, reporting, scenarios
 from .atmosphere import rytov_variance, total_atmospheric_loss
 from .channel_trace import coherence_time, generate_trace, trace_to_binary, trace_to_csv
-from .errors import FsoLinkError
+from .errors import ConfigKeyError, FsoLinkError
 from .linkbudget import received_power_dbm
 from .modem import Pam4Config
 from .pat import JitterParams, QdGeometry, run_tracking_loop
@@ -346,8 +346,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except KeyError as exc:
-        print(f"usage error: {exc.args[0]}", file=sys.stderr)
+    except ConfigKeyError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (FsoLinkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,6 +38,13 @@ class TrackingDivergedError(FsoLinkError):
     """Closed-loop residual left the detector for too many consecutive steps."""
 
 
+class ConfigKeyError(FsoLinkError):
+    """A config key, override or preset name is not recognized.
+
+    The CLI reports it as a usage error (exit code 2).
+    """
+
+
 class UnknownAxisError(FsoLinkError):
     """Sweep axis name is not a recognized numeric parameter."""
 

@@ -2,8 +2,11 @@
 
 Bits are numpy uint8 arrays of 0/1. Intensity levels are nonnegative
 (direct detection); the Gray map is 00/01/11/10 onto ascending levels.
-Channel application is chunked with per-chunk derived noise seeds so the
-result is independent of how many workers execute the chunks.
+Channel noise is drawn in fixed-size chunks with per-chunk derived seeds,
+so the result is independent of how many workers execute the chunks.
+Noise calibration reuses those same unit-variance draws: it reduces the
+calibration block to per-level sufficient statistics in one pass and then
+evaluates the eye Q-factor in closed form at every trial noise level.
 """
 
 from __future__ import annotations
@@ -132,23 +135,33 @@ def apply_channel(
         idx = (np.arange(n) * (trace.sample_rate_hz / rate)).astype(np.intp)
         gains = trace.gains[idx]
     received = gains * symbols
-
     if noise_std > 0:
-        n_chunks = (n + _CHUNK_SYMBOLS - 1) // _CHUNK_SYMBOLS
-
-        def noise_chunk(i: int) -> np.ndarray:
-            lo = i * _CHUNK_SYMBOLS
-            hi = min(lo + _CHUNK_SYMBOLS, n)
-            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-            return rng.normal(0.0, noise_std, hi - lo)
-
-        if workers > 1 and n_chunks > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                chunks = list(pool.map(noise_chunk, range(n_chunks)))
-        else:
-            chunks = [noise_chunk(i) for i in range(n_chunks)]
-        received = received + np.concatenate(chunks)
+        noise = _unit_noise(n, seed, workers)
+        noise *= noise_std
+        received += noise
     return received
+
+
+def _unit_noise(n: int, seed: int, workers: int = 1) -> np.ndarray:
+    """Standard-normal noise for n samples, drawn in seeded fixed-size chunks.
+
+    Chunk i comes from SeedSequence([seed, i]); scaling these draws by s
+    reproduces ``rng.normal(0, s, m)`` bit for bit.
+    """
+    n_chunks = (n + _CHUNK_SYMBOLS - 1) // _CHUNK_SYMBOLS
+
+    def noise_chunk(i: int) -> np.ndarray:
+        lo = i * _CHUNK_SYMBOLS
+        hi = min(lo + _CHUNK_SYMBOLS, n)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        return rng.standard_normal(hi - lo)
+
+    if workers > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(noise_chunk, range(n_chunks)))
+    else:
+        chunks = [noise_chunk(i) for i in range(n_chunks)]
+    return np.concatenate(chunks)
 
 
 def _kmeans_levels(samples: np.ndarray) -> np.ndarray:
@@ -222,10 +235,8 @@ def demodulate(
     return bits
 
 
-def eye_stats(samples: np.ndarray, labels: np.ndarray) -> LevelStats:
-    """Genie-aided per-level moments from received samples and true levels."""
-    samples = np.asarray(samples, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
+def _level_counts(samples: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Samples per level; every level must have at least one."""
     if samples.shape != labels.shape:
         raise ValueError("samples and labels must have equal length")
     counts = np.bincount(labels, minlength=4)
@@ -233,19 +244,41 @@ def eye_stats(samples: np.ndarray, labels: np.ndarray) -> LevelStats:
         raise MissingLevelError(
             f"level(s) without samples: counts {list(counts)}"
         )
-    sums = np.bincount(labels, weights=samples, minlength=4)
-    means = sums / counts
-    # Two-pass variance: immune to the cancellation that would report
-    # nonzero noise on noiseless levels.
-    residuals_sq = (samples - means[labels]) ** 2
-    variances = np.bincount(labels, weights=residuals_sq, minlength=4) / counts
-    stds = np.sqrt(variances)
+    return counts
+
+
+def _level_centered(
+    x: np.ndarray, labels: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-level means of x and each sample's deviation from its level mean."""
+    means = np.bincount(labels, weights=x, minlength=4) / counts
+    return means, x - means[labels]
+
+
+def _eye_q(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    """Eye Q-factors gap / (sigma_lo + sigma_hi) between adjacent levels.
+
+    A noiseless eye is +inf when open and -inf when closed (gap <= 0).
+    """
     gaps = np.diff(means)
     denoms = stds[1:] + stds[:-1]
-    with np.errstate(divide="ignore"):
-        q = np.where(denoms > 0, gaps / np.where(denoms > 0, denoms, 1.0), np.inf)
-        q = np.where((denoms == 0) & (gaps <= 0), -np.inf, q)
-    return LevelStats(means=means, stds=stds, counts=counts, q_factors=q)
+    q = np.where(denoms > 0, gaps / np.where(denoms > 0, denoms, 1.0), np.inf)
+    return np.where((denoms == 0) & (gaps <= 0), -np.inf, q)
+
+
+def eye_stats(samples: np.ndarray, labels: np.ndarray) -> LevelStats:
+    """Genie-aided per-level moments from received samples and true levels."""
+    samples = np.asarray(samples, dtype=float)
+    labels = np.asarray(labels, dtype=np.intp)
+    counts = _level_counts(samples, labels)
+    # Two-pass variance: immune to the cancellation that would report
+    # nonzero noise on noiseless levels.
+    means, residuals = _level_centered(samples, labels, counts)
+    variances = np.bincount(labels, weights=residuals**2, minlength=4) / counts
+    stds = np.sqrt(variances)
+    return LevelStats(
+        means=means, stds=stds, counts=counts, q_factors=_eye_q(means, stds)
+    )
 
 
 def gaussian_tail(q) -> np.ndarray | float:
@@ -312,12 +345,16 @@ def calibrate_noise_std(
 ) -> float:
     """Solve for the noise level that hits a target mean eye Q-factor.
 
-    Bisection on noise_std against the mean of the three measured eye
-    Q-factors over the given calibration block. The same noise seed is
-    used at every trial level, so the bracketed function is deterministic
-    and strictly decreasing; the interval is shrunk to ``rel_tol`` relative
-    width. The Q-factor is measured after the matched filter when symbols
-    are oversampled.
+    Bisection on noise_std against the mean of the three eye Q-factors
+    over the given calibration block, after the matched filter when
+    symbols are oversampled. Every trial level reuses the same noise
+    draws z (those ``apply_channel`` makes for ``seed``), so the received
+    samples are u + noise_std * z with u = H * x. The block is therefore
+    reduced once to per-level means of u and z and their centered second
+    moments A = Var(u), B = Var(z), C = Cov(u, z); a trial level s then
+    has means u_mean + s * z_mean and variances A + 2 s C + s^2 B. The
+    bracketed function is deterministic and strictly decreasing; the
+    interval is shrunk to ``rel_tol`` relative width.
     """
     if target_q <= 0:
         raise ValueError(f"target_q must be > 0, got {target_q}")
@@ -327,14 +364,23 @@ def calibrate_noise_std(
         if symbol_rate_hz is None
         else symbol_rate_hz * samples_per_symbol
     )
+    faded = apply_channel(tx, trace, 0.0, seed, symbol_rate_hz=rate)
+    u = matched_filter(faded, samples_per_symbol)
+    z = matched_filter(_unit_noise(len(tx), seed), samples_per_symbol)
+    labels = np.asarray(labels, dtype=np.intp)
+    counts = _level_counts(u, labels)
+    u_mean, du = _level_centered(u, labels, counts)
+    z_mean, dz = _level_centered(z, labels, counts)
+    var_u = np.bincount(labels, weights=du * du, minlength=4) / counts
+    var_z = np.bincount(labels, weights=dz * dz, minlength=4) / counts
+    cov_uz = np.bincount(labels, weights=du * dz, minlength=4) / counts
 
     def mean_q(noise_std: float) -> float:
-        received = matched_filter(
-            apply_channel(tx, trace, noise_std, seed, symbol_rate_hz=rate),
-            samples_per_symbol,
-        )
-        stats = eye_stats(received, labels)
-        return float(np.mean(stats.q_factors))
+        means = u_mean + noise_std * z_mean
+        variances = var_u + 2.0 * noise_std * cov_uz + noise_std**2 * var_z
+        # Rounding can push a near-noiseless variance just below zero.
+        stds = np.sqrt(np.maximum(variances, 0.0))
+        return float(np.mean(_eye_q(means, stds)))
 
     span = float(np.max(symbols) - np.min(symbols)) or 1.0
     hi = span

@@ -8,6 +8,7 @@ results. Stage failures are re-raised with the stage name attached.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -173,19 +174,15 @@ class RunReport:
     payload_bytes: int | None = None
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    """Decorator-free stage wrapper: attach the stage name to failures."""
-
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineStageError):
-                raise PipelineStageError(name, exc) from exc
-            return False
-
-    return _Ctx()
+    """Attach the stage name to failures raised inside the block."""
+    try:
+        yield
+    except PipelineStageError:
+        raise
+    except Exception as exc:
+        raise PipelineStageError(name, exc) from exc
 
 
 def _derive_seeds(seed: int, n: int) -> list[int]:
@@ -227,14 +224,16 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
     geometry = config.geometry
 
     with _stage("atmosphere"):
-        losses = total_atmospheric_loss(scenario, geometry, config.outage_prob)
+        rytov = rytov_variance(geometry, scenario)
+        losses = total_atmospheric_loss(
+            scenario, geometry, config.outage_prob, rytov_var=rytov
+        )
     with _stage("linkbudget"):
         budget = received_power_dbm(
             config.optics, losses, geometry.beam_divergence_rad
         )
 
     with _stage("turbulence"):
-        rytov = rytov_variance(geometry, scenario)
         tau0 = coherence_time(geometry, max(scenario.wind_speed_ground, 1e-6))
         model = select_fading_model(config.fading, rytov)
 

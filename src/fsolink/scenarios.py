@@ -1,9 +1,9 @@
 """Bundled weather presets and layered configuration handling.
 
 Configurations are plain JSON-compatible dicts whose keys mirror the
-domain dataclass fields (units are part of the key names). Precedence,
-lowest to highest: built-in defaults, named preset, config file, CLI
-overrides.
+domain dataclass fields (units are part of the key names); a layer may
+only set keys the built-in defaults have. Precedence, lowest to highest:
+built-in defaults, named preset, config file, CLI overrides.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 from typing import Any
 
 from .atmosphere import CloudLayer, LinkGeometry, WeatherScenario
+from .errors import ConfigKeyError
 from .linkbudget import TransceiverOptics
 from .modem import Pam4Config
 
@@ -99,7 +100,12 @@ def default_config() -> dict[str, Any]:
         "fading": "auto",
         "seed": 0,
         "n_symbols": 10_000_000,
-        "noise": {"mode": "target_q", "target_q": 3.7, "noise_std": None},
+        "noise": {
+            "mode": "target_q",
+            "target_q": 3.7,
+            "noise_std": None,
+            "solar": None,
+        },
         "outage_prob": 1e-3,
         "trace_rate_hz": None,
         "workers": 1,
@@ -113,7 +119,7 @@ def preset_names() -> list[str]:
 
 def preset_config(name: str) -> dict[str, Any]:
     if name not in PRESETS:
-        raise KeyError(
+        raise ConfigKeyError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
     return copy.deepcopy(PRESETS[name]["config"])
@@ -131,16 +137,20 @@ def load_config_file(path) -> dict[str, Any]:
     return data
 
 
-def merge_config(base: dict, overlay: dict) -> dict:
-    """Recursive dict merge; overlay wins, nested dicts merge key-by-key."""
+def merge_config(base: dict, overlay: dict, prefix: str = "") -> dict:
+    """Recursive dict merge; overlay wins, nested dicts merge key-by-key.
+
+    Overlay keys must already exist in ``base``; under a None default (an
+    optional sub-object such as ``scenario.cloud``) any dict is accepted.
+    """
     merged = copy.deepcopy(base)
     for key, value in overlay.items():
-        if (
-            key in merged
-            and isinstance(merged[key], dict)
-            and isinstance(value, dict)
-        ):
-            merged[key] = merge_config(merged[key], value)
+        if key not in merged:
+            raise ConfigKeyError(
+                f"config key {prefix + key!r} does not exist in the config"
+            )
+        if isinstance(merged[key], dict) and isinstance(value, dict):
+            merged[key] = merge_config(merged[key], value, f"{prefix}{key}.")
         else:
             merged[key] = copy.deepcopy(value)
     return merged
@@ -156,18 +166,20 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
-            raise KeyError(f"override {item!r} is not of the form key=value")
+            raise ConfigKeyError(f"override {item!r} is not of the form key=value")
         node = result
         parts = key.split(".")
         for part in parts[:-1]:
             if not isinstance(node, dict) or part not in node:
-                raise KeyError(f"override key {key!r} does not exist in the config")
+                raise ConfigKeyError(
+                    f"override key {key!r} does not exist in the config"
+                )
             if node[part] is None:
                 node[part] = {}
             node = node[part]
         leaf = parts[-1]
         if not isinstance(node, dict) or leaf not in node:
-            raise KeyError(f"override key {key!r} does not exist in the config")
+            raise ConfigKeyError(f"override key {key!r} does not exist in the config")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -181,7 +193,10 @@ def resolve_config(
     config_file=None,
     overrides: list[str] | None = None,
 ) -> dict[str, Any]:
-    """Layer defaults, preset, config file, and overrides into one dict."""
+    """Layer defaults, preset, config file, and overrides into one dict.
+
+    Every layer may only set keys the built-in defaults already have.
+    """
     config = default_config()
     if preset is not None:
         config = merge_config(config, preset_config(preset))

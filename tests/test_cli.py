@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from fsolink import pipeline, scenarios
+from fsolink import pipeline, reporting, scenarios
 from fsolink.cli import main
 from fsolink.reporting import as_jsonable
 
@@ -37,6 +38,20 @@ class TestDispatch:
 
     def test_unknown_override_key_is_usage_error(self, capsys):
         assert run_cli("budget", "--scenario", "clear", "--set", "scenario.bogus=1") == 2
+
+    def test_misspelled_config_file_key_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"scenario": {"visibilty_km": 4}}))
+        assert run_cli("budget", "--config", str(config)) == 2
+        assert "scenario.visibilty_km" in capsys.readouterr().err
+
+    def test_internal_key_error_is_not_usage_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(reporting, "budget_text", broken)
+        with pytest.raises(KeyError, match="internal"):
+            run_cli("budget", "--scenario", "clear")
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         # Sweeping an unknown axis is a runtime failure, not a usage error.
@@ -128,6 +143,19 @@ class TestConfigFile:
         assert echo["scenario"]["visibility_km"] == 4.2
         # Preset values not touched by the file survive.
         assert echo["scenario"]["wind_speed_ground"] == 1.0
+
+    def test_optional_sections_accept_nested_keys(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "scenario": {"cloud": {"thickness_m": 100.0}},
+            "noise": {"mode": "physical", "solar": {"background_radiance": 0.03}},
+        }))
+        out = tmp_path / "budget.json"
+        code = run_cli(
+            "budget", "--config", str(config), "--format", "json", "--out", str(out)
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["losses"]["l_cloud_db"] > 0
 
     def test_env_var_fallback(self, tmp_path, capsys, monkeypatch):
         config = tmp_path / "env.json"

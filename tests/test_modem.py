@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsolink.channel_trace import constant_trace
+from fsolink.channel_trace import FadingModel, constant_trace, generate_trace
 from fsolink.errors import DegenerateLevelsError, MissingLevelError, TraceTooShortError
 from fsolink.modem import (
     LevelStats,
@@ -17,6 +17,7 @@ from fsolink.modem import (
     estimate_ber_from_stats,
     eye_stats,
     gaussian_tail,
+    matched_filter,
     modulate,
     q_for_target_ber,
 )
@@ -275,3 +276,100 @@ class TestCalibration:
     def test_q_for_target_ber_inverts_estimate(self):
         q = q_for_target_ber(1e-4)
         assert 0.75 * float(gaussian_tail(q)) == pytest.approx(1e-4, rel=1e-9)
+
+
+def reference_calibrate_noise_std(
+    symbols, labels, trace, target_q, seed, symbol_rate_hz=None,
+    rel_tol=1e-4, samples_per_symbol=1,
+):
+    """The direct method: bisection that reruns the channel at every trial."""
+    if target_q <= 0:
+        raise ValueError(f"target_q must be > 0, got {target_q}")
+    tx = np.repeat(symbols, samples_per_symbol) if samples_per_symbol > 1 else symbols
+    rate = None if symbol_rate_hz is None else symbol_rate_hz * samples_per_symbol
+
+    def mean_q(noise_std):
+        received = matched_filter(
+            apply_channel(tx, trace, noise_std, seed, symbol_rate_hz=rate),
+            samples_per_symbol,
+        )
+        return float(np.mean(eye_stats(received, labels).q_factors))
+
+    span = float(np.max(symbols) - np.min(symbols)) or 1.0
+    hi = span
+    for _ in range(40):
+        if mean_q(hi) < target_q:
+            break
+        hi *= 4.0
+    else:
+        raise ValueError("could not bracket the target Q-factor from above")
+    lo = span * 1e-9
+    if mean_q(lo) <= target_q:
+        raise ValueError("target Q-factor unreachable: the channel itself is too noisy")
+    while (hi - lo) > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if mean_q(mid) > target_q:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestCalibrationMatchesReference:
+    """One-pass sufficient statistics agree with the direct bisection."""
+
+    N = 50_000
+
+    def block(self, fading, tau_blocks):
+        bits = np.random.default_rng(3).integers(0, 2, 2 * self.N, dtype=np.uint8)
+        symbols, _ = modulate(bits, CONFIG)
+        duration = self.N / CONFIG.symbol_rate_hz
+        if fading is None:
+            trace = constant_trace(duration)
+        else:
+            trace = generate_trace(
+                fading, tau_blocks * duration, 2000 / duration, duration, seed=5
+            )
+        return symbols, labels_for(symbols), trace
+
+    @pytest.mark.parametrize(
+        "fading, tau_blocks, samples_per_symbol",
+        [
+            (FadingModel.gamma_gamma_from_rytov(0.6), 10.0, 1),
+            (FadingModel.log_normal(0.1), 1.0, 1),
+            (FadingModel.gamma_gamma_from_rytov(0.6), 10.0, 2),
+            (FadingModel.log_normal(0.1), 1.0, 2),
+            (None, None, 1),
+        ],
+        ids=["hazy", "clear", "hazy-sps2", "clear-sps2", "constant"],
+    )
+    def test_same_noise_std(self, fading, tau_blocks, samples_per_symbol):
+        symbols, labels, trace = self.block(fading, tau_blocks)
+        new, ref = (
+            calibrate(
+                symbols, labels, trace, 3.7, 9,
+                symbol_rate_hz=CONFIG.symbol_rate_hz,
+                samples_per_symbol=samples_per_symbol,
+            )
+            for calibrate in (calibrate_noise_std, reference_calibrate_noise_std)
+        )
+        assert new == pytest.approx(ref, rel=1e-4)
+
+    def test_missing_level(self):
+        symbols, labels, trace = self.block(None, None)
+        keep = labels != 2
+        for calibrate in (calibrate_noise_std, reference_calibrate_noise_std):
+            with pytest.raises(MissingLevelError):
+                calibrate(
+                    symbols[keep], labels[keep], trace, 3.7, 9,
+                    symbol_rate_hz=CONFIG.symbol_rate_hz,
+                )
+
+    def test_unreachable_target(self):
+        # Fading within the block alone closes the eyes below the target.
+        symbols, labels, trace = self.block(FadingModel.gamma_gamma_from_rytov(0.6), 0.1)
+        for calibrate in (calibrate_noise_std, reference_calibrate_noise_std):
+            with pytest.raises(ValueError, match="unreachable"):
+                calibrate(
+                    symbols, labels, trace, 3.7, 9, symbol_rate_hz=CONFIG.symbol_rate_hz
+                )

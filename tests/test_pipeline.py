@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fsolink import pipeline, scenarios
+from fsolink import atmosphere, pipeline, scenarios
 from fsolink.atmosphere import total_atmospheric_loss
 from fsolink.channel_trace import coherence_time, generate_trace
 from fsolink.errors import PipelineStageError, UnknownAxisError
@@ -140,6 +140,19 @@ class TestRunEndToEnd:
         signal_w = 10 ** ((report.budget.p_r_dbm - 30) / 10)
         expected = (solar_noise_power(solar) + floor_w) / signal_w
         assert report.noise_std == pytest.approx(expected, rel=1e-12)
+
+    def test_rytov_variance_computed_once_per_run(self, monkeypatch):
+        calls = []
+        original = atmosphere.rytov_variance
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "rytov_variance", counted)
+        monkeypatch.setattr(atmosphere, "rytov_variance", counted)
+        pipeline.run_endtoend(make_config("hazy", n_symbols=10_000))
+        assert len(calls) == 1
 
     def test_stage_attribution_on_failure(self):
         quiet = quiet_config()
