@@ -15,6 +15,8 @@ pat
     Quadrant-detector pointing/acquisition/tracking with multi-sampling.
 spatial_filter
     Solar background noise and n-by-n aperture selection.
+scenarios
+    Run configuration dataclasses, their dict codec, and weather presets.
 pipeline
     End-to-end runs, payload round trips, and parameter sweeps.
 cli

@@ -19,7 +19,7 @@ from .channel_trace import coherence_time, generate_trace, trace_to_binary, trac
 from .errors import ConfigKeyError, FsoLinkError
 from .linkbudget import received_power_dbm
 from .modem import Pam4Config
-from .pat import JitterParams, QdGeometry, run_tracking_loop
+from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
 from .spatial_filter import FilterDemoScenario, filtering_ber_demo, grid_from_csv
 
 
@@ -103,14 +103,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pat = sub.add_parser("pat-sim", help="closed-loop quadrant-detector tracking")
     p_pat.add_argument("--m", type=int, default=10, help="samples per correction")
-    p_pat.add_argument("--gain", type=float, default=0.8, help="proportional gain")
-    p_pat.add_argument("--noise-std", type=float, default=0.05)
-    p_pat.add_argument("--disturbance-rms", type=float, default=50e-6, metavar="M")
-    p_pat.add_argument("--disturbance-bw", type=float, default=50.0, metavar="HZ")
-    p_pat.add_argument("--loop-rate", type=float, default=1000.0, metavar="HZ")
-    p_pat.add_argument("--duration", type=float, default=0.5, metavar="S")
-    p_pat.add_argument("--initial-x", type=float, default=2e-4, metavar="M")
-    p_pat.add_argument("--initial-y", type=float, default=-1e-4, metavar="M")
+    p_pat.add_argument(
+        "--gain", type=float, default=DEMO_LOOP["controller_gain"],
+        help="proportional gain",
+    )
+    p_pat.add_argument("--noise-std", type=float, default=DEMO_LOOP["noise_std"])
+    p_pat.add_argument(
+        "--disturbance-rms", type=float, default=DEMO_LOOP["disturbance_rms"],
+        metavar="M",
+    )
+    p_pat.add_argument(
+        "--disturbance-bw", type=float, default=JitterParams.bandwidth_hz, metavar="HZ"
+    )
+    p_pat.add_argument(
+        "--loop-rate", type=float, default=DEMO_LOOP["loop_rate_hz"], metavar="HZ"
+    )
+    p_pat.add_argument(
+        "--duration", type=float, default=DEMO_LOOP["duration_s"], metavar="S"
+    )
+    initial_x, initial_y = DEMO_LOOP["initial_offset_m"]
+    p_pat.add_argument("--initial-x", type=float, default=initial_x, metavar="M")
+    p_pat.add_argument("--initial-y", type=float, default=initial_y, metavar="M")
     p_pat.add_argument("--seed", type=int, default=0)
     p_pat.add_argument("--out", metavar="PATH", help="residual trace CSV")
     p_pat.add_argument("--summary", metavar="PATH", help="JSON summary")
@@ -121,11 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_filter.add_argument("--n", type=int, default=2, help="partition order")
     p_filter.add_argument("--seed", type=int, default=0)
-    p_filter.add_argument("--symbols", type=int, default=1_000_000)
-    p_filter.add_argument("--target-ber", type=float, default=1e-3)
-    p_filter.add_argument("--spot-x", type=float, default=0.25)
-    p_filter.add_argument("--spot-y", type=float, default=0.25)
-    p_filter.add_argument("--spot-radius", type=float, default=0.35)
+    demo = FilterDemoScenario()
+    p_filter.add_argument("--symbols", type=int, default=demo.n_symbols)
+    p_filter.add_argument(
+        "--target-ber", type=float, default=demo.target_unfiltered_ber
+    )
+    p_filter.add_argument("--spot-x", type=float, default=demo.spot_center[0])
+    p_filter.add_argument("--spot-y", type=float, default=demo.spot_center[1])
+    p_filter.add_argument("--spot-radius", type=float, default=demo.spot_radius)
     p_filter.add_argument(
         "--grid", metavar="PATH", help="CSV matrix of cell intensities (overrides the beam model)"
     )
@@ -310,19 +326,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scenarios(args) -> int:
-    if args.format == "json":
-        data = {
-            name: {
-                "note": scenarios.preset_note(name),
-                "config": scenarios.preset_config(name),
-            }
-            for name in scenarios.preset_names()
-        }
-        sys.stdout.write(reporting.report_to_json(data, no_timestamp=True))
-        return 0
+    shown = {}
     for name in scenarios.preset_names():
-        print(f"{name}: {scenarios.preset_note(name)}")
-        for key, value in scenarios.preset_config(name)["scenario"].items():
+        cfg = scenarios.resolve_config(preset=name)
+        shown[name] = {
+            "note": scenarios.preset_note(name),
+            "config": {"scenario": cfg["scenario"], "geometry": cfg["geometry"]},
+        }
+    if args.format == "json":
+        sys.stdout.write(reporting.report_to_json(shown, no_timestamp=True))
+        return 0
+    for name, entry in shown.items():
+        print(f"{name}: {entry['note']}")
+        for key, value in entry["config"]["scenario"].items():
             print(f"    {key} = {value}")
     return 0
 

@@ -23,7 +23,6 @@ class TransceiverOptics:
     rx_efficiency: float = 0.8
     tx_power_dbm: float = 30.0
     pointing_error_rad: float | None = None  # None -> fixed 2 dB pointing loss
-    responsivity_a_per_w: float = 0.9
     noise_floor_dbm: float = -40.0
 
     def __post_init__(self):
@@ -34,10 +33,6 @@ class TransceiverOptics:
         if self.pointing_error_rad is not None and self.pointing_error_rad < 0:
             raise ValueError(
                 f"pointing error must be >= 0, got {self.pointing_error_rad}"
-            )
-        if self.responsivity_a_per_w <= 0:
-            raise ValueError(
-                f"responsivity must be > 0, got {self.responsivity_a_per_w}"
             )
 
 

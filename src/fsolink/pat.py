@@ -14,7 +14,7 @@ amplitude-SNR gain of sqrt(m).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -24,6 +24,18 @@ from .errors import TrackingDivergedError
 
 #: Consecutive off-detector steps tolerated before declaring divergence.
 _DIVERGENCE_STEPS = 10
+
+#: Closed-loop demo settings shared by ``fsolink pat-sim`` and the ``pat.*``
+#: sweep axes: ``run_tracking_loop`` arguments plus the jitter RMS in meters
+#: (its bandwidth is the JitterParams default).
+DEMO_LOOP = {
+    "noise_std": 0.05,
+    "disturbance_rms": 50e-6,
+    "initial_offset_m": (2e-4, -1e-4),
+    "loop_rate_hz": 1000.0,
+    "controller_gain": 0.8,
+    "duration_s": 0.5,
+}
 
 
 @dataclass(frozen=True)
@@ -162,11 +174,8 @@ def _quadrant_fractions(
 
 def _calibrate_gain(geometry: QdGeometry) -> float:
     """Unit small-signal slope: gain = delta / normalized_difference(delta)."""
-    probe = replace(geometry, estimator_gain=1.0)
     delta = geometry.beam_radius_m / 20.0
-    f1, f2, f3, f4 = _quadrant_fractions(delta, 0.0, probe)
-    total = f1 + f2 + f3 + f4
-    diff = ((f1 + f4) - (f2 + f3)) / total
+    diff, _ = _displacement(_quadrant_fractions(delta, 0.0, geometry), 1.0)
     return delta / diff
 
 
@@ -197,20 +206,26 @@ def qd_response(
     return QdReading(*powers.tolist())
 
 
+def _displacement(v, gain: float) -> tuple[float, float] | None:
+    """x_hat = g * ((v1+v4) - (v2+v3)) / sum, y_hat = g * ((v1+v2) - (v3+v4)) / sum
+    for quadrant powers v = (v1, v2, v3, v4); None when they sum to <= 0."""
+    total = v[0] + v[1] + v[2] + v[3]
+    if total <= 0:
+        return None
+    x_hat = gain * ((v[0] + v[3]) - (v[1] + v[2])) / total
+    y_hat = gain * ((v[0] + v[1]) - (v[2] + v[3])) / total
+    return x_hat, y_hat
+
+
 def estimate_displacement(
     reading: QdReading, geometry: QdGeometry
 ) -> tuple[float, float]:
-    """Displacement estimate from normalized quadrant differences.
-
-    x_hat = g * ((v1+v4) - (v2+v3)) / sum, y_hat = g * ((v1+v2) - (v3+v4)) / sum.
-    """
-    total = reading.total
-    if total <= 0:
+    """Displacement estimate from normalized quadrant differences."""
+    quads = (reading.v1, reading.v2, reading.v3, reading.v4)
+    estimate = _displacement(quads, geometry.estimator_gain)
+    if estimate is None:
         raise ValueError("quadrant powers sum to zero; no displacement information")
-    g = geometry.estimator_gain
-    x_hat = g * ((reading.v1 + reading.v4) - (reading.v2 + reading.v3)) / total
-    y_hat = g * ((reading.v1 + reading.v2) - (reading.v3 + reading.v4)) / total
-    return x_hat, y_hat
+    return estimate
 
 
 def multisample_snr(
@@ -331,15 +346,11 @@ def run_tracking_loop(
             rng.normal(0.0, noise_std, (m, 4)) if noise_std > 0 else 0.0
         )
         samples = np.maximum(np.atleast_2d(samples), 0.0)
-        mean_quads = samples.mean(axis=0)
-        total = float(mean_quads.sum())
-        if total <= 0:
+        estimate = _displacement(samples.mean(axis=0).tolist(), geometry.estimator_gain)
+        if estimate is None:
             continue  # beam lost: no information this step, hold position
-        g = geometry.estimator_gain
-        x_hat = g * ((mean_quads[0] + mean_quads[3]) - (mean_quads[1] + mean_quads[2])) / total
-        y_hat = g * ((mean_quads[0] + mean_quads[1]) - (mean_quads[2] + mean_quads[3])) / total
-        ctrl_x -= controller_gain * x_hat
-        ctrl_y -= controller_gain * y_hat
+        ctrl_x -= controller_gain * estimate[0]
+        ctrl_y -= controller_gain * estimate[1]
 
     radial = np.hypot(xs, ys)
     tail = radial[min(settle_steps, n_steps - 1) :]
@@ -362,8 +373,3 @@ def run_tracking_loop(
         ),
     )
 
-
-def tracking_trace_rows(result: TrackingResult):
-    """Rows (time_s, offset_x_m, offset_y_m) for CSV export."""
-    for t, x, y in zip(result.times_s, result.offsets_x_m, result.offsets_y_m):
-        yield float(t), float(x), float(y)

@@ -4,6 +4,8 @@ Composes the other modules in a fixed stage order and reports everything
 measured along the way. Runs are deterministic functions of the
 configuration (seed included); worker counts only change execution, never
 results. Stage failures are re-raised with the stage name attached.
+``RunConfig`` and ``NoiseSpec`` are defined with their codec in
+``scenarios`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scenarios as scenario_mod
-from .atmosphere import (
-    LinkGeometry,
-    LossBreakdown,
-    WeatherScenario,
-    rytov_variance,
-    total_atmospheric_loss,
-)
+from .atmosphere import LossBreakdown, rytov_variance, total_atmospheric_loss
 from .channel_trace import (
     FadingModel,
     TraceStats,
@@ -37,7 +32,6 @@ from .errors import PipelineStageError, UnknownAxisError
 from .linkbudget import LinkBudget, TransceiverOptics, received_power_dbm
 from .modem import (
     BerReport,
-    Pam4Config,
     apply_channel,
     ber_report,
     calibrate_noise_std,
@@ -46,110 +40,14 @@ from .modem import (
     matched_filter,
     modulate,
 )
-from .pat import JitterParams, QdGeometry, run_tracking_loop
-from .spatial_filter import SolarModel, solar_noise_power
+from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
+from .scenarios import NoiseSpec, RunConfig, dotted_overlay, merge_config
+from .spatial_filter import solar_noise_power
 
 #: Rytov variance below which the marginal is modeled as log-normal.
 LOG_NORMAL_RYTOV_LIMIT = 0.3
 
 _CALIBRATION_SYMBOLS = 200_000
-_MIN_SYMBOLS = 10_000
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """How the modem noise level is chosen.
-
-    ``target_q`` calibrates noise_std by bisection until the mean eye
-    Q-factor hits the target (the receiver's absolute noise being a free
-    parameter of the emulation). ``fixed_std`` uses the given value
-    directly. ``physical`` derives a noise-to-signal ratio from the solar
-    background plus the receiver noise floor against the received power.
-    """
-
-    mode: str = "target_q"
-    target_q: float = 3.7
-    noise_std: float | None = None
-    solar: SolarModel | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("target_q", "fixed_std", "physical"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.mode == "target_q" and self.target_q <= 0:
-            raise ValueError(f"target_q must be > 0, got {self.target_q}")
-        if self.mode == "fixed_std":
-            if self.noise_std is None or self.noise_std < 0:
-                raise ValueError("fixed_std mode needs noise_std >= 0")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete description of one end-to-end run."""
-
-    scenario: WeatherScenario
-    geometry: LinkGeometry
-    optics: TransceiverOptics
-    modem: Pam4Config
-    noise: NoiseSpec = NoiseSpec()
-    fading: str = "auto"
-    seed: int = 0
-    n_symbols: int = 10_000_000
-    outage_prob: float = 1e-3
-    trace_rate_hz: float | None = None
-    workers: int = 1
-    payload: str | None = None  # file path, "-" for stdin, None for random bits
-
-    def __post_init__(self):
-        if self.fading not in ("auto", "log_normal", "gamma_gamma"):
-            raise ValueError(f"unknown fading selection {self.fading!r}")
-        if self.n_symbols < _MIN_SYMBOLS:
-            raise ValueError(
-                f"sample budget must be >= {_MIN_SYMBOLS} symbols, "
-                f"got {self.n_symbols}"
-            )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-    @classmethod
-    def from_dict(cls, cfg: dict) -> "RunConfig":
-        noise_cfg = cfg.get("noise", {})
-        solar_cfg = noise_cfg.get("solar")
-        noise = NoiseSpec(
-            mode=noise_cfg.get("mode", "target_q"),
-            target_q=float(noise_cfg.get("target_q", 3.7)),
-            noise_std=(
-                None
-                if noise_cfg.get("noise_std") is None
-                else float(noise_cfg["noise_std"])
-            ),
-            solar=None if solar_cfg is None else SolarModel(**solar_cfg),
-        )
-        return cls(
-            scenario=scenario_mod.build_scenario(cfg["scenario"]),
-            geometry=scenario_mod.build_geometry(cfg["geometry"]),
-            optics=scenario_mod.build_optics(cfg.get("optics", {})),
-            modem=scenario_mod.build_modem(cfg.get("modem", {})),
-            noise=noise,
-            fading=cfg.get("fading", "auto"),
-            seed=int(cfg.get("seed", 0)),
-            n_symbols=int(cfg.get("n_symbols", 10_000_000)),
-            outage_prob=float(cfg.get("outage_prob", 1e-3)),
-            trace_rate_hz=(
-                None
-                if cfg.get("trace_rate_hz") is None
-                else float(cfg["trace_rate_hz"])
-            ),
-            workers=int(cfg.get("workers", 1)),
-            payload=cfg.get("payload"),
-        )
-
-    def to_dict(self) -> dict:
-        cfg = dataclasses.asdict(self)
-        cfg["modem"]["levels"] = list(cfg["modem"]["levels"])
-        # Worker count is an execution knob with no effect on results;
-        # keeping it out of the echo keeps reports byte-identical.
-        cfg.pop("workers")
-        return cfg
 
 
 @dataclass(frozen=True)
@@ -377,62 +275,29 @@ def payload_sha256(path) -> str:
 #: PAT-mode sweep axes run the tracking loop instead of a transmission.
 _PAT_AXES = ("pat.m", "pat.noise_std", "pat.disturbance_rms", "pat.controller_gain")
 
-_PAT_DEFAULTS = {
-    "m": 1,
-    "noise_std": 0.05,
-    "disturbance_rms": 50e-6,
-    "controller_gain": 0.8,
-    "loop_rate_hz": 1000.0,
-    "duration_s": 0.5,
-    "initial_offset_m": (2e-4, -1e-4),
-}
 
-
-def _numeric_axes(config: RunConfig) -> dict[str, tuple[str, str]]:
-    """Map dotted axis name -> (section attribute, field name)."""
-    axes: dict[str, tuple[str, str]] = {}
-    for section in ("scenario", "geometry", "optics", "modem"):
-        obj = getattr(config, section)
-        for f in dataclasses.fields(obj):
-            if isinstance(getattr(obj, f.name), (int, float)):
-                axes[f"{section}.{f.name}"] = (section, f.name)
-    for name in ("n_symbols", "outage_prob", "seed"):
-        axes[name] = ("", name)
-    axes["noise.target_q"] = ("noise", "target_q")
-    return axes
+def _numeric_leaves(cfg: dict, prefix: str = "") -> list[str]:
+    """Dotted names of the numeric, non-bool leaves of an encoded config."""
+    names = []
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            names += _numeric_leaves(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            names.append(prefix + key)
+    return names
 
 
 def sweep_axes(config: RunConfig) -> list[str]:
-    return sorted(_numeric_axes(config)) + list(_PAT_AXES)
-
-
-def _with_axis_value(config: RunConfig, axis: str, value: float) -> RunConfig:
-    section, field_name = _numeric_axes(config)[axis]
-    if section == "":
-        cast = int if field_name in ("n_symbols", "seed") else float
-        return dataclasses.replace(config, **{field_name: cast(value)})
-    obj = getattr(config, section)
-    current = getattr(obj, field_name)
-    cast = int if isinstance(current, int) and not isinstance(current, bool) else float
-    return dataclasses.replace(
-        config, **{section: dataclasses.replace(obj, **{field_name: cast(value)})}
-    )
+    return sorted(_numeric_leaves(config.to_dict())) + list(_PAT_AXES)
 
 
 def _pat_sweep_row(axis: str, value: float, seed: int) -> dict:
-    params = dict(_PAT_DEFAULTS)
+    params = {"m": 1, **DEMO_LOOP}
     key = axis.split(".", 1)[1]
     params[key] = int(value) if key == "m" else float(value)
+    rms = params.pop("disturbance_rms")
     result = run_tracking_loop(
-        initial_offset_m=params["initial_offset_m"],
-        disturbance=JitterParams(rms_m=params["disturbance_rms"]),
-        geometry=QdGeometry(),
-        m=int(params["m"]),
-        loop_rate_hz=params["loop_rate_hz"],
-        controller_gain=params["controller_gain"],
-        duration_s=params["duration_s"],
-        seed=seed,
-        noise_std=params["noise_std"],
+        disturbance=JitterParams(rms_m=rms), geometry=QdGeometry(), seed=seed, **params
     )
     return {
         "axis": axis,
@@ -452,11 +317,14 @@ def scenario_sweep(config: RunConfig, axis: str, values) -> list[dict]:
     values = list(values)
     if axis in _PAT_AXES:
         return [_pat_sweep_row(axis, v, config.seed) for v in values]
-    if axis not in _numeric_axes(config):
+    encoded = config.to_dict()
+    if axis not in _numeric_leaves(encoded):
         raise UnknownAxisError(axis, sweep_axes(config))
+    encoded["workers"] = config.workers
     rows = []
     for value in values:
-        report = run_endtoend(_with_axis_value(config, axis, value))
+        swept = merge_config(encoded, dotted_overlay(axis, value))
+        report = run_endtoend(RunConfig.from_dict(swept))
         rows.append(
             {
                 "axis": axis,

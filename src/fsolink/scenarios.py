@@ -1,33 +1,157 @@
-"""Bundled weather presets and layered configuration handling.
+"""Run configuration: the config dataclasses, their dict codec, and presets.
 
-Configurations are plain JSON-compatible dicts whose keys mirror the
-domain dataclass fields (units are part of the key names); a layer may
-only set keys the built-in defaults have. Precedence, lowest to highest:
-built-in defaults, named preset, config file, CLI overrides.
+A configuration is a plain JSON-compatible dict whose keys are the field
+names of ``RunConfig`` and the dataclasses it nests (units are part of the
+key names). ``decode`` turns such a dict into a ``RunConfig`` and is the
+one place keys and value types are checked; ``reporting.as_jsonable`` is
+the encoder. Defaults live only in the dataclass fields. Layers are merged
+as sparse overlays, lowest to highest precedence: built-in defaults, named
+preset, config file, ``dotted.key=value`` overrides.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import functools
 import json
+import typing
+from dataclasses import dataclass
 from typing import Any
 
-from .atmosphere import CloudLayer, LinkGeometry, WeatherScenario
+from .atmosphere import LinkGeometry, WeatherScenario
 from .errors import ConfigKeyError
 from .linkbudget import TransceiverOptics
 from .modem import Pam4Config
+from .reporting import as_jsonable
+from .spatial_filter import SolarModel
 
-#: Shared 20 km ground-to-platform uplink geometry used by both presets.
-_PRESET_GEOMETRY = {
-    "distance_m": 20000.0,
-    "tx_altitude_m": 0.0,
-    "rx_altitude_m": 10000.0,
-    "wavelength_m": 1550e-9,
-    "tx_aperture_m": 0.05,
-    "rx_aperture_m": 0.2,
-    "beam_divergence_rad": 100e-6,
-    "rx_fov_sr": 1e-6,
-}
+_MIN_SYMBOLS = 10_000
+
+#: Resolving a class's string annotations costs about 0.1 ms; do it once.
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """How the modem noise level is chosen.
+
+    ``target_q`` calibrates noise_std by bisection until the mean eye
+    Q-factor hits the target (the receiver's absolute noise being a free
+    parameter of the emulation). ``fixed_std`` uses the given value
+    directly. ``physical`` derives a noise-to-signal ratio from the solar
+    background plus the receiver noise floor against the received power.
+    """
+
+    mode: str = "target_q"
+    target_q: float = 3.7
+    noise_std: float | None = None
+    solar: SolarModel | None = None
+
+    def __post_init__(self):
+        if self.mode not in ("target_q", "fixed_std", "physical"):
+            raise ValueError(f"unknown noise mode {self.mode!r}")
+        if self.mode == "target_q" and self.target_q <= 0:
+            raise ValueError(f"target_q must be > 0, got {self.target_q}")
+        if self.mode == "fixed_std":
+            if self.noise_std is None or self.noise_std < 0:
+                raise ValueError("fixed_std mode needs noise_std >= 0")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Complete description of one end-to-end run (clear weather, 20 km
+    ground-to-platform uplink by default)."""
+
+    scenario: WeatherScenario = WeatherScenario(visibility_km=10.0)
+    geometry: LinkGeometry = LinkGeometry(distance_m=20000.0, rx_altitude_m=10000.0)
+    optics: TransceiverOptics = TransceiverOptics()
+    modem: Pam4Config = Pam4Config()
+    noise: NoiseSpec = NoiseSpec()
+    fading: str = "auto"
+    seed: int = 0
+    n_symbols: int = 10_000_000
+    outage_prob: float = 1e-3
+    trace_rate_hz: float | None = None
+    workers: int = 1
+    payload: str | None = None  # file path, "-" for stdin, None for random bits
+
+    def __post_init__(self):
+        if self.fading not in ("auto", "log_normal", "gamma_gamma"):
+            raise ValueError(f"unknown fading selection {self.fading!r}")
+        if self.n_symbols < _MIN_SYMBOLS:
+            raise ValueError(
+                f"sample budget must be >= {_MIN_SYMBOLS} symbols, "
+                f"got {self.n_symbols}"
+            )
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+
+    @classmethod
+    def from_dict(cls, cfg: dict) -> "RunConfig":
+        return decode(cls, cfg)
+
+    def to_dict(self) -> dict:
+        cfg = as_jsonable(self)
+        # Worker count is an execution knob with no effect on results;
+        # keeping it out of the echo keeps reports byte-identical.
+        cfg.pop("workers")
+        return cfg
+
+
+def decode(cls, data, key: str = ""):
+    """Build dataclass ``cls`` from a JSON-style dict at dotted path ``key``.
+
+    Absent keys take the field default. An unknown or missing required key
+    raises ``ConfigKeyError``; a value of the wrong type raises ``ValueError``.
+    Both name the dotted key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"config key {key!r} must be an object, got {data!r}")
+    prefix = f"{key}." if key else ""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name in data:
+        if name not in fields:
+            raise ConfigKeyError(f"config key {prefix + name!r} does not exist")
+    hints = _type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if name in data:
+            kwargs[name] = _decode_value(hints[name], data[name], prefix + name)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigKeyError(f"config key {prefix + name!r} is required")
+    return cls(**kwargs)
+
+
+def _decode_value(hint, value, key: str):
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        args = typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return decode(hint, value, key)
+    if isinstance(value, dict) and value:
+        unknown = f"{key}.{next(iter(value))}"
+        raise ConfigKeyError(f"config key {unknown!r} does not exist")
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
+            raise ValueError(
+                f"config key {key!r} must be a list of {len(args)} values, got {value!r}"
+            )
+        return tuple(
+            _decode_value(a, v, f"{key}[{i}]") for i, (a, v) in enumerate(zip(args, value))
+        )
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is float and number:
+        return float(value)
+    if hint is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if hint in (bool, str) and isinstance(value, hint):
+        return value
+    raise ValueError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
+
 
 PRESETS: dict[str, dict[str, Any]] = {
     "clear": {
@@ -35,18 +159,7 @@ PRESETS: dict[str, dict[str, Any]] = {
             "clear weather, 20 km link: 10 km visibility, 1 m/s ground wind, "
             "no fog/rain layers; weak turbulence (log-normal fading)"
         ),
-        "config": {
-            "scenario": {
-                "visibility_km": 10.0,
-                "wind_speed_ground": 1.0,
-                "fog_layer_m": 0.0,
-                "rain_layer_km": 0.0,
-                "rain_rate": 0.0,
-                "cloud": None,
-                "ground_cn2": 1.7e-14,
-            },
-            "geometry": dict(_PRESET_GEOMETRY),
-        },
+        "config": {},
     },
     "hazy": {
         "note": (
@@ -61,56 +174,16 @@ PRESETS: dict[str, dict[str, Any]] = {
                 "fog_layer_m": 50.0,
                 "rain_layer_km": 1.0,
                 "rain_rate": 10.0,
-                "cloud": None,
                 "ground_cn2": 2e-13,
             },
-            "geometry": dict(_PRESET_GEOMETRY),
         },
     },
 }
 
 
 def default_config() -> dict[str, Any]:
-    """Built-in baseline configuration (clear-weather values)."""
-    return {
-        "scenario": {
-            "visibility_km": 10.0,
-            "wind_speed_ground": 1.0,
-            "fog_layer_m": 0.0,
-            "rain_layer_km": 0.0,
-            "rain_rate": 0.0,
-            "cloud": None,
-            "ground_cn2": 1.7e-14,
-        },
-        "geometry": dict(_PRESET_GEOMETRY),
-        "optics": {
-            "tx_efficiency": 0.8125,
-            "rx_efficiency": 0.8,
-            "tx_power_dbm": 30.0,
-            "pointing_error_rad": None,
-            "responsivity_a_per_w": 0.9,
-            "noise_floor_dbm": -40.0,
-        },
-        "modem": {
-            "symbol_rate_hz": 2e9,
-            "levels": [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0],
-            "gray_mapping": True,
-            "samples_per_symbol": 1,
-        },
-        "fading": "auto",
-        "seed": 0,
-        "n_symbols": 10_000_000,
-        "noise": {
-            "mode": "target_q",
-            "target_q": 3.7,
-            "noise_std": None,
-            "solar": None,
-        },
-        "outage_prob": 1e-3,
-        "trace_rate_hz": None,
-        "workers": 1,
-        "payload": None,
-    }
+    """Built-in baseline configuration: the encoded ``RunConfig()``."""
+    return as_jsonable(RunConfig())
 
 
 def preset_names() -> list[str]:
@@ -118,6 +191,7 @@ def preset_names() -> list[str]:
 
 
 def preset_config(name: str) -> dict[str, Any]:
+    """The preset's overlay on the defaults."""
     if name not in PRESETS:
         raise ConfigKeyError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
@@ -137,55 +211,40 @@ def load_config_file(path) -> dict[str, Any]:
     return data
 
 
-def merge_config(base: dict, overlay: dict, prefix: str = "") -> dict:
-    """Recursive dict merge; overlay wins, nested dicts merge key-by-key.
-
-    Overlay keys must already exist in ``base``; under a None default (an
-    optional sub-object such as ``scenario.cloud``) any dict is accepted.
-    """
+def merge_config(base: dict, overlay: dict) -> dict:
+    """Recursive dict merge; overlay wins, nested dicts merge key-by-key."""
     merged = copy.deepcopy(base)
     for key, value in overlay.items():
-        if key not in merged:
-            raise ConfigKeyError(
-                f"config key {prefix + key!r} does not exist in the config"
-            )
-        if isinstance(merged[key], dict) and isinstance(value, dict):
-            merged[key] = merge_config(merged[key], value, f"{prefix}{key}.")
+        if isinstance(merged.get(key), dict) and isinstance(value, dict):
+            merged[key] = merge_config(merged[key], value)
         else:
             merged[key] = copy.deepcopy(value)
     return merged
 
 
+def dotted_overlay(key: str, value) -> dict:
+    """``"a.b", v`` -> ``{"a": {"b": v}}``."""
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
+
+
 def apply_overrides(config: dict, overrides: list[str]) -> dict:
-    """Apply ``dotted.key=value`` overrides; keys must already exist.
+    """Merge ``dotted.key=value`` overrides into ``config``.
 
     Values are parsed as JSON where possible (numbers, booleans, null,
-    lists) and fall back to plain strings.
+    lists, objects) and fall back to plain strings.
     """
-    result = copy.deepcopy(config)
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ConfigKeyError(f"override {item!r} is not of the form key=value")
-        node = result
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigKeyError(
-                    f"override key {key!r} does not exist in the config"
-                )
-            if node[part] is None:
-                node[part] = {}
-            node = node[part]
-        leaf = parts[-1]
-        if not isinstance(node, dict) or leaf not in node:
-            raise ConfigKeyError(f"override key {key!r} does not exist in the config")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node[leaf] = value
-    return result
+        config = merge_config(config, dotted_overlay(key, value))
+    return config
 
 
 def resolve_config(
@@ -195,67 +254,12 @@ def resolve_config(
 ) -> dict[str, Any]:
     """Layer defaults, preset, config file, and overrides into one dict.
 
-    Every layer may only set keys the built-in defaults already have.
+    Keys and values are checked when the result is decoded
+    (``RunConfig.from_dict``).
     """
     config = default_config()
     if preset is not None:
         config = merge_config(config, preset_config(preset))
     if config_file is not None:
         config = merge_config(config, load_config_file(config_file))
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return config
-
-
-def build_scenario(d: dict) -> WeatherScenario:
-    cloud = d.get("cloud")
-    return WeatherScenario(
-        visibility_km=float(d["visibility_km"]),
-        wind_speed_ground=float(d.get("wind_speed_ground", 1.0)),
-        fog_layer_m=float(d.get("fog_layer_m", 0.0)),
-        rain_layer_km=float(d.get("rain_layer_km", 0.0)),
-        rain_rate=float(d.get("rain_rate", 0.0)),
-        cloud=None
-        if cloud is None
-        else CloudLayer(
-            thickness_m=float(cloud["thickness_m"]),
-            equivalent_visibility_km=float(
-                cloud.get("equivalent_visibility_km", 0.1)
-            ),
-        ),
-        ground_cn2=float(d.get("ground_cn2", 1.7e-14)),
-    )
-
-
-def build_geometry(d: dict) -> LinkGeometry:
-    return LinkGeometry(
-        distance_m=float(d["distance_m"]),
-        tx_altitude_m=float(d.get("tx_altitude_m", 0.0)),
-        rx_altitude_m=float(d.get("rx_altitude_m", 0.0)),
-        wavelength_m=float(d.get("wavelength_m", 1550e-9)),
-        tx_aperture_m=float(d.get("tx_aperture_m", 0.05)),
-        rx_aperture_m=float(d.get("rx_aperture_m", 0.2)),
-        beam_divergence_rad=float(d.get("beam_divergence_rad", 100e-6)),
-        rx_fov_sr=float(d.get("rx_fov_sr", 1e-6)),
-    )
-
-
-def build_optics(d: dict) -> TransceiverOptics:
-    pointing = d.get("pointing_error_rad")
-    return TransceiverOptics(
-        tx_efficiency=float(d.get("tx_efficiency", 0.8125)),
-        rx_efficiency=float(d.get("rx_efficiency", 0.8)),
-        tx_power_dbm=float(d.get("tx_power_dbm", 30.0)),
-        pointing_error_rad=None if pointing is None else float(pointing),
-        responsivity_a_per_w=float(d.get("responsivity_a_per_w", 0.9)),
-        noise_floor_dbm=float(d.get("noise_floor_dbm", -40.0)),
-    )
-
-
-def build_modem(d: dict) -> Pam4Config:
-    return Pam4Config(
-        symbol_rate_hz=float(d.get("symbol_rate_hz", 2e9)),
-        levels=tuple(float(x) for x in d.get("levels", (0.0, 1 / 3, 2 / 3, 1.0))),
-        gray_mapping=bool(d.get("gray_mapping", True)),
-        samples_per_symbol=int(d.get("samples_per_symbol", 1)),
-    )
+    return apply_overrides(config, overrides or [])

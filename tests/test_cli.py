@@ -36,14 +36,66 @@ class TestDispatch:
     def test_unknown_preset_is_usage_error(self, capsys):
         assert run_cli("budget", "--scenario", "fictional") == 2
 
-    def test_unknown_override_key_is_usage_error(self, capsys):
-        assert run_cli("budget", "--scenario", "clear", "--set", "scenario.bogus=1") == 2
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("scenario.bogus=1", "scenario.bogus"),
+            ("scenario.cloud.thikness_m=100", "scenario.cloud.thikness_m"),
+            ("noise.solar.fov=1e-6", "noise.solar.fov"),
+            ("scenario.visibility_km.x=1", "scenario.visibility_km.x"),
+            ("scenario.cloud={}", "scenario.cloud.thickness_m"),
+        ],
+        ids=["unknown", "cloud-typo", "solar-typo", "below-leaf", "cloud-missing"],
+    )
+    def test_unknown_override_key_is_usage_error(self, override, key, capsys):
+        assert run_cli("budget", "--scenario", "clear", "--set", override) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and key in err
+        assert len(err.splitlines()) == 1
 
-    def test_misspelled_config_file_key_is_usage_error(self, tmp_path, capsys):
-        config = tmp_path / "typo.json"
-        config.write_text(json.dumps({"scenario": {"visibilty_km": 4}}))
-        assert run_cli("budget", "--config", str(config)) == 2
-        assert "scenario.visibilty_km" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"scenario": {"visibilty_km": 4}}, "scenario.visibilty_km"),
+            ({"scenario": {"cloud": {"thikness_m": 100}}}, "scenario.cloud.thikness_m"),
+            ({"noise": {"solar": {"fov": 1e-6}}}, "noise.solar.fov"),
+        ],
+        ids=["scenario-typo", "cloud-typo", "solar-typo"],
+    )
+    def test_misspelled_config_file_key_is_usage_error(
+        self, config, key, tmp_path, capsys
+    ):
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("budget", "--config", str(path)) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ('modem.gray_mapping="no"', "modem.gray_mapping"),
+            ("modem.gray_mapping=1", "modem.gray_mapping"),
+            ("seed=1.5", "seed"),
+            ("modem.samples_per_symbol=2.5", "modem.samples_per_symbol"),
+            ("modem.levels=[0, 1]", "modem.levels"),
+            ("scenario.visibility_km=abc", "scenario.visibility_km"),
+            ("scenario=5", "scenario"),
+        ],
+        ids=["gray-string", "gray-int", "seed-fraction", "sps-fraction",
+             "levels-length", "visibility-string", "section-number"],
+    )
+    def test_bad_config_value_is_runtime_error(self, override, key, capsys):
+        assert run_cli("budget", "--scenario", "clear", "--set", override) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert len(err.splitlines()) == 1
+
+    def test_nested_override_of_optional_section(self, capsys):
+        assert run_cli(
+            "budget", "--format", "json",
+            "--set", "scenario.cloud.thickness_m=100", "--set", "n_symbols=1e6",
+        ) == 0
+        assert json.loads(capsys.readouterr().out)["losses"]["l_cloud_db"] > 0
 
     def test_internal_key_error_is_not_usage_error(self, monkeypatch):
         def broken(*args, **kwargs):

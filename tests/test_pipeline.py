@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -263,6 +264,20 @@ class TestScenarioSweep:
         assert "scenario.visibility_km" in str(info.value)
         assert "pat.m" in pipeline.sweep_axes(config)
 
+    def test_axes_are_numeric_non_bool_leaves(self):
+        axes = pipeline.sweep_axes(make_config("clear", n_symbols=20_000))
+        assert "modem.gray_mapping" not in axes
+        assert "modem.samples_per_symbol" in axes
+        assert "workers" not in axes and "noise.noise_std" not in axes
+
+    def test_swept_run_decodes_like_a_config_file(self):
+        config = make_config("clear", n_symbols=20_000, workers=2)
+        rows = pipeline.scenario_sweep(config, "n_symbols", [2e4])
+        direct = pipeline.run_endtoend(dataclasses.replace(config, n_symbols=20_000))
+        assert rows[0]["ber_counted"] == direct.ber.ber_counted
+        with pytest.raises(ValueError, match="'seed'"):
+            pipeline.scenario_sweep(config, "seed", [1.5])
+
 
 class TestRunConfig:
     def test_round_trip_through_dict(self):
@@ -273,8 +288,23 @@ class TestRunConfig:
         assert echoed["n_symbols"] == 12_345
         assert "workers" not in echoed
         rebuilt = RunConfig.from_dict(echoed)
-        assert rebuilt.scenario == config.scenario
-        assert rebuilt.geometry == config.geometry
+        assert rebuilt == config
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert RunConfig.from_dict({}) == RunConfig()
+        assert RunConfig.from_dict(scenarios.default_config()) == RunConfig()
+        assert scenarios.preset_config("clear") == {}
+
+    def test_optional_sections_decode_to_dataclasses(self):
+        config = RunConfig.from_dict({
+            "scenario": {"visibility_km": 2, "cloud": {"thickness_m": 100}},
+            "noise": {"mode": "physical", "solar": {"fov_sr": 2e-6}},
+            "modem": {"levels": [0, 0.25, 0.5, 1]},
+        })
+        assert config.scenario.cloud == atmosphere.CloudLayer(thickness_m=100.0)
+        assert config.noise.solar == SolarModel(fov_sr=2e-6)
+        assert config.modem.levels == (0.0, 0.25, 0.5, 1.0)
+        assert isinstance(config.scenario.visibility_km, float)
 
     def test_validation(self):
         with pytest.raises(ValueError):
