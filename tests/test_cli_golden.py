@@ -41,6 +41,11 @@ CASES: dict[str, tuple[list[str], int]] = {
          "--set", "optics.pointing_error_rad=1e-6"],
         0,
     ),
+    "trace_hazy_csv": (
+        ["trace", "--scenario", "hazy", "--rate", "1e4", "--duration", "0.05",
+         "--out", "{out}/trace.csv"],
+        0,
+    ),
     "scenarios_text": (["scenarios"], 0),
     "scenarios_json": (["scenarios", "--format", "json"], 0),
     "sweep_visibility": (
