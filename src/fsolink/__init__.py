@@ -10,7 +10,7 @@ linkbudget
 channel_trace
     Seeded time-correlated fading traces (log-normal / gamma-gamma).
 modem
-    PAM-4 intensity modem and statistics-based BER estimation.
+    PAM-4 intensity modem, the link pass, and statistics-based BER estimation.
 pat
     Quadrant-detector pointing/acquisition/tracking with multi-sampling.
 spatial_filter
@@ -65,6 +65,7 @@ from .modem import (
     estimate_ber_from_stats,
     eye_stats,
     modulate,
+    transmit,
 )
 from .pat import (
     JitterParams,

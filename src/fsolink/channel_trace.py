@@ -303,7 +303,7 @@ def constant_trace(duration_s: float, gain: float = 1.0, n: int = 1000) -> Chann
     )
 
 
-def trace_stats(trace: ChannelTrace, max_lag: int | None = None) -> TraceStats:
+def trace_stats(trace: ChannelTrace) -> TraceStats:
     """Sample mean, scintillation index, and ACF half-power coherence time.
 
     The coherence-time estimate inverts the Gaussian-ACF relation: the lag
@@ -320,13 +320,11 @@ def trace_stats(trace: ChannelTrace, max_lag: int | None = None) -> TraceStats:
         return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.inf)
 
     n = len(g)
-    if max_lag is None:
-        max_lag = n // 2
     # Biased autocovariance via FFT, normalized to 1 at lag 0.
     centered = g - mean
     m = 1 << int(math.ceil(math.log2(2 * n)))
     spec = np.fft.rfft(centered, m)
-    acov = np.fft.irfft(spec * np.conj(spec), m)[: max_lag + 1]
+    acov = np.fft.irfft(spec * np.conj(spec), m)[: n // 2 + 1]
     acf = acov / acov[0]
 
     below = np.nonzero(acf < 0.5)[0]

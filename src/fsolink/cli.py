@@ -14,8 +14,8 @@ import sys
 
 
 from . import __version__, pipeline, reporting, scenarios
-from .atmosphere import rytov_variance, total_atmospheric_loss
-from .channel_trace import coherence_time, generate_trace, trace_to_binary, trace_to_csv
+from .atmosphere import total_atmospheric_loss
+from .channel_trace import generate_trace, trace_to_binary, trace_to_csv
 from .errors import ConfigKeyError, FsoLinkError
 from .linkbudget import received_power_dbm
 from .modem import Pam4Config
@@ -191,11 +191,7 @@ def _cmd_budget(args) -> int:
 def _cmd_trace(args) -> int:
     cfg = _resolve(args)
     run_cfg = pipeline.RunConfig.from_dict(cfg)
-    rytov = rytov_variance(run_cfg.geometry, run_cfg.scenario)
-    model = pipeline.select_fading_model(run_cfg.fading, rytov)
-    tau0 = coherence_time(
-        run_cfg.geometry, max(run_cfg.scenario.wind_speed_ground, 1e-6)
-    )
+    _, model, tau0 = pipeline.turbulence(run_cfg)
     trace = generate_trace(model, tau0, args.rate, args.duration, run_cfg.seed)
     fmt = args.format or ("csv" if str(args.out).endswith(".csv") else "bin")
     if fmt == "csv":

@@ -1,12 +1,16 @@
 """PAM-4 intensity modem with statistics-based BER estimation.
 
 Bits are numpy uint8 arrays of 0/1. Intensity levels are nonnegative
-(direct detection); the Gray map is 00/01/11/10 onto ascending levels.
-Channel noise is drawn in fixed-size chunks with per-chunk derived seeds,
-so the result is independent of how many workers execute the chunks.
-Noise calibration reuses those same unit-variance draws: it reduces the
-calibration block to per-level sufficient statistics in one pass and then
-evaluates the eye Q-factor in closed form at every trial noise level.
+(direct detection); the Gray map is 00/01/11/10 onto ascending levels,
+and modulation returns level indices (the intensities are
+``levels[labels]``). ``transmit`` is the one link pass: modulate, fade and
+add noise, matched-filter, decide, and count errors against the eye
+statistics. Channel noise is drawn in fixed-size chunks with per-chunk
+derived seeds, so the result is independent of how many workers execute
+the chunks. Noise calibration reuses those same unit-variance draws: it
+reduces the first ``_CALIBRATION_SYMBOLS`` symbols to per-level sufficient
+statistics in one pass and then evaluates the eye Q-factor in closed form
+at every trial noise level.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ _GRAY_LSB = np.array([0, 1, 1, 0], dtype=np.uint8)  # level index -> lsb
 
 _CHUNK_SYMBOLS = 1 << 16
 _KMEANS_MAX_POINTS = 1 << 20
+_CALIBRATION_SYMBOLS = 200_000
+_CALIBRATION_REL_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -86,10 +92,11 @@ class BerReport:
 
 
 def modulate(bits: np.ndarray, config: Pam4Config) -> tuple[np.ndarray, int]:
-    """Map a bit stream onto PAM-4 intensity symbols.
+    """Map a bit stream onto PAM-4 level indices.
 
     Odd-length inputs are zero-padded by one bit; the returned pad count
-    makes the padding explicit. Returns (symbols, pad_bits).
+    makes the padding explicit. Returns (labels, pad_bits); the transmitted
+    intensities are ``levels[labels]``.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1:
@@ -98,8 +105,13 @@ def modulate(bits: np.ndarray, config: Pam4Config) -> tuple[np.ndarray, int]:
     if pad_bits:
         bits = np.concatenate([bits, np.zeros(1, dtype=np.uint8)])
     pairs = (bits[0::2].astype(np.intp) << 1) | bits[1::2]
-    idx = _GRAY_FORWARD[pairs] if config.gray_mapping else pairs
-    return np.asarray(config.levels)[idx], pad_bits
+    return (_GRAY_FORWARD[pairs] if config.gray_mapping else pairs), pad_bits
+
+
+def derive_seeds(seed: int, n: int) -> list[int]:
+    """n independent integer seeds spawned from one run seed."""
+    seq = np.random.SeedSequence(seed)
+    return [int(child.generate_state(1)[0]) for child in seq.spawn(n)]
 
 
 def apply_channel(
@@ -107,7 +119,7 @@ def apply_channel(
     trace: ChannelTrace,
     noise_std: float,
     seed: int,
-    symbol_rate_hz: float | None = None,
+    symbol_rate_hz: float,
     workers: int = 1,
 ) -> np.ndarray:
     """r_k = H(t_k) * x_k + n_k with zero-order-hold gains and AWGN.
@@ -121,18 +133,17 @@ def apply_channel(
     if noise_std < 0:
         raise ValueError(f"noise_std must be >= 0, got {noise_std}")
     n = len(symbols)
-    rate = trace.sample_rate_hz if symbol_rate_hz is None else symbol_rate_hz
-    t_last = (n - 1) / rate
+    t_last = (n - 1) / symbol_rate_hz
     idx_last = int(t_last * trace.sample_rate_hz)
     if idx_last >= len(trace.gains):
         raise TraceTooShortError(
             f"trace covers {trace.duration_s:g} s but {n} symbols at "
-            f"{rate:g} Baud need {n / rate:g} s"
+            f"{symbol_rate_hz:g} Baud need {n / symbol_rate_hz:g} s"
         )
-    if symbol_rate_hz is None or rate == trace.sample_rate_hz:
+    if symbol_rate_hz == trace.sample_rate_hz:
         gains = trace.gains[:n]
     else:
-        idx = (np.arange(n) * (trace.sample_rate_hz / rate)).astype(np.intp)
+        idx = (np.arange(n) * (trace.sample_rate_hz / symbol_rate_hz)).astype(np.intp)
         gains = trace.gains[idx]
     received = gains * symbols
     if noise_std > 0:
@@ -291,17 +302,15 @@ def estimate_ber_from_stats(stats: LevelStats) -> float:
 
     Adjacent-level errors dominate under Gray coding: symbol error rate
     (1/2) * sum Q(q_i), one wrong bit per two transmitted per symbol error.
-    Infinite Q-factors (noiseless eyes) contribute zero.
+    Open noiseless eyes (Q = +inf) contribute zero; a closed noiseless
+    eye (Q = -inf, see ``_eye_q``) has no estimate.
     """
     q = np.asarray(stats.q_factors, dtype=float)
-    gaps = np.diff(np.asarray(stats.means))
-    denoms = np.asarray(stats.stds)[1:] + np.asarray(stats.stds)[:-1]
-    if np.any((denoms == 0) & (gaps <= 0)):
+    if np.any(q == -np.inf):
         raise ValueError(
             "cannot estimate BER: an eye has zero noise and a nonpositive gap"
         )
-    contributions = np.where(np.isinf(q), 0.0, gaussian_tail(np.where(np.isinf(q), 0.0, q)))
-    ber = 0.25 * float(np.sum(contributions))
+    ber = 0.25 * float(np.sum(gaussian_tail(q)))
     return min(max(ber, 0.0), 0.5)
 
 
@@ -333,41 +342,51 @@ def matched_filter(received: np.ndarray, samples_per_symbol: int) -> np.ndarray:
     return received.reshape(-1, samples_per_symbol).mean(axis=1)
 
 
-def calibrate_noise_std(
-    symbols: np.ndarray,
+def _through_channel(
     labels: np.ndarray,
+    trace: ChannelTrace,
+    noise_std: float,
+    seed: int,
+    config: Pam4Config,
+    workers: int = 1,
+) -> np.ndarray:
+    """Levels held for ``samples_per_symbol`` samples, faded, noised and
+    matched-filtered back to one sample per symbol."""
+    sps = config.samples_per_symbol
+    symbols = np.asarray(config.levels)[labels]
+    tx = np.repeat(symbols, sps) if sps > 1 else symbols
+    received = apply_channel(
+        tx, trace, noise_std, seed, config.symbol_rate_hz * sps, workers
+    )
+    return matched_filter(received, sps)
+
+
+def calibrate_noise_std(
+    bits: np.ndarray,
     trace: ChannelTrace,
     target_q: float,
     seed: int,
-    symbol_rate_hz: float | None = None,
-    rel_tol: float = 1e-4,
-    samples_per_symbol: int = 1,
+    config: Pam4Config,
 ) -> float:
     """Solve for the noise level that hits a target mean eye Q-factor.
 
     Bisection on noise_std against the mean of the three eye Q-factors
-    over the given calibration block, after the matched filter when
-    symbols are oversampled. Every trial level reuses the same noise
-    draws z (those ``apply_channel`` makes for ``seed``), so the received
-    samples are u + noise_std * z with u = H * x. The block is therefore
-    reduced once to per-level means of u and z and their centered second
-    moments A = Var(u), B = Var(z), C = Cov(u, z); a trial level s then
-    has means u_mean + s * z_mean and variances A + 2 s C + s^2 B. The
-    bracketed function is deterministic and strictly decreasing; the
-    interval is shrunk to ``rel_tol`` relative width.
+    over the first ``_CALIBRATION_SYMBOLS`` symbols of ``bits``, after the
+    matched filter. Every trial level reuses the same noise draws z (those
+    ``apply_channel`` makes for ``seed``), so the received samples are
+    u + noise_std * z with u = H * x. The block is therefore reduced once
+    to per-level means of u and z and their centered second moments
+    A = Var(u), B = Var(z), C = Cov(u, z); a trial level s then has means
+    u_mean + s * z_mean and variances A + 2 s C + s^2 B. The bracketed
+    function is deterministic and strictly decreasing; the interval is
+    shrunk to 1e-4 relative width.
     """
     if target_q <= 0:
         raise ValueError(f"target_q must be > 0, got {target_q}")
-    tx = np.repeat(symbols, samples_per_symbol) if samples_per_symbol > 1 else symbols
-    rate = (
-        None
-        if symbol_rate_hz is None
-        else symbol_rate_hz * samples_per_symbol
-    )
-    faded = apply_channel(tx, trace, 0.0, seed, symbol_rate_hz=rate)
-    u = matched_filter(faded, samples_per_symbol)
-    z = matched_filter(_unit_noise(len(tx), seed), samples_per_symbol)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels, _ = modulate(bits[: 2 * _CALIBRATION_SYMBOLS], config)
+    sps = config.samples_per_symbol
+    u = _through_channel(labels, trace, 0.0, seed, config)
+    z = matched_filter(_unit_noise(len(labels) * sps, seed), sps)
     counts = _level_counts(u, labels)
     u_mean, du = _level_centered(u, labels, counts)
     z_mean, dz = _level_centered(z, labels, counts)
@@ -382,7 +401,7 @@ def calibrate_noise_std(
         stds = np.sqrt(np.maximum(variances, 0.0))
         return float(np.mean(_eye_q(means, stds)))
 
-    span = float(np.max(symbols) - np.min(symbols)) or 1.0
+    span = config.levels[-1] - config.levels[0]
     hi = span
     for _ in range(40):
         if mean_q(hi) < target_q:
@@ -395,7 +414,7 @@ def calibrate_noise_std(
         raise ValueError(
             "target Q-factor unreachable: the channel itself is too noisy"
         )
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > _CALIBRATION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if mean_q(mid) > target_q:
             lo = mid
@@ -422,3 +441,24 @@ def ber_report(
         level_stats=stats,
         snr_db=snr_db,
     )
+
+
+def transmit(
+    bits: np.ndarray,
+    trace: ChannelTrace,
+    noise_std: float,
+    seed: int,
+    config: Pam4Config,
+    workers: int = 1,
+    thresholds=None,
+) -> tuple[np.ndarray, BerReport]:
+    """The link pass: modulate, fade and add noise, decide, count errors.
+
+    Returns the decided bits, cut to ``len(bits)``, and their BER report
+    against genie-aided eye statistics. ``thresholds`` is passed to
+    ``demodulate``; ``workers`` only changes how the noise is drawn.
+    """
+    labels, _ = modulate(bits, config)
+    received = _through_channel(labels, trace, noise_std, seed, config, workers)
+    rx_bits = demodulate(received, config, thresholds)[: len(bits)]
+    return rx_bits, ber_report(bits, rx_bits, eye_stats(received, labels))

@@ -25,9 +25,10 @@ from .errors import TrackingDivergedError
 #: Consecutive off-detector steps tolerated before declaring divergence.
 _DIVERGENCE_STEPS = 10
 
-#: Closed-loop demo settings shared by ``fsolink pat-sim`` and the ``pat.*``
-#: sweep axes: ``run_tracking_loop`` arguments plus the jitter RMS in meters
-#: (its bandwidth is the JitterParams default).
+#: Closed-loop demo settings shared by ``fsolink pat-sim``, the ``pat.*``
+#: sweep axes and the loop rate, gain and duration defaults of
+#: ``run_tracking_loop``: its arguments plus the jitter RMS in meters (its
+#: bandwidth is the JitterParams default).
 DEMO_LOOP = {
     "noise_std": 0.05,
     "disturbance_rms": 50e-6,
@@ -278,9 +279,9 @@ def run_tracking_loop(
     disturbance: JitterParams | None,
     geometry: QdGeometry,
     m: int = 1,
-    loop_rate_hz: float = 1000.0,
-    controller_gain: float = 0.8,
-    duration_s: float = 0.5,
+    loop_rate_hz: float = DEMO_LOOP["loop_rate_hz"],
+    controller_gain: float = DEMO_LOOP["controller_gain"],
+    duration_s: float = DEMO_LOOP["duration_s"],
     seed: int = 0,
     signal_power: float = 1.0,
     noise_std: float = 0.0,

@@ -1,7 +1,9 @@
 """End-to-end emulated transmission: scenario -> losses -> trace -> modem.
 
-Composes the other modules in a fixed stage order and reports everything
-measured along the way. Runs are deterministic functions of the
+Composes the other modules in a fixed stage order (turbulence,
+atmosphere, linkbudget, trace, noise, transmit, report) and reports
+everything measured along the way; the transmit stage is the modem's one
+link pass, ``modem.transmit``. Runs are deterministic functions of the
 configuration (seed included); worker counts only change execution, never
 results. Stage failures are re-raised with the stage name attached.
 ``RunConfig`` and ``NoiseSpec`` are defined with their codec in
@@ -30,24 +32,13 @@ from .channel_trace import (
 )
 from .errors import PipelineStageError, UnknownAxisError
 from .linkbudget import LinkBudget, TransceiverOptics, received_power_dbm
-from .modem import (
-    BerReport,
-    apply_channel,
-    ber_report,
-    calibrate_noise_std,
-    demodulate,
-    eye_stats,
-    matched_filter,
-    modulate,
-)
+from .modem import BerReport, calibrate_noise_std, derive_seeds, transmit
 from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
 from .scenarios import NoiseSpec, RunConfig, dotted_overlay, merge_config
 from .spatial_filter import solar_noise_power
 
 #: Rytov variance below which the marginal is modeled as log-normal.
 LOG_NORMAL_RYTOV_LIMIT = 0.3
-
-_CALIBRATION_SYMBOLS = 200_000
 
 
 @dataclass(frozen=True)
@@ -83,11 +74,6 @@ def _stage(name: str):
         raise PipelineStageError(name, exc) from exc
 
 
-def _derive_seeds(seed: int, n: int) -> list[int]:
-    seq = np.random.SeedSequence(seed)
-    return [int(child.generate_state(1)[0]) for child in seq.spawn(n)]
-
-
 def select_fading_model(fading: str, rytov_var: float) -> FadingModel:
     """Resolve "auto" (weak-fluctuation bound at Rytov 0.3) to a model."""
     kind = fading
@@ -98,6 +84,16 @@ def select_fading_model(fading: str, rytov_var: float) -> FadingModel:
     if kind == "log_normal":
         return FadingModel.log_normal(scintillation_index(rytov_var))
     return FadingModel.gamma_gamma_from_rytov(rytov_var)
+
+
+def turbulence(config: RunConfig) -> tuple[float, FadingModel, float]:
+    """Rytov variance, fading model and coherence time tau0 of a config."""
+    rytov_var = rytov_variance(config.geometry, config.scenario)
+    model = select_fading_model(config.fading, rytov_var)
+    tau0 = coherence_time(
+        config.geometry, max(config.scenario.wind_speed_ground, 1e-6)
+    )
+    return rytov_var, model, tau0
 
 
 def _auto_trace_samples(n_symbols: int, duration_s: float, tau0: float) -> int:
@@ -118,35 +114,25 @@ def _physical_noise_std(
 
 def _run(config: RunConfig, payload_bits: np.ndarray | None):
     started = time.monotonic()
-    scenario = config.scenario
-    geometry = config.geometry
 
+    with _stage("turbulence"):
+        rytov, model, tau0 = turbulence(config)
     with _stage("atmosphere"):
-        rytov = rytov_variance(geometry, scenario)
         losses = total_atmospheric_loss(
-            scenario, geometry, config.outage_prob, rytov_var=rytov
+            config.scenario, config.geometry, config.outage_prob, rytov_var=rytov
         )
     with _stage("linkbudget"):
         budget = received_power_dbm(
-            config.optics, losses, geometry.beam_divergence_rad
+            config.optics, losses, config.geometry.beam_divergence_rad
         )
 
-    with _stage("turbulence"):
-        tau0 = coherence_time(geometry, max(scenario.wind_speed_ground, 1e-6))
-        model = select_fading_model(config.fading, rytov)
-
-    bits_seed, trace_seed, cal_seed, noise_seed = _derive_seeds(config.seed, 4)
-
-    with _stage("modem"):
-        if payload_bits is None:
-            rng = np.random.default_rng(bits_seed)
-            bits = rng.integers(0, 2, 2 * config.n_symbols, dtype=np.uint8)
-        else:
-            bits = np.asarray(payload_bits, dtype=np.uint8)
-        symbols, pad_bits = modulate(bits, config.modem)
-        labels = np.searchsorted(np.asarray(config.modem.levels), symbols)
-
-    n_symbols = len(symbols)
+    bits_seed, trace_seed, cal_seed, noise_seed = derive_seeds(config.seed, 4)
+    if payload_bits is None:
+        rng = np.random.default_rng(bits_seed)
+        bits = rng.integers(0, 2, 2 * config.n_symbols, dtype=np.uint8)
+    else:
+        bits = np.asarray(payload_bits, dtype=np.uint8)
+    n_symbols = (len(bits) + 1) // 2
     duration = n_symbols / config.modem.symbol_rate_hz
 
     with _stage("trace"):
@@ -157,45 +143,27 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
             trace_rate = config.trace_rate_hz
         trace = generate_trace(model, tau0, trace_rate, duration, trace_seed)
 
-    sps = config.modem.samples_per_symbol
-
     with _stage("noise"):
         if config.noise.mode == "fixed_std":
             noise_std = float(config.noise.noise_std)
         elif config.noise.mode == "physical":
             noise_std = _physical_noise_std(config.noise, config.optics, budget)
         else:
-            n_cal = min(n_symbols, _CALIBRATION_SYMBOLS)
             noise_std = calibrate_noise_std(
-                symbols[:n_cal],
-                labels[:n_cal],
-                trace,
-                config.noise.target_q,
-                cal_seed,
-                symbol_rate_hz=config.modem.symbol_rate_hz,
-                samples_per_symbol=sps,
+                bits, trace, config.noise.target_q, cal_seed, config.modem
             )
 
-    with _stage("channel"):
-        tx_samples = np.repeat(symbols, sps) if sps > 1 else symbols
-        received = apply_channel(
-            tx_samples,
+    with _stage("transmit"):
+        clean = noise_std == 0.0 and model.sigma_i2 == 0.0
+        rx_bits, ber = transmit(
+            bits,
             trace,
             noise_std,
             noise_seed,
-            symbol_rate_hz=config.modem.symbol_rate_hz * sps,
+            config.modem,
             workers=config.workers,
+            thresholds=None if clean else "adaptive",
         )
-        received = matched_filter(received, sps)
-
-    with _stage("detection"):
-        if noise_std == 0.0 and model.sigma_i2 == 0.0:
-            rx_bits = demodulate(received, config.modem)
-        else:
-            rx_bits = demodulate(received, config.modem, thresholds="adaptive")
-        rx_bits = rx_bits[: len(bits)]
-        stats = eye_stats(received, labels)
-        ber = ber_report(bits, rx_bits, stats)
 
     with _stage("report"):
         if len(trace) >= 100:
@@ -219,7 +187,7 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
             noise_std=noise_std,
             ber=ber,
             n_symbols=n_symbols,
-            pad_bits=pad_bits,
+            pad_bits=len(bits) % 2,
             seed=config.seed,
             elapsed_s=time.monotonic() - started,
             config=config.to_dict(),
@@ -251,7 +219,7 @@ def payload_roundtrip(path_in, config: RunConfig, path_out) -> RunReport:
         raise OSError(f"cannot read payload {path_in!r}: {exc}") from exc
     bits = np.unpackbits(data)
     report, rx_bits = _run(config, bits)
-    recovered = np.packbits(rx_bits[: len(bits)])
+    recovered = np.packbits(rx_bits)
     try:
         recovered.tofile(path_out)
     except OSError as exc:

@@ -20,13 +20,10 @@ from .errors import CalibrationError
 from .modem import (
     BerReport,
     Pam4Config,
-    apply_channel,
-    ber_report,
     calibrate_noise_std,
-    demodulate,
-    eye_stats,
-    modulate,
+    derive_seeds,
     q_for_target_ber,
+    transmit,
 )
 
 
@@ -192,9 +189,9 @@ def filtering_ber_demo(
     The AWGN operating point is calibrated so the unfiltered counted BER
     sits near the target (must land in [5e-4, 5e-3]); the filtered run
     then scales the noise by the optical SNR ratio of the two
-    configurations. Both runs share one noise seed, so selection off and
-    on differ only through that scaling; n = 1 reproduces identical
-    reports. A precomputed cell grid (e.g. from CSV) overrides the beam
+    configurations. Both runs are ``modem.transmit`` passes with fixed
+    thresholds and share one noise seed, so selection off and on differ
+    only through that scaling; n = 1 reproduces identical reports. A precomputed cell grid (e.g. from CSV) overrides the beam
     model; its partition order wins over ``n``.
     """
     if grid is None:
@@ -206,36 +203,18 @@ def filtering_ber_demo(
         )
     snr = filtered_snr(grid)
 
-    seq = np.random.SeedSequence(seed)
-    bits_seed, cal_seed, run_seed = (int(s.generate_state(1)[0]) for s in seq.spawn(3))
+    bits_seed, cal_seed, run_seed = derive_seeds(seed, 3)
     rng = np.random.default_rng(bits_seed)
     bits = rng.integers(0, 2, 2 * scenario.n_symbols, dtype=np.uint8)
-    symbols, _ = modulate(bits, config)
-    labels = np.digitize(symbols, 0.5 * (np.array(config.levels[:-1]) + np.array(config.levels[1:])), right=True)
-    duration = scenario.n_symbols / config.symbol_rate_hz
-    trace = constant_trace(duration)
-
+    trace = constant_trace(scenario.n_symbols / config.symbol_rate_hz)
     target_q = q_for_target_ber(scenario.target_unfiltered_ber)
-    n_cal = min(scenario.n_symbols, 200_000)
-    noise_std = calibrate_noise_std(
-        symbols[:n_cal],
-        labels[:n_cal],
-        trace,
-        target_q,
-        cal_seed,
-        symbol_rate_hz=config.symbol_rate_hz,
-    )
+    noise_std = calibrate_noise_std(bits, trace, target_q, cal_seed, config)
 
     gain_linear = snr.snr_filtered / snr.snr_unfiltered
-    reports = []
-    for std in (noise_std, noise_std / gain_linear):
-        received = apply_channel(
-            symbols, trace, std, run_seed, symbol_rate_hz=config.symbol_rate_hz
-        )
-        rx_bits = demodulate(received, config)
-        stats = eye_stats(received, labels)
-        reports.append(ber_report(bits, rx_bits, stats))
-    report_off, report_on = reports
+    report_off, report_on = (
+        transmit(bits, trace, std, run_seed, config)[1]
+        for std in (noise_std, noise_std / gain_linear)
+    )
 
     if not 5e-4 <= report_off.ber_counted <= 5e-3:
         raise CalibrationError(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,53 +21,50 @@ from fsolink.modem import (
     matched_filter,
     modulate,
     q_for_target_ber,
+    transmit,
 )
 
 CONFIG = Pam4Config(symbol_rate_hz=1e6)
 LEVELS = np.asarray(CONFIG.levels)
 
 
-def labels_for(symbols):
-    return np.searchsorted(LEVELS, symbols)
-
-
 class TestModulate:
     def test_all_zero_bits(self):
-        symbols, pad = modulate(np.zeros(6, dtype=np.uint8), CONFIG)
-        assert np.all(symbols == 0.0)
+        labels, pad = modulate(np.zeros(6, dtype=np.uint8), CONFIG)
+        assert np.array_equal(labels, [0, 0, 0])
         assert pad == 0
 
     def test_gray_map_order(self):
         bits = np.array([0, 0, 0, 1, 1, 1, 1, 0], dtype=np.uint8)
-        symbols, _ = modulate(bits, CONFIG)
-        assert np.allclose(symbols, LEVELS)
+        labels, _ = modulate(bits, CONFIG)
+        assert np.array_equal(labels, [0, 1, 2, 3])
 
     def test_binary_map_order(self):
         config = Pam4Config(symbol_rate_hz=1e6, gray_mapping=False)
         bits = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
-        symbols, _ = modulate(bits, config)
-        assert np.allclose(symbols, LEVELS)
+        labels, _ = modulate(bits, config)
+        assert np.array_equal(labels, [0, 1, 2, 3])
 
     def test_odd_length_pads_one_bit(self):
-        symbols, pad = modulate(np.array([1], dtype=np.uint8), CONFIG)
+        labels, pad = modulate(np.array([1], dtype=np.uint8), CONFIG)
         assert pad == 1
-        assert len(symbols) == 1
         # 1 then padded 0 -> pair "10" -> top level under Gray.
-        assert symbols[0] == LEVELS[3]
+        assert np.array_equal(labels, [3])
 
     @settings(max_examples=40, deadline=None)
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_round_trip_identity(self, bits):
         bits = np.array(bits, dtype=np.uint8)
-        symbols, pad = modulate(bits, CONFIG)
-        recovered = demodulate(symbols, CONFIG)
+        labels, pad = modulate(bits, CONFIG)
+        recovered = demodulate(LEVELS[labels], CONFIG)
         assert np.array_equal(recovered[: len(bits)], bits)
         assert len(recovered) == len(bits) + pad
 
 
 class TestApplyChannel:
     def test_identity_channel(self):
-        symbols, _ = modulate(np.random.default_rng(0).integers(0, 2, 2000, dtype=np.uint8), CONFIG)
+        labels, _ = modulate(np.random.default_rng(0).integers(0, 2, 2000, dtype=np.uint8), CONFIG)
+        symbols = LEVELS[labels]
         trace = constant_trace(len(symbols) / CONFIG.symbol_rate_hz)
         out = apply_channel(symbols, trace, 0.0, seed=1, symbol_rate_hz=CONFIG.symbol_rate_hz)
         assert np.array_equal(out, symbols)
@@ -104,14 +102,14 @@ class TestDemodulate:
     def test_noiseless_ramp_exact(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 20_000, dtype=np.uint8)
-        symbols, _ = modulate(bits, CONFIG)
-        assert np.array_equal(demodulate(symbols, CONFIG)[: len(bits)], bits)
+        labels, _ = modulate(bits, CONFIG)
+        assert np.array_equal(demodulate(LEVELS[labels], CONFIG)[: len(bits)], bits)
 
     def test_adaptive_is_scale_invariant(self):
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, 20_000, dtype=np.uint8)
-        symbols, _ = modulate(bits, CONFIG)
-        received = 0.5 * symbols + rng.normal(0, 0.01, len(symbols))
+        labels, _ = modulate(bits, CONFIG)
+        received = 0.5 * LEVELS[labels] + rng.normal(0, 0.01, len(labels))
         recovered = demodulate(received, CONFIG, thresholds="adaptive")
         assert np.array_equal(recovered[: len(bits)], bits)
 
@@ -119,7 +117,8 @@ class TestDemodulate:
         rng = np.random.default_rng(5)
         n_bits = 2_000_000
         bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        symbols, _ = modulate(bits, CONFIG)
+        labels, _ = modulate(bits, CONFIG)
+        symbols = LEVELS[labels]
         sigma = 0.055  # eye q = (1/3) / (2 sigma) ~ 3.03
         trace = constant_trace(len(symbols) / CONFIG.symbol_rate_hz)
         received = apply_channel(
@@ -135,8 +134,8 @@ class TestDemodulate:
     def test_explicit_thresholds(self):
         samples = np.array([0.0, 0.4, 0.6, 1.0])
         bits = demodulate(samples, CONFIG, thresholds=[0.2, 0.5, 0.8])
-        symbols, _ = modulate(bits, CONFIG)
-        assert np.array_equal(labels_for(symbols), [0, 1, 2, 3])
+        labels, _ = modulate(bits, CONFIG)
+        assert np.array_equal(labels, [0, 1, 2, 3])
         with pytest.raises(ValueError):
             demodulate(samples, CONFIG, thresholds=[0.5, 0.2, 0.8])
         with pytest.raises(ValueError):
@@ -215,7 +214,8 @@ class TestEstimateBer:
         rng = np.random.default_rng(8)
         n_bits = 10_000_000
         bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        symbols, _ = modulate(bits, CONFIG)
+        labels, _ = modulate(bits, CONFIG)
+        symbols = LEVELS[labels]
         sigma = (1 / 3) / (2 * 3.7)
         trace = constant_trace(len(symbols) / CONFIG.symbol_rate_hz)
         received = apply_channel(
@@ -223,7 +223,7 @@ class TestEstimateBer:
         )
         recovered = demodulate(received, CONFIG)
         _, _, counted = count_ber(bits, recovered[: len(bits)])
-        estimated = estimate_ber_from_stats(eye_stats(received, labels_for(symbols)))
+        estimated = estimate_ber_from_stats(eye_stats(received, labels))
         assert counted > 0
         assert 1 / 1.5 < estimated / counted < 1.5
 
@@ -259,17 +259,25 @@ class TestCountBer:
             count_ber(np.zeros(10, dtype=np.uint8), np.zeros(9, dtype=np.uint8))
 
 
+class TestTransmit:
+    @pytest.mark.parametrize("samples_per_symbol", [1, 2])
+    def test_clean_link_returns_the_bits(self, samples_per_symbol):
+        config = dataclasses.replace(CONFIG, samples_per_symbol=samples_per_symbol)
+        bits = np.random.default_rng(21).integers(0, 2, 2001, dtype=np.uint8)
+        trace = constant_trace(1001 / CONFIG.symbol_rate_hz)
+        rx_bits, report = transmit(bits, trace, 0.0, 1, config)
+        assert np.array_equal(rx_bits, bits)
+        assert (report.bits_tx, report.bit_errors) == (2001, 0)
+        assert report.level_stats.counts.sum() == 1001
+
+
 class TestCalibration:
     def test_hits_target_q(self):
         rng = np.random.default_rng(17)
         bits = rng.integers(0, 2, 200_000, dtype=np.uint8)
-        symbols, _ = modulate(bits, CONFIG)
-        trace = constant_trace(len(symbols) / CONFIG.symbol_rate_hz)
+        trace = constant_trace(100_000 / CONFIG.symbol_rate_hz)
         target = 3.7
-        sigma = calibrate_noise_std(
-            symbols, labels_for(symbols), trace, target, seed=23,
-            symbol_rate_hz=CONFIG.symbol_rate_hz,
-        )
+        sigma = calibrate_noise_std(bits, trace, target, seed=23, config=CONFIG)
         # AWGN closed form: q = gap / (2 sigma).
         assert sigma == pytest.approx((1 / 3) / (2 * target), rel=0.02)
 
@@ -320,17 +328,25 @@ class TestCalibrationMatchesReference:
 
     N = 50_000
 
-    def block(self, fading, tau_blocks):
-        bits = np.random.default_rng(3).integers(0, 2, 2 * self.N, dtype=np.uint8)
-        symbols, _ = modulate(bits, CONFIG)
-        duration = self.N / CONFIG.symbol_rate_hz
+    def block(self, fading, tau_blocks, n=N):
+        bits = np.random.default_rng(3).integers(0, 2, 2 * n, dtype=np.uint8)
+        duration = n / CONFIG.symbol_rate_hz
         if fading is None:
             trace = constant_trace(duration)
         else:
             trace = generate_trace(
                 fading, tau_blocks * duration, 2000 / duration, duration, seed=5
             )
-        return symbols, labels_for(symbols), trace
+        return bits, trace
+
+    @staticmethod
+    def reference(bits, trace, config):
+        labels, _ = modulate(bits, config)
+        return reference_calibrate_noise_std(
+            LEVELS[labels], labels, trace, 3.7, 9,
+            symbol_rate_hz=config.symbol_rate_hz,
+            samples_per_symbol=config.samples_per_symbol,
+        )
 
     @pytest.mark.parametrize(
         "fading, tau_blocks, samples_per_symbol",
@@ -344,32 +360,31 @@ class TestCalibrationMatchesReference:
         ids=["hazy", "clear", "hazy-sps2", "clear-sps2", "constant"],
     )
     def test_same_noise_std(self, fading, tau_blocks, samples_per_symbol):
-        symbols, labels, trace = self.block(fading, tau_blocks)
-        new, ref = (
-            calibrate(
-                symbols, labels, trace, 3.7, 9,
-                symbol_rate_hz=CONFIG.symbol_rate_hz,
-                samples_per_symbol=samples_per_symbol,
-            )
-            for calibrate in (calibrate_noise_std, reference_calibrate_noise_std)
-        )
-        assert new == pytest.approx(ref, rel=1e-4)
+        bits, trace = self.block(fading, tau_blocks)
+        config = dataclasses.replace(CONFIG, samples_per_symbol=samples_per_symbol)
+        new = calibrate_noise_std(bits, trace, 3.7, 9, config)
+        assert new == pytest.approx(self.reference(bits, trace, config), rel=1e-4)
+
+    def test_calibrates_on_the_first_200k_symbols(self):
+        bits, trace = self.block(FadingModel.log_normal(0.1), 1.0, n=250_000)
+        prefix = bits[:400_000]
+        new = calibrate_noise_std(bits, trace, 3.7, 9, CONFIG)
+        assert new == calibrate_noise_std(prefix, trace, 3.7, 9, CONFIG)
+        assert new == pytest.approx(self.reference(prefix, trace, CONFIG), rel=1e-4)
 
     def test_missing_level(self):
-        symbols, labels, trace = self.block(None, None)
-        keep = labels != 2
-        for calibrate in (calibrate_noise_std, reference_calibrate_noise_std):
-            with pytest.raises(MissingLevelError):
-                calibrate(
-                    symbols[keep], labels[keep], trace, 3.7, 9,
-                    symbol_rate_hz=CONFIG.symbol_rate_hz,
-                )
+        bits, trace = self.block(None, None)
+        pairs = bits.reshape(-1, 2)
+        no_level_2 = pairs[(pairs[:, 0] & pairs[:, 1]) == 0].ravel()  # Gray 11 -> 2
+        with pytest.raises(MissingLevelError):
+            calibrate_noise_std(no_level_2, trace, 3.7, 9, CONFIG)
+        with pytest.raises(MissingLevelError):
+            self.reference(no_level_2, trace, CONFIG)
 
     def test_unreachable_target(self):
         # Fading within the block alone closes the eyes below the target.
-        symbols, labels, trace = self.block(FadingModel.gamma_gamma_from_rytov(0.6), 0.1)
-        for calibrate in (calibrate_noise_std, reference_calibrate_noise_std):
-            with pytest.raises(ValueError, match="unreachable"):
-                calibrate(
-                    symbols, labels, trace, 3.7, 9, symbol_rate_hz=CONFIG.symbol_rate_hz
-                )
+        bits, trace = self.block(FadingModel.gamma_gamma_from_rytov(0.6), 0.1)
+        with pytest.raises(ValueError, match="unreachable"):
+            calibrate_noise_std(bits, trace, 3.7, 9, CONFIG)
+        with pytest.raises(ValueError, match="unreachable"):
+            self.reference(bits, trace, CONFIG)

@@ -9,7 +9,7 @@ from fsolink.atmosphere import total_atmospheric_loss
 from fsolink.channel_trace import coherence_time, generate_trace
 from fsolink.errors import PipelineStageError, UnknownAxisError
 from fsolink.linkbudget import received_power_dbm
-from fsolink.modem import apply_channel, count_ber, demodulate, modulate
+from fsolink.modem import apply_channel, count_ber, demodulate, derive_seeds, modulate
 from fsolink.pipeline import NoiseSpec, RunConfig
 from fsolink.reporting import as_jsonable
 from fsolink.spatial_filter import SolarModel, solar_noise_power
@@ -63,12 +63,16 @@ class TestRunEndToEnd:
         assert report.fading_kind == "gamma_gamma"
         assert report.rytov_var >= pipeline.LOG_NORMAL_RYTOV_LIMIT
 
-    def test_stage_composition_matches_manual(self):
+    @pytest.mark.parametrize("sps", [1, 2])
+    def test_stage_composition_matches_manual(self, sps):
         config = make_config(
             "clear",
             n_symbols=30_000,
             seed=11,
             noise={"mode": "fixed_std", "noise_std": 0.04},
+        )
+        config = dataclasses.replace(
+            config, modem=dataclasses.replace(config.modem, samples_per_symbol=sps)
         )
         report = pipeline.run_endtoend(config)
 
@@ -83,17 +87,23 @@ class TestRunEndToEnd:
         rytov = rytov_variance(config.geometry, config.scenario)
         tau0 = coherence_time(config.geometry, config.scenario.wind_speed_ground)
         model = pipeline.select_fading_model(config.fading, rytov)
-        bits_seed, trace_seed, _, noise_seed = pipeline._derive_seeds(config.seed, 4)
+        bits_seed, trace_seed, _, noise_seed = derive_seeds(config.seed, 4)
         bits = np.random.default_rng(bits_seed).integers(
             0, 2, 2 * config.n_symbols, dtype=np.uint8
         )
-        symbols, _ = modulate(bits, config.modem)
+        labels, _ = modulate(bits, config.modem)
+        symbols = np.asarray(config.modem.levels)[labels]
         duration = len(symbols) / config.modem.symbol_rate_hz
         n_trace = pipeline._auto_trace_samples(len(symbols), duration, tau0)
         trace = generate_trace(model, tau0, n_trace / duration, duration, trace_seed)
         received = apply_channel(
-            symbols, trace, 0.04, noise_seed, symbol_rate_hz=config.modem.symbol_rate_hz
+            np.repeat(symbols, sps),
+            trace,
+            0.04,
+            noise_seed,
+            symbol_rate_hz=config.modem.symbol_rate_hz * sps,
         )
+        received = received.reshape(-1, sps).mean(axis=1)
         rx_bits = demodulate(received, config.modem, thresholds="adaptive")[: len(bits)]
         errors, _, manual_ber = count_ber(bits, rx_bits)
 
