@@ -10,7 +10,6 @@ independently. Everything is deterministic given the seed.
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, field
@@ -28,6 +27,15 @@ if TYPE_CHECKING:
 MAX_TRACE_SAMPLES = 100_000_000
 
 _BINARY_MAGIC = b"FSOTRC01"
+_BINARY_HEADER = "<8sddd q q"
+
+#: Metadata of a trace file, in header order, with the type each is read as.
+_TRACE_FIELDS = {
+    "sample_rate_hz": float,
+    "duration_s": float,
+    "coherence_time_s": float,
+    "seed": int,
+}
 
 
 def scintillation_index(rytov_var: float) -> float:
@@ -138,10 +146,6 @@ class ChannelTrace:
 
     def __len__(self) -> int:
         return len(self.gains)
-
-    @property
-    def times_s(self) -> np.ndarray:
-        return np.arange(len(self.gains)) / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -308,16 +312,19 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
 
     The coherence-time estimate inverts the Gaussian-ACF relation: the lag
     where the normalized autocovariance first drops below 1/2 (linearly
-    interpolated) divided by sqrt(ln 2). Infinite for a constant trace.
+    interpolated) divided by sqrt(ln 2). Infinite for a constant trace;
+    nan below 100 samples, too few to estimate it.
     """
     g = trace.gains
-    if len(g) < 100:
-        raise ValueError(f"need >= 100 samples for statistics, got {len(g)}")
+    if len(g) == 0:
+        raise ValueError("trace has no samples")
     mean = float(np.mean(g))
     var = float(np.var(g))
     sigma_i2 = var / mean**2 if mean != 0 else 0.0
     if var == 0.0:
         return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.inf)
+    if len(g) < 100:
+        return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.nan)
 
     n = len(g)
     # Biased autocovariance via FFT, normalized to 1 at lag 0.
@@ -345,17 +352,14 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
 
 def trace_to_csv(trace: ChannelTrace, path) -> None:
     """Write ``time_s,gain`` rows plus metadata comments; bit-exact round trip."""
+    times = (np.arange(len(trace.gains)) / trace.sample_rate_hz).tolist()
     with open(path, "w", newline="") as fh:
         fh.write("# fsolink-trace-v1\n")
-        fh.write(f"# sample_rate_hz={trace.sample_rate_hz!r}\n")
-        fh.write(f"# duration_s={trace.duration_s!r}\n")
-        fh.write(f"# coherence_time_s={trace.coherence_time_s!r}\n")
-        fh.write(f"# seed={trace.seed}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "gain"])
-        rate = trace.sample_rate_hz
-        for k, gain in enumerate(trace.gains):
-            writer.writerow([repr(k / rate), repr(float(gain))])
+        fh.writelines(f"# {key}={getattr(trace, key)}\n" for key in _TRACE_FIELDS)
+        fh.write("time_s,gain\r\n")
+        fh.writelines(
+            f"{t!r},{gain!r}\r\n" for t, gain in zip(times, trace.gains.tolist())
+        )
 
 
 def trace_from_csv(path) -> ChannelTrace:
@@ -375,28 +379,21 @@ def trace_from_csv(path) -> ChannelTrace:
             if not row:
                 continue
             gains.append(float(row.split(",")[1]))
-    required = ("sample_rate_hz", "duration_s", "coherence_time_s", "seed")
-    missing = [key for key in required if key not in meta]
+    missing = [key for key in _TRACE_FIELDS if key not in meta]
     if missing:
         raise ValueError(f"trace CSV missing metadata keys: {missing}")
     return ChannelTrace(
-        sample_rate_hz=float(meta["sample_rate_hz"]),
-        duration_s=float(meta["duration_s"]),
-        seed=int(meta["seed"]),
         gains=np.array(gains),
-        coherence_time_s=float(meta["coherence_time_s"]),
+        **{key: kind(meta[key]) for key, kind in _TRACE_FIELDS.items()},
     )
 
 
 def trace_to_binary(trace: ChannelTrace, path) -> None:
     """Raw little-endian float64 format with an 8-byte magic header."""
     header = struct.pack(
-        "<8sddd q q",
+        _BINARY_HEADER,
         _BINARY_MAGIC,
-        trace.sample_rate_hz,
-        trace.duration_s,
-        trace.coherence_time_s,
-        trace.seed,
+        *(getattr(trace, key) for key in _TRACE_FIELDS),
         len(trace.gains),
     )
     with open(path, "wb") as fh:
@@ -405,20 +402,13 @@ def trace_to_binary(trace: ChannelTrace, path) -> None:
 
 
 def trace_from_binary(path) -> ChannelTrace:
-    header_size = struct.calcsize("<8sddd q q")
     with open(path, "rb") as fh:
-        header = fh.read(header_size)
-        magic, rate, duration, tau0, seed, n = struct.unpack("<8sddd q q", header)
+        header = fh.read(struct.calcsize(_BINARY_HEADER))
+        magic, *values, n = struct.unpack(_BINARY_HEADER, header)
         if magic != _BINARY_MAGIC:
             raise ValueError(f"not a trace file: bad magic {magic!r}")
         payload = fh.read(8 * n)
     if len(payload) != 8 * n:
         raise ValueError("trace file truncated")
     gains = np.frombuffer(payload, dtype="<f8").copy()
-    return ChannelTrace(
-        sample_rate_hz=rate,
-        duration_s=duration,
-        seed=seed,
-        gains=gains,
-        coherence_time_s=tau0,
-    )
+    return ChannelTrace(gains=gains, **dict(zip(_TRACE_FIELDS, values)))

@@ -315,8 +315,7 @@ def _cmd_sweep(args) -> int:
     run_cfg = pipeline.RunConfig.from_dict(cfg)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     rows = pipeline.scenario_sweep(run_cfg, args.axis, values)
-    fieldnames = list(rows[0].keys()) if rows else ["axis", "value"]
-    reporting.rows_to_csv(rows, args.out, fieldnames=fieldnames)
+    reporting.rows_to_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

@@ -167,12 +167,8 @@ def _unit_noise(n: int, seed: int, workers: int = 1) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         return rng.standard_normal(hi - lo)
 
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(noise_chunk, range(n_chunks)))
-    else:
-        chunks = [noise_chunk(i) for i in range(n_chunks)]
-    return np.concatenate(chunks)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.concatenate(list(pool.map(noise_chunk, range(n_chunks))))
 
 
 def _kmeans_levels(samples: np.ndarray) -> np.ndarray:

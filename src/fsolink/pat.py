@@ -153,9 +153,9 @@ class TrackingResult:
     final_state: TrackState
 
 
-def _axis_fraction(lo: float, hi: float, center: float, w: float) -> float:
+def gaussian_fraction(lo, hi, center: float, w: float):
     """Fraction of a 1-D Gaussian (1/e^2 radius w, centered at ``center``)
-    falling in [lo, hi]."""
+    falling in [lo, hi], elementwise over array bounds."""
     s = math.sqrt(2.0) / w
     return 0.5 * (erf((hi - center) * s) - erf((lo - center) * s))
 
@@ -166,10 +166,10 @@ def _quadrant_fractions(
     half = 0.5 * geometry.detector_size_m
     inner = 0.5 * geometry.gap_m
     w = geometry.beam_radius_m
-    pos_x = _axis_fraction(inner, half, offset_x, w)
-    neg_x = _axis_fraction(-half, -inner, offset_x, w)
-    pos_y = _axis_fraction(inner, half, offset_y, w)
-    neg_y = _axis_fraction(-half, -inner, offset_y, w)
+    pos_x = gaussian_fraction(inner, half, offset_x, w)
+    neg_x = gaussian_fraction(-half, -inner, offset_x, w)
+    pos_y = gaussian_fraction(inner, half, offset_y, w)
+    neg_y = gaussian_fraction(-half, -inner, offset_y, w)
     return (pos_x * pos_y, neg_x * pos_y, neg_x * neg_y, pos_x * neg_y)
 
 
@@ -178,6 +178,15 @@ def _calibrate_gain(geometry: QdGeometry) -> float:
     delta = geometry.beam_radius_m / 20.0
     diff, _ = _displacement(_quadrant_fractions(delta, 0.0, geometry), 1.0)
     return delta / diff
+
+
+def _noisy_quadrants(x, y, geometry, signal_power, noise_std, rng, m) -> np.ndarray:
+    """m readings, shape (m, 4), of a beam held at offset (x, y): its quadrant
+    powers plus independent Gaussian noise, clamped at zero."""
+    powers = signal_power * np.array(_quadrant_fractions(x, y, geometry))
+    if noise_std > 0:
+        powers = powers + rng.normal(0.0, noise_std, (m, 4))
+    return np.maximum(np.atleast_2d(powers), 0.0)
 
 
 def qd_response(
@@ -199,11 +208,10 @@ def qd_response(
         raise ValueError(f"signal power must be >= 0, got {signal_power}")
     if noise_std < 0:
         raise ValueError(f"noise std must be >= 0, got {noise_std}")
-    fractions = np.array(_quadrant_fractions(offset_x, offset_y, geometry))
-    powers = signal_power * fractions
-    if noise_std > 0:
-        rng = np.random.default_rng(seed)
-        powers = np.maximum(powers + rng.normal(0.0, noise_std, 4), 0.0)
+    rng = np.random.default_rng(seed)
+    (powers,) = _noisy_quadrants(
+        offset_x, offset_y, geometry, signal_power, noise_std, rng, 1
+    )
     return QdReading(*powers.tolist())
 
 
@@ -342,11 +350,9 @@ def run_tracking_loop(
             off_detector = 0
         if controller_gain == 0.0:
             continue
-        fractions = np.array(_quadrant_fractions(true_x, true_y, geometry))
-        samples = signal_power * fractions + (
-            rng.normal(0.0, noise_std, (m, 4)) if noise_std > 0 else 0.0
+        samples = _noisy_quadrants(
+            true_x, true_y, geometry, signal_power, noise_std, rng, m
         )
-        samples = np.maximum(np.atleast_2d(samples), 0.0)
         estimate = _displacement(samples.mean(axis=0).tolist(), geometry.estimator_gain)
         if estimate is None:
             continue  # beam lost: no information this step, hold position

@@ -166,16 +166,6 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
         )
 
     with _stage("report"):
-        if len(trace) >= 100:
-            tstats = trace_stats(trace)
-        else:
-            mean = float(np.mean(trace.gains))
-            var = float(np.var(trace.gains))
-            tstats = TraceStats(
-                mean=mean,
-                sigma_i2=var / mean**2 if mean else 0.0,
-                coherence_time_s=math.inf if var == 0.0 else math.nan,
-            )
         report = RunReport(
             losses=losses,
             budget=budget,
@@ -183,7 +173,7 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
             sigma_i2=model.sigma_i2,
             fading_kind=model.kind,
             coherence_time_s=tau0,
-            trace_stats=tstats,
+            trace_stats=trace_stats(trace),
             noise_std=noise_std,
             ber=ber,
             n_symbols=n_symbols,

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 from .channel_trace import constant_trace
 from .errors import CalibrationError
@@ -25,6 +24,7 @@ from .modem import (
     q_for_target_ber,
     transmit,
 )
+from .pat import gaussian_fraction
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,10 @@ def beam_on_grid(
     if total_power < 0:
         raise ValueError(f"total power must be >= 0, got {total_power}")
     cx, cy = spot_center
-    s = math.sqrt(2.0) / spot_radius
     edges = np.linspace(-0.5, 0.5, n + 1)
-    frac_x = 0.5 * (erf((edges[1:] - cx) * s) - erf((edges[:-1] - cx) * s))
+    frac_x = gaussian_fraction(edges[:-1], edges[1:], cx, spot_radius)
     y_edges = edges[::-1]  # row 0 at the top
-    frac_y = 0.5 * (erf((y_edges[:-1] - cy) * s) - erf((y_edges[1:] - cy) * s))
+    frac_y = gaussian_fraction(y_edges[1:], y_edges[:-1], cy, spot_radius)
     cells = total_power * np.outer(frac_y, frac_x)
     return ApertureGrid(n=n, signal_power=cells, noise_power_total=noise_power_total)
 

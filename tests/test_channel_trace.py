@@ -218,8 +218,24 @@ class TestTraceStats:
         assert trace_stats(doubled).mean == pytest.approx(trace_stats(trace).mean, rel=1e-12)
 
     def test_too_short(self):
+        # Below 100 samples the moments are reported but the coherence time
+        # is not estimated (nan), except that a constant trace keeps inf.
+        gains = np.linspace(0.5, 1.5, 50)
+        short = ChannelTrace(
+            sample_rate_hz=50.0, duration_s=1.0, seed=0, gains=gains,
+            coherence_time_s=1.0,
+        )
+        est = trace_stats(short)
+        assert est.mean == pytest.approx(1.0, rel=1e-12)
+        assert est.sigma_i2 == pytest.approx(float(np.var(gains)), rel=1e-12)
+        assert math.isnan(est.coherence_time_s)
+        assert math.isinf(trace_stats(constant_trace(1.0, n=50)).coherence_time_s)
+        empty = ChannelTrace(
+            sample_rate_hz=1.0, duration_s=0.0, seed=0, gains=np.array([]),
+            coherence_time_s=1.0,
+        )
         with pytest.raises(ValueError):
-            trace_stats(constant_trace(1.0, n=50))
+            trace_stats(empty)
 
 
 class TestTraceSerialization:

@@ -1,0 +1,78 @@
+"""Static check: no module of ``src/fsolink`` imports a name it never uses.
+
+A name counts as used when the module reads it anywhere, including inside
+a string annotation such as ``"LinkGeometry"``. ``__init__.py`` re-exports
+names on purpose and is exempt; ``__future__`` imports are directives.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "fsolink"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import statement in the module."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        if annotation is None:
+            continue
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    return [
+        f"line {line}: {name}"
+        for name, line in _imported_names(tree).items()
+        if name not in used
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_imports(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_checker_sees_string_annotations_and_unused_names():
+    source = (
+        "import csv\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from .atmosphere import LinkGeometry\n"
+        "from scipy.special import erf, erfc\n"
+        "def f(g: 'LinkGeometry') -> float:\n"
+        "    return erfc(1.0)\n"
+    )
+    assert _unused_imports(source) == ["line 1: csv", "line 5: erf"]
