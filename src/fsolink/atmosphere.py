@@ -99,7 +99,6 @@ class LinkGeometry:
     tx_aperture_m: float = 0.05
     rx_aperture_m: float = 0.2
     beam_divergence_rad: float = 100e-6  # full angle at 1/e^2 intensity
-    rx_fov_sr: float = 1e-6
 
     def __post_init__(self):
         if self.distance_m <= 0:
@@ -114,8 +113,6 @@ class LinkGeometry:
             raise ValueError(
                 f"beam divergence must be > 0, got {self.beam_divergence_rad}"
             )
-        if self.rx_fov_sr <= 0:
-            raise ValueError(f"receiver FoV must be > 0, got {self.rx_fov_sr}")
 
 
 @dataclass(frozen=True)
