@@ -14,10 +14,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.special import ndtri
+from scipy.special import gammainc, ndtri
 
 from .channel_trace import scintillation_index
-from .errors import QuadratureError
 
 _DB_PER_NEPER = 10.0 / math.log(10.0)  # 4.342944... dB per factor e
 
@@ -141,6 +140,16 @@ class LossBreakdown:
             raise ValueError("l_total_db must equal the sum of its components")
 
 
+def _hv_terms(v: float, a0: float) -> tuple[tuple[float, int, float], ...]:
+    """Hufnagel-Valley terms (c, p, H) of Cn2(h) = sum c h^p e^(-h/H), h in m:
+    the wind term 0.00594 (v/27)^2 (1e-5 h)^10 e^(-h/1000), background, ground."""
+    return (
+        (0.00594 * (v / 27.0) ** 2 * 1e-50, 10, 1000.0),
+        (2.7e-16, 0, 1500.0),
+        (a0, 0, 100.0),
+    )
+
+
 def cn2_profile(h: float, v: float, a0: float) -> float:
     """Hufnagel-Valley refractive-index structure parameter at altitude h.
 
@@ -165,70 +174,23 @@ def cn2_profile(h: float, v: float, a0: float) -> float:
         raise ValueError(f"wind speed must be >= 0, got {v}")
     if a0 <= 0:
         raise ValueError(f"ground Cn2 must be > 0, got {a0}")
-    return (
-        0.00594 * (v / 27.0) ** 2 * (1e-5 * h) ** 10 * math.exp(-h / 1000.0)
-        + 2.7e-16 * math.exp(-h / 1500.0)
-        + a0 * math.exp(-h / 100.0)
-    )
-
-
-def _adaptive_simpson(f, a, b, rel_tol, max_depth=48, min_panels=8):
-    """Adaptive Simpson quadrature with an initial uniform split.
-
-    Raises ``QuadratureError`` when the recursion bottoms out before the
-    per-panel tolerance is met.
-    """
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + x1)
-        xr = 0.5 * (x1 + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, x1, f0, fl, f1)
-        right = simpson(x1, x2, f1, fr, f2)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"adaptive Simpson did not converge on [{x0}, {x2}] "
-                f"at depth {max_depth}"
-            )
-        return recurse(x0, x1, f0, fl, f1, left, 0.5 * tol, depth + 1) + recurse(
-            x1, x2, f1, fr, f2, right, 0.5 * tol, depth + 1
-        )
-
-    edges = [a + (b - a) * i / min_panels for i in range(min_panels + 1)]
-    crude = 0.0
-    panels = []
-    for x0, x2 in zip(edges[:-1], edges[1:]):
-        x1 = 0.5 * (x0 + x2)
-        f0, f1, f2 = f(x0), f(x1), f(x2)
-        whole = simpson(x0, x2, f0, f1, f2)
-        panels.append((x0, x2, f0, f1, f2, whole))
-        crude += whole
-    tol_scale = abs(crude) if crude != 0.0 else 1.0
-    total = 0.0
-    for x0, x2, f0, f1, f2, whole in panels:
-        tol = rel_tol * tol_scale * (x2 - x0) / (b - a)
-        total += recurse(x0, x2, f0, f1, f2, whole, tol, 0)
-    return total
+    return sum(c * h**p * math.exp(-h / scale) for c, p, scale in _hv_terms(v, a0))
 
 
 def rytov_variance(geometry: LinkGeometry, scenario: WeatherScenario) -> float:
     """Rytov variance for the scenario's turbulence profile along the path.
 
     Horizontal paths (altitude difference below 1 m) use the closed form
-    1.23 * Cn2 * k^(7/6) * L^(11/6). Slant paths integrate the profile
-    with the (h - h0)^(5/6) kernel (adaptive Simpson, rel. tol 1e-6):
+    1.23 * Cn2 * k^(7/6) * L^(11/6). Slant paths use the slant-path closed
+    form of
 
-        2.25 * k^(7/6) * (L / dh)^(11/6) * int Cn2(h) (h - h0)^(5/6) dh
+        2.25 * k^(7/6) * (L / dh)^(11/6) * int Cn2(h) (h - h0)^(5/6) dh,
 
-    which reduces exactly to the horizontal form for constant Cn2.
+    which reduces exactly to the horizontal form for constant Cn2. With
+    t = h - h0, each profile term c h^p e^(-h/H) integrates to
+    c e^(-h0/H) sum_j C(p, j) h0^(p-j) H^a_j Gamma(a_j) P(a_j, dh/H), where
+    a_j = j + 11/6 and P is the regularized lower incomplete gamma
+    function. Every summand is positive, so nothing cancels.
     """
     k = 2.0 * math.pi / geometry.wavelength_m
     h_lo = min(geometry.tx_altitude_m, geometry.rx_altitude_m)
@@ -248,10 +210,14 @@ def rytov_variance(geometry: LinkGeometry, scenario: WeatherScenario) -> float:
             f"altitude difference {dh} m exceeds link distance {length} m"
         )
 
-    def kernel(h):
-        return cn2_profile(h, v, a0) * (h - h_lo) ** (5.0 / 6.0)
-
-    integral = _adaptive_simpson(kernel, h_lo, h_hi, rel_tol=1e-6)
+    integral = 0.0
+    for c, p, scale in _hv_terms(v, a0):
+        for j in range(p + 1):
+            a = j + 11.0 / 6.0
+            integral += (
+                c * math.exp(-h_lo / scale) * math.comb(p, j) * h_lo ** (p - j)
+                * scale**a * math.gamma(a) * float(gammainc(a, dh / scale))
+            )
     return (
         2.25 * k ** (7.0 / 6.0) * (length / dh) ** (11.0 / 6.0) * integral
     )
@@ -353,7 +319,7 @@ def total_atmospheric_loss(
     scintillation margin is evaluated over the full path at the given
     outage probability; the total is the plain sum of all components.
     A caller that already holds ``rytov_variance(geometry, scenario)``
-    passes it as ``rytov_var`` to skip the path quadrature.
+    passes it as ``rytov_var`` to skip recomputing it.
     """
     if rytov_var is None:
         rytov_var = rytov_variance(geometry, scenario)

@@ -10,10 +10,6 @@ class FsoLinkError(Exception):
     """Base class for runtime errors raised by this package."""
 
 
-class QuadratureError(FsoLinkError):
-    """Numeric integration failed to reach the requested tolerance."""
-
-
 class TraceLengthError(FsoLinkError):
     """Requested trace exceeds the configured in-memory sample budget."""
 
