@@ -142,7 +142,7 @@ class LossBreakdown:
 
 def _hv_terms(v: float, a0: float) -> tuple[tuple[float, int, float], ...]:
     """Hufnagel-Valley terms (c, p, H) of Cn2(h) = sum c h^p e^(-h/H), h in m:
-    the wind term 0.00594 (v/27)^2 (1e-5 h)^10 e^(-h/1000), background, ground."""
+    the wind term, with its (1e-5 h)^10 folded into c, background and ground."""
     return (
         (0.00594 * (v / 27.0) ** 2 * 1e-50, 10, 1000.0),
         (2.7e-16, 0, 1500.0),
@@ -182,7 +182,7 @@ def rytov_variance(geometry: LinkGeometry, scenario: WeatherScenario) -> float:
 
     Horizontal paths (altitude difference below 1 m) use the closed form
     1.23 * Cn2 * k^(7/6) * L^(11/6). Slant paths use the slant-path closed
-    form of
+    form of the profile integral
 
         2.25 * k^(7/6) * (L / dh)^(11/6) * int Cn2(h) (h - h0)^(5/6) dh,
 
