@@ -71,7 +71,6 @@ from .pat import (
     JitterParams,
     QdGeometry,
     QdReading,
-    TrackState,
     estimate_displacement,
     multisample_snr,
     qd_response,

@@ -167,6 +167,8 @@ def _unit_noise(n: int, seed: int, workers: int = 1) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         return rng.standard_normal(hi - lo)
 
+    if workers == 1:
+        return np.concatenate(list(map(noise_chunk, range(n_chunks))))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.concatenate(list(pool.map(noise_chunk, range(n_chunks))))
 

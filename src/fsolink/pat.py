@@ -9,10 +9,16 @@ The closed-loop simulation takes m detector samples per correction window
 (the channel is held static within a window), averages them, and applies a
 proportional correction. Multi-sampling trades acquisition time for an
 amplitude-SNR gain of sqrt(m).
+
+Noise contract: the loop's detector noise comes from the first child of
+the run seed's SeedSequence. Step k's m readings add the k-th (m, 4) block
+of that child's normal stream (row i holds reading i's Q1..Q4 draws),
+whatever the block size the draws are made in.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,6 +30,10 @@ from .errors import TrackingDivergedError
 
 #: Consecutive off-detector steps tolerated before declaring divergence.
 _DIVERGENCE_STEPS = 10
+
+#: Most noise values ``run_tracking_loop`` draws at once. As nested lists a
+#: full block of m = 1 steps takes about 0.5 MiB.
+_NOISE_BLOCK_VALUES = 1 << 12
 
 #: Closed-loop demo settings shared by ``fsolink pat-sim``, the ``pat.*``
 #: sweep axes and the loop rate, gain and duration defaults of
@@ -89,25 +99,6 @@ class QdGeometry:
 
 
 @dataclass(frozen=True)
-class TrackState:
-    """Loop state snapshot: beam-center misalignment and loop settings."""
-
-    offset_x_m: float
-    offset_y_m: float
-    time_s: float
-    m: int
-    loop_rate_hz: float
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"samples per correction must be >= 1, got {self.m}")
-        if not 0 < self.loop_rate_hz <= 1000.0:
-            raise ValueError(
-                f"loop rate must be in (0, 1000] Hz, got {self.loop_rate_hz}"
-            )
-
-
-@dataclass(frozen=True)
 class JitterParams:
     """Band-limited Gaussian platform jitter (Gaussian-shaped ACF)."""
 
@@ -150,7 +141,6 @@ class TrackingResult:
     loop_rate_hz: float
     controller_gain: float
     seed: int
-    final_state: TrackState
 
 
 def gaussian_fraction(lo, hi, center: float, w: float):
@@ -160,17 +150,19 @@ def gaussian_fraction(lo, hi, center: float, w: float):
     return 0.5 * (erf((hi - center) * s) - erf((lo - center) * s))
 
 
-def _quadrant_fractions(
-    offset_x: float, offset_y: float, geometry: QdGeometry
-) -> tuple[float, float, float, float]:
+def _quadrant_fractions(x: float, y: float, geometry: QdGeometry) -> list[float]:
+    """Beam fractions on Q1..Q4: ``gaussian_fraction`` of each axis on its two
+    cells, with one erf call over the eight operands (edge - offset) * s."""
     half = 0.5 * geometry.detector_size_m
     inner = 0.5 * geometry.gap_m
-    w = geometry.beam_radius_m
-    pos_x = gaussian_fraction(inner, half, offset_x, w)
-    neg_x = gaussian_fraction(-half, -inner, offset_x, w)
-    pos_y = gaussian_fraction(inner, half, offset_y, w)
-    neg_y = gaussian_fraction(-half, -inner, offset_y, w)
-    return (pos_x * pos_y, neg_x * pos_y, neg_x * neg_y, pos_x * neg_y)
+    s = math.sqrt(2.0) / geometry.beam_radius_m
+    e = erf([
+        (half - x) * s, (inner - x) * s, (-inner - x) * s, (-half - x) * s,
+        (half - y) * s, (inner - y) * s, (-inner - y) * s, (-half - y) * s,
+    ]).tolist()
+    pos_x, neg_x = 0.5 * (e[0] - e[1]), 0.5 * (e[2] - e[3])
+    pos_y, neg_y = 0.5 * (e[4] - e[5]), 0.5 * (e[6] - e[7])
+    return [pos_x * pos_y, neg_x * pos_y, neg_x * neg_y, pos_x * neg_y]
 
 
 def _calibrate_gain(geometry: QdGeometry) -> float:
@@ -180,13 +172,27 @@ def _calibrate_gain(geometry: QdGeometry) -> float:
     return delta / diff
 
 
-def _noisy_quadrants(x, y, geometry, signal_power, noise_std, rng, m) -> np.ndarray:
-    """m readings, shape (m, 4), of a beam held at offset (x, y): its quadrant
-    powers plus independent Gaussian noise, clamped at zero."""
-    powers = signal_power * np.array(_quadrant_fractions(x, y, geometry))
-    if noise_std > 0:
-        powers = powers + rng.normal(0.0, noise_std, (m, 4))
-    return np.maximum(np.atleast_2d(powers), 0.0)
+#: Noise of a noiseless reading: one zero draw per quadrant.
+_NO_NOISE = ([0.0], [0.0], [0.0], [0.0])
+
+
+def _mean_reading(signal_power: float, fractions, noise) -> list[float]:
+    """Per quadrant, the mean over m readings of max(signal_power * fraction
+    + draw, 0), with ``noise`` holding each quadrant's m draws.
+
+    Adding the positive terms in reading order repeats numpy's axis-0 mean
+    of the clamped (m, 4) readings bit for bit.
+    """
+    means = []
+    for f, draws in zip(fractions, noise):
+        p = signal_power * f
+        acc = 0.0
+        for r in draws:
+            v = p + r
+            if v > 0.0:
+                acc += v
+        means.append(acc / len(draws))
+    return means
 
 
 def qd_response(
@@ -208,11 +214,11 @@ def qd_response(
         raise ValueError(f"signal power must be >= 0, got {signal_power}")
     if noise_std < 0:
         raise ValueError(f"noise std must be >= 0, got {noise_std}")
-    rng = np.random.default_rng(seed)
-    (powers,) = _noisy_quadrants(
-        offset_x, offset_y, geometry, signal_power, noise_std, rng, 1
-    )
-    return QdReading(*powers.tolist())
+    noise = _NO_NOISE
+    if noise_std > 0:
+        noise = np.random.default_rng(seed).normal(0.0, noise_std, (4, 1)).tolist()
+    fractions = _quadrant_fractions(offset_x, offset_y, geometry)
+    return QdReading(*_mean_reading(signal_power, fractions, noise))
 
 
 def _displacement(v, gain: float) -> tuple[float, float] | None:
@@ -282,6 +288,17 @@ def multisample_snr(
     )
 
 
+def _step_noise(rng: np.random.Generator, noise_std: float, m: int, n_steps: int):
+    """Yield each step's readings noise as four lists (one per quadrant) of m
+    draws. Step k gets the k-th (m, 4) block of ``rng``'s normal stream;
+    draws are made ``_NOISE_BLOCK_VALUES`` values (at least one step) at a
+    time, which gives the same stream as one draw per step."""
+    block = max(1, _NOISE_BLOCK_VALUES // (4 * m))
+    for start in range(0, n_steps, block):
+        draws = rng.normal(0.0, noise_std, (min(block, n_steps - start), m, 4))
+        yield from draws.transpose(0, 2, 1).tolist()
+
+
 def run_tracking_loop(
     initial_offset_m: tuple[float, float],
     disturbance: JitterParams | None,
@@ -316,29 +333,27 @@ def run_tracking_loop(
     dt = 1.0 / loop_rate_hz
     seq = np.random.SeedSequence(seed)
     child_noise, child_jx, child_jy = seq.spawn(3)
-    rng = np.random.default_rng(child_noise)
+    jx = jy = np.zeros(n_steps)
     if disturbance is not None and disturbance.rms_m > 0:
         tau = disturbance.correlation_time_s
-        jx = disturbance.rms_m * _gaussian_acf_series(
-            n_steps, dt, tau, np.random.default_rng(child_jx)
+        jx, jy = (
+            disturbance.rms_m
+            * _gaussian_acf_series(n_steps, dt, tau, np.random.default_rng(child))
+            for child in (child_jx, child_jy)
         )
-        jy = disturbance.rms_m * _gaussian_acf_series(
-            n_steps, dt, tau, np.random.default_rng(child_jy)
-        )
-    else:
-        jx = np.zeros(n_steps)
-        jy = np.zeros(n_steps)
-
+    noise = itertools.repeat(_NO_NOISE)
+    if noise_std > 0:
+        noise = _step_noise(np.random.default_rng(child_noise), noise_std, m, n_steps)
+    gain = geometry.estimator_gain
     ctrl_x, ctrl_y = float(initial_offset_m[0]), float(initial_offset_m[1])
-    xs = np.empty(n_steps)
-    ys = np.empty(n_steps)
+    xs, ys = [], []
     off_detector = 0
     half = 0.5 * geometry.detector_size_m
-    for k in range(n_steps):
-        true_x = ctrl_x + jx[k]
-        true_y = ctrl_y + jy[k]
-        xs[k] = true_x
-        ys[k] = true_y
+    for k, (jitter_x, jitter_y) in enumerate(zip(jx.tolist(), jy.tolist())):
+        true_x = ctrl_x + jitter_x
+        true_y = ctrl_y + jitter_y
+        xs.append(true_x)
+        ys.append(true_y)
         if max(abs(true_x), abs(true_y)) > 2 * half:
             off_detector += 1
             if off_detector >= _DIVERGENCE_STEPS:
@@ -350,15 +365,15 @@ def run_tracking_loop(
             off_detector = 0
         if controller_gain == 0.0:
             continue
-        samples = _noisy_quadrants(
-            true_x, true_y, geometry, signal_power, noise_std, rng, m
-        )
-        estimate = _displacement(samples.mean(axis=0).tolist(), geometry.estimator_gain)
+        fractions = _quadrant_fractions(true_x, true_y, geometry)
+        reading = _mean_reading(signal_power, fractions, next(noise))
+        estimate = _displacement(reading, gain)
         if estimate is None:
             continue  # beam lost: no information this step, hold position
         ctrl_x -= controller_gain * estimate[0]
         ctrl_y -= controller_gain * estimate[1]
 
+    xs, ys = np.array(xs), np.array(ys)
     radial = np.hypot(xs, ys)
     tail = radial[min(settle_steps, n_steps - 1) :]
     return TrackingResult(
@@ -371,12 +386,4 @@ def run_tracking_loop(
         loop_rate_hz=loop_rate_hz,
         controller_gain=controller_gain,
         seed=seed,
-        final_state=TrackState(
-            offset_x_m=float(xs[-1]),
-            offset_y_m=float(ys[-1]),
-            time_s=(n_steps - 1) * dt,
-            m=m,
-            loop_rate_hz=loop_rate_hz,
-        ),
     )
-

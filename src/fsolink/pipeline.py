@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import math
 import time
 from dataclasses import dataclass
@@ -218,14 +217,6 @@ def payload_roundtrip(path_in, config: RunConfig, path_out) -> RunReport:
     return dataclasses.replace(
         report, byte_errors=byte_errors, payload_bytes=len(data)
     )
-
-
-def payload_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 # --- parameter sweeps -------------------------------------------------------

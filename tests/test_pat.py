@@ -1,14 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from fsolink import pat
 from fsolink.errors import TrackingDivergedError
 from fsolink.pat import (
     JitterParams,
     QdGeometry,
     QdReading,
-    TrackState,
     estimate_displacement,
     multisample_snr,
     qd_response,
@@ -263,18 +264,100 @@ class TestTrackingLoop:
         with pytest.raises(ValueError):
             run_tracking_loop((0, 0), None, GEOM, duration_s=1.0, loop_rate_hz=2000.0)
 
+    def test_needs_one_sample_per_correction(self):
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            run_tracking_loop((0, 0), None, GEOM, m=0)
 
-class TestTrackState:
-    def test_validation(self):
-        TrackState(offset_x_m=0.0, offset_y_m=0.0, time_s=0.0, m=1, loop_rate_hz=1000.0)
-        with pytest.raises(ValueError):
-            TrackState(offset_x_m=0.0, offset_y_m=0.0, time_s=0.0, m=0, loop_rate_hz=100.0)
-        with pytest.raises(ValueError):
-            TrackState(offset_x_m=0.0, offset_y_m=0.0, time_s=0.0, m=1, loop_rate_hz=1500.0)
 
-    def test_loop_reports_final_state(self):
-        result = run_tracking_loop(
-            (1e-4, 0.0), None, GEOM, m=3, duration_s=0.2, seed=1
+class TestTrackingLoopPinned:
+    """The offset traces of a small grid of loops, pinned bit for bit.
+
+    Each digest is sha256(offsets_x_m bytes + offsets_y_m bytes). The grid
+    has a detector gap and signal_power != 1; noise_std 0.3 clamps readings
+    at zero and, at m = 1, loses the beam on some steps (hold position).
+    """
+
+    GEOM_WIDE_GAP = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=1e-4)
+    NOISELESS = "e441b7ae50b7b1c8a3b0505ce8c9fc86badb60d8f38943546bfca7e07fb5715a"
+
+    @staticmethod
+    def digest(result):
+        h = hashlib.sha256(result.offsets_x_m.tobytes())
+        h.update(result.offsets_y_m.tobytes())
+        return h.hexdigest()
+
+    def run(self, m, noise_std, duration_s=0.15, seed=7):
+        return run_tracking_loop(
+            (2e-4, -1e-4),
+            JitterParams(rms_m=50e-6),
+            self.GEOM_WIDE_GAP,
+            m=m,
+            duration_s=duration_s,
+            seed=seed,
+            signal_power=0.2,
+            noise_std=noise_std,
         )
-        assert result.final_state.m == 3
-        assert result.final_state.offset_x_m == result.offsets_x_m[-1]
+
+    @pytest.mark.parametrize(
+        "m, noise_std, expected",
+        [
+            (1, 0.0, NOISELESS),
+            (4, 0.0, NOISELESS),
+            (10, 0.0, NOISELESS),
+            (1, 0.05, "b959861ff6031c6a93f6d4b6d016be16e8553b0b47ed87c297555dcee0056bf6"),
+            (4, 0.05, "c716f490a20f05069c533ca87eba29213d39fe3954b6e40e3c53098399d57ae0"),
+            (10, 0.05, "f8a35a1192a6367b436040c5c9164a3f65123e85dd6a2f55d592750dc4d4c1c5"),
+            (1, 0.3, "1c89ea34f930fb8fd9ff561d5e4ecc3459e26bb87c64d688ca00b8b7b672a2ae"),
+            (4, 0.3, "23cac9cefe9320f73081665c1b8645068c60056e2519f4f3f28dcb2ef118efc1"),
+            (10, 0.3, "2369522fe4d1db7a0608a617c920266b2564c16af8d83cdba2ad99064d2be4c8"),
+        ],
+    )
+    def test_offsets_pinned(self, m, noise_std, expected):
+        assert self.digest(self.run(m, noise_std)) == expected
+
+    def test_offsets_pinned_across_noise_blocks(self):
+        # 1000 steps of m = 40 span several noise blocks, the last one partial.
+        result = self.run(40, 0.3, duration_s=1.0, seed=3)
+        expected = "150bbeed5b9c486f2201ef40d1b9f367429474fb7ac3b91d2f66cd1d630cde91"
+        assert self.digest(result) == expected
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_noise_block_size_does_not_change_the_stream(self, monkeypatch, m):
+        default = self.run(m, 0.3, duration_s=0.2)
+        # One step per draw, then 7-step blocks (200 is not a multiple of 7).
+        for block_values in (1, 7 * 4 * m):
+            monkeypatch.setattr(pat, "_NOISE_BLOCK_VALUES", block_values)
+            result = self.run(m, 0.3, duration_s=0.2)
+            assert np.array_equal(result.offsets_x_m, default.offsets_x_m)
+            assert np.array_equal(result.offsets_y_m, default.offsets_y_m)
+
+    def test_noise_is_drawn_in_bounded_blocks(self):
+        class RecordingRng:
+            def __init__(self):
+                self.rng = np.random.default_rng(0)
+                self.sizes = []
+
+            def normal(self, loc, scale, size):
+                self.sizes.append(size)
+                return self.rng.normal(loc, scale, size)
+
+        rng = RecordingRng()
+        steps = list(pat._step_noise(rng, 0.1, 10, 1000))
+        assert len(steps) == 1000
+        assert all(len(quadrant) == 10 for step in steps for quadrant in step)
+        assert sum(size[0] for size in rng.sizes) == 1000
+        assert max(math.prod(size) for size in rng.sizes) <= pat._NOISE_BLOCK_VALUES
+
+    def test_divergence_step_time_pinned(self):
+        with pytest.raises(TrackingDivergedError, match=r"steps at t=0\.014 s$"):
+            run_tracking_loop(
+                (0.2e-3, 0.0),
+                JitterParams(rms_m=20e-6),
+                self.GEOM_WIDE_GAP,
+                m=3,
+                controller_gain=-3.0,
+                duration_s=0.2,
+                seed=0,
+                signal_power=0.5,
+                noise_std=0.1,
+            )
