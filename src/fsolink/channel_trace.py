@@ -141,8 +141,9 @@ class ChannelTrace:
                 f"trace length {len(self.gains)} does not match "
                 f"rate*duration = {expected}"
             )
-        if len(self.gains) and float(np.min(self.gains)) < 0.0:
-            raise ValueError("trace gains must be nonnegative")
+        gains = self.gains
+        if len(gains) and not (np.min(gains) >= 0.0 and np.max(gains) < math.inf):
+            raise ValueError("trace gains must be finite and nonnegative")
 
     def __len__(self) -> int:
         return len(self.gains)

@@ -2,15 +2,18 @@
 
 Bits are numpy uint8 arrays of 0/1. Intensity levels are nonnegative
 (direct detection); the Gray map is 00/01/11/10 onto ascending levels,
-and modulation returns level indices (the intensities are
+and modulation returns uint8 level indices (the intensities are
 ``levels[labels]``). ``transmit`` is the one link pass: modulate, fade and
 add noise, matched-filter, decide, and count errors against the eye
-statistics. Channel noise is drawn in fixed-size chunks with per-chunk
-derived seeds, so the result is independent of how many workers execute
-the chunks. Noise calibration reuses those same unit-variance draws: it
-reduces the first ``_CALIBRATION_SYMBOLS`` symbols to per-level sufficient
-statistics in one pass and then evaluates the eye Q-factor in closed form
-at every trial noise level.
+statistics. Each stage runs in blocks of ``_CHUNK_SYMBOLS`` symbols; the
+whole-run arrays are the bits in and out, the labels and the received
+samples (about 13 B/symbol). A block's noise is drawn in chunks seeded by
+(seed, chunk index), so no worker count changes the result. A sample is
+decided by counting the thresholds strictly below it (one exactly on a
+threshold goes to the lower level). Noise calibration reuses the same
+unit-variance draws: it reduces the first ``_CALIBRATION_SYMBOLS`` symbols
+to per-level sufficient statistics in one pass and then evaluates the eye
+Q-factor in closed form at every trial noise level.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from scipy.special import erfc
 from .channel_trace import ChannelTrace
 from .errors import DegenerateLevelsError, MissingLevelError, TraceTooShortError
 
-_GRAY_FORWARD = np.array([0, 1, 3, 2])  # bit pair (msb,lsb) value -> level index
-_GRAY_MSB = np.array([0, 0, 1, 1], dtype=np.uint8)  # level index -> msb
-_GRAY_LSB = np.array([0, 1, 1, 0], dtype=np.uint8)  # level index -> lsb
+_GRAY_FORWARD = np.array([0, 1, 3, 2], dtype=np.uint8)  # bit pair value <-> level
+# Bit pair value -> its (msb, lsb) bytes read as one uint16: one gather
+# writes both bits of a symbol.
+_PAIR_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], np.uint8).view(np.uint16)[:, 0]
 
 _CHUNK_SYMBOLS = 1 << 16
 _KMEANS_MAX_POINTS = 1 << 20
@@ -101,11 +105,15 @@ def modulate(bits: np.ndarray, config: Pam4Config) -> tuple[np.ndarray, int]:
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1:
         raise ValueError("bits must be a 1-D array")
-    pad_bits = len(bits) % 2
-    if pad_bits:
-        bits = np.concatenate([bits, np.zeros(1, dtype=np.uint8)])
-    pairs = (bits[0::2].astype(np.intp) << 1) | bits[1::2]
-    return (_GRAY_FORWARD[pairs] if config.gray_mapping else pairs), pad_bits
+    labels = np.empty((len(bits) + 1) // 2, dtype=np.uint8)
+    for lo in range(0, len(labels), _CHUNK_SYMBOLS):
+        pairs = bits[2 * lo : 2 * (lo + _CHUNK_SYMBOLS)]
+        label = pairs[0::2] << 1
+        label[: len(pairs) // 2] |= pairs[1::2]
+        labels[lo : lo + len(label)] = (
+            _GRAY_FORWARD[label] if config.gray_mapping else label
+        )
+    return labels, len(bits) % 2
 
 
 def derive_seeds(seed: int, n: int) -> list[int]:
@@ -121,56 +129,69 @@ def apply_channel(
     seed: int,
     symbol_rate_hz: float,
     workers: int = 1,
+    levels: tuple[float, ...] | None = None,
+    samples_per_symbol: int = 1,
 ) -> np.ndarray:
     """r_k = H(t_k) * x_k + n_k with zero-order-hold gains and AWGN.
 
-    The trace is sampled at each symbol start time; it must cover the full
-    symbol duration. Noise is generated in fixed-size chunks, each from a
-    seed derived from (seed, chunk index), so the output depends only on
-    the inputs and never on the worker count.
+    ``symbols`` are the transmitted intensities, or indices into ``levels``
+    when those are given. Each is held for ``samples_per_symbol`` samples,
+    which the matched filter averages back to one. The trace is sampled at
+    each sample's start time and must cover the run. Blocks of
+    ``_CHUNK_SYMBOLS`` symbols are mapped over ``workers`` threads; a
+    block's noise comes from the seeded chunks of its samples, so the
+    output never depends on the worker count.
     """
-    symbols = np.asarray(symbols, dtype=float)
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    sps = samples_per_symbol
+    rate = symbol_rate_hz * sps
     n = len(symbols)
-    t_last = (n - 1) / symbol_rate_hz
-    idx_last = int(t_last * trace.sample_rate_hz)
-    if idx_last >= len(trace.gains):
+    if int((n * sps - 1) / rate * trace.sample_rate_hz) >= len(trace.gains):
         raise TraceTooShortError(
             f"trace covers {trace.duration_s:g} s but {n} symbols at "
             f"{symbol_rate_hz:g} Baud need {n / symbol_rate_hz:g} s"
         )
-    if symbol_rate_hz == trace.sample_rate_hz:
-        gains = trace.gains[:n]
+    step = trace.sample_rate_hz / rate
+    symbols = np.asarray(symbols)
+    received = np.empty(n)
+
+    def block(lo: int) -> None:
+        hi = min(lo + _CHUNK_SYMBOLS, n)
+        tx = symbols[lo:hi] if levels is None else np.take(levels, symbols[lo:hi])
+        if sps > 1:
+            tx = np.repeat(tx, sps)
+        idx = (np.arange(lo * sps, hi * sps) * step).astype(np.intp)
+        r = trace.gains[idx] * tx
+        if noise_std > 0:
+            noise = _unit_noise(lo * sps, hi * sps, seed)
+            noise *= noise_std
+            r += noise
+        received[lo:hi] = matched_filter(r, sps)
+
+    starts = range(0, n, _CHUNK_SYMBOLS)
+    if workers == 1:
+        for lo in starts:
+            block(lo)
     else:
-        idx = (np.arange(n) * (trace.sample_rate_hz / symbol_rate_hz)).astype(np.intp)
-        gains = trace.gains[idx]
-    received = gains * symbols
-    if noise_std > 0:
-        noise = _unit_noise(n, seed, workers)
-        noise *= noise_std
-        received += noise
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(block, starts))
     return received
 
 
-def _unit_noise(n: int, seed: int, workers: int = 1) -> np.ndarray:
-    """Standard-normal noise for n samples, drawn in seeded fixed-size chunks.
+def _unit_noise(lo: int, hi: int, seed: int) -> np.ndarray:
+    """Standard-normal noise for samples lo..hi-1 (lo a chunk boundary).
 
-    Chunk i comes from SeedSequence([seed, i]); scaling these draws by s
-    reproduces ``rng.normal(0, s, m)`` bit for bit.
+    Chunk i, samples [i, i + 1) * ``_CHUNK_SYMBOLS``, comes from
+    SeedSequence([seed, i]); scaled by s it is ``rng.normal(0, s, m)``.
     """
-    n_chunks = (n + _CHUNK_SYMBOLS - 1) // _CHUNK_SYMBOLS
-
-    def noise_chunk(i: int) -> np.ndarray:
-        lo = i * _CHUNK_SYMBOLS
-        hi = min(lo + _CHUNK_SYMBOLS, n)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        return rng.standard_normal(hi - lo)
-
-    if workers == 1:
-        return np.concatenate(list(map(noise_chunk, range(n_chunks))))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(noise_chunk, range(n_chunks))))
+    noise = np.empty(hi - lo)
+    for start in range(lo, hi, _CHUNK_SYMBOLS):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([seed, start // _CHUNK_SYMBOLS])
+        )
+        rng.standard_normal(out=noise[start - lo : start - lo + _CHUNK_SYMBOLS])
+    return noise
 
 
 def _kmeans_levels(samples: np.ndarray) -> np.ndarray:
@@ -178,16 +199,19 @@ def _kmeans_levels(samples: np.ndarray) -> np.ndarray:
     if len(samples) > _KMEANS_MAX_POINTS:
         stride = len(samples) // _KMEANS_MAX_POINTS + 1
         samples = samples[::stride]
-    s = np.sort(samples)
-    quarter = len(s) // 4
+    quarter = len(samples) // 4
     if quarter == 0:
         raise DegenerateLevelsError("too few samples for adaptive thresholds")
-    means = np.array([np.median(s[i * quarter : (i + 1) * quarter]) for i in range(4)])
+    # Medians of the sorted quarters; the sorted copy is a temporary, so the
+    # median may partition it in place.
+    means = np.median(
+        np.sort(samples)[: 4 * quarter].reshape(4, quarter),
+        axis=1,
+        overwrite_input=True,
+    )
     for _ in range(50):
         cuts = 0.5 * (means[:-1] + means[1:])
-        # right=True sends a sample sitting exactly on a threshold to the
-        # lower level.
-        labels = np.digitize(samples, cuts, right=True)
+        labels = _decide(samples, cuts)
         counts = np.bincount(labels, minlength=4)
         if np.any(counts == 0):
             raise DegenerateLevelsError(
@@ -219,6 +243,8 @@ def demodulate(
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
         raise ValueError("no samples to demodulate")
+    if np.isnan(np.min(samples)):
+        raise ValueError("cannot decide NaN samples")
     if isinstance(thresholds, str):
         if thresholds != "adaptive":
             raise ValueError(f"unknown threshold mode {thresholds!r}")
@@ -233,22 +259,28 @@ def demodulate(
             raise ValueError(f"need exactly 3 thresholds, got shape {cuts.shape}")
         if np.any(np.diff(cuts) <= 0):
             raise ValueError("thresholds must be strictly increasing")
-    idx = np.digitize(samples, cuts, right=True)
-    bits = np.empty(2 * len(idx), dtype=np.uint8)
-    if config.gray_mapping:
-        bits[0::2] = _GRAY_MSB[idx]
-        bits[1::2] = _GRAY_LSB[idx]
-    else:
-        bits[0::2] = (idx >> 1).astype(np.uint8)
-        bits[1::2] = (idx & 1).astype(np.uint8)
-    return bits
+    table = _PAIR_BITS[_GRAY_FORWARD] if config.gray_mapping else _PAIR_BITS
+    pairs = np.empty(len(samples), dtype=np.uint16)
+    for lo in range(0, len(samples), _CHUNK_SYMBOLS):
+        block = samples[lo : lo + _CHUNK_SYMBOLS]
+        pairs[lo : lo + len(block)] = table[_decide(block, cuts)]
+    return pairs.view(np.uint8)
+
+
+def _decide(samples: np.ndarray, cuts) -> np.ndarray:
+    """Level index of each sample: the number of cuts strictly below it, as
+    ``np.digitize(samples, cuts, right=True)`` gives (but 0 for a NaN)."""
+    above = (samples > cuts[0]).view(np.uint8)
+    return above + (samples > cuts[1]) + (samples > cuts[2])
 
 
 def _level_counts(samples: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Samples per level; every level must have at least one."""
     if samples.shape != labels.shape:
         raise ValueError("samples and labels must have equal length")
-    counts = np.bincount(labels, minlength=4)
+    counts = np.zeros(4, dtype=np.intp)
+    for lo in range(0, len(labels), _CHUNK_SYMBOLS):
+        counts += np.bincount(labels[lo : lo + _CHUNK_SYMBOLS], minlength=4)
     if np.any(counts == 0):
         raise MissingLevelError(
             f"level(s) without samples: counts {list(counts)}"
@@ -256,12 +288,15 @@ def _level_counts(samples: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _level_centered(
-    x: np.ndarray, labels: np.ndarray, counts: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-level means of x and each sample's deviation from its level mean."""
-    means = np.bincount(labels, weights=x, minlength=4) / counts
-    return means, x - means[labels]
+def _level_sums(labels: np.ndarray, terms) -> np.ndarray:
+    """Per-level sums of ``terms(block)`` over ``_CHUNK_SYMBOLS`` slices;
+    ``np.add.at`` adds in sample order, so they equal the whole-array
+    ``np.bincount(labels, weights=...)`` bit for bit."""
+    sums = np.zeros(4)
+    for lo in range(0, len(labels), _CHUNK_SYMBOLS):
+        block = slice(lo, lo + _CHUNK_SYMBOLS)
+        np.add.at(sums, labels[block], terms(block))
+    return sums
 
 
 def _eye_q(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
@@ -278,12 +313,13 @@ def _eye_q(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
 def eye_stats(samples: np.ndarray, labels: np.ndarray) -> LevelStats:
     """Genie-aided per-level moments from received samples and true levels."""
     samples = np.asarray(samples, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
+    labels = np.asarray(labels)
     counts = _level_counts(samples, labels)
     # Two-pass variance: immune to the cancellation that would report
     # nonzero noise on noiseless levels.
-    means, residuals = _level_centered(samples, labels, counts)
-    variances = np.bincount(labels, weights=residuals**2, minlength=4) / counts
+    means = _level_sums(labels, lambda b: samples[b]) / counts
+    variances = _level_sums(labels, lambda b: (samples[b] - means[labels[b]]) ** 2)
+    variances /= counts
     stds = np.sqrt(variances)
     return LevelStats(
         means=means, stds=stds, counts=counts, q_factors=_eye_q(means, stds)
@@ -340,25 +376,6 @@ def matched_filter(received: np.ndarray, samples_per_symbol: int) -> np.ndarray:
     return received.reshape(-1, samples_per_symbol).mean(axis=1)
 
 
-def _through_channel(
-    labels: np.ndarray,
-    trace: ChannelTrace,
-    noise_std: float,
-    seed: int,
-    config: Pam4Config,
-    workers: int = 1,
-) -> np.ndarray:
-    """Levels held for ``samples_per_symbol`` samples, faded, noised and
-    matched-filtered back to one sample per symbol."""
-    sps = config.samples_per_symbol
-    symbols = np.asarray(config.levels)[labels]
-    tx = np.repeat(symbols, sps) if sps > 1 else symbols
-    received = apply_channel(
-        tx, trace, noise_std, seed, config.symbol_rate_hz * sps, workers
-    )
-    return matched_filter(received, sps)
-
-
 def calibrate_noise_std(
     bits: np.ndarray,
     trace: ChannelTrace,
@@ -383,14 +400,19 @@ def calibrate_noise_std(
         raise ValueError(f"target_q must be > 0, got {target_q}")
     labels, _ = modulate(bits[: 2 * _CALIBRATION_SYMBOLS], config)
     sps = config.samples_per_symbol
-    u = _through_channel(labels, trace, 0.0, seed, config)
-    z = matched_filter(_unit_noise(len(labels) * sps, seed), sps)
+    u = apply_channel(
+        labels, trace, 0.0, seed, config.symbol_rate_hz,
+        levels=config.levels, samples_per_symbol=sps,
+    )
+    z = matched_filter(_unit_noise(0, len(labels) * sps, seed), sps)
     counts = _level_counts(u, labels)
-    u_mean, du = _level_centered(u, labels, counts)
-    z_mean, dz = _level_centered(z, labels, counts)
-    var_u = np.bincount(labels, weights=du * du, minlength=4) / counts
-    var_z = np.bincount(labels, weights=dz * dz, minlength=4) / counts
-    cov_uz = np.bincount(labels, weights=du * dz, minlength=4) / counts
+    u_mean = _level_sums(labels, lambda b: u[b]) / counts
+    z_mean = _level_sums(labels, lambda b: z[b]) / counts
+    du = u - u_mean[labels]
+    dz = z - z_mean[labels]
+    var_u = _level_sums(labels, lambda b: du[b] * du[b]) / counts
+    var_z = _level_sums(labels, lambda b: dz[b] * dz[b]) / counts
+    cov_uz = _level_sums(labels, lambda b: du[b] * dz[b]) / counts
 
     def mean_q(noise_std: float) -> float:
         means = u_mean + noise_std * z_mean
@@ -454,9 +476,12 @@ def transmit(
 
     Returns the decided bits, cut to ``len(bits)``, and their BER report
     against genie-aided eye statistics. ``thresholds`` is passed to
-    ``demodulate``; ``workers`` only changes how the noise is drawn.
+    ``demodulate``; ``workers`` only changes how the channel blocks run.
     """
     labels, _ = modulate(bits, config)
-    received = _through_channel(labels, trace, noise_std, seed, config, workers)
+    received = apply_channel(
+        labels, trace, noise_std, seed, config.symbol_rate_hz, workers,
+        config.levels, config.samples_per_symbol,
+    )
     rx_bits = demodulate(received, config, thresholds)[: len(bits)]
     return rx_bits, ber_report(bits, rx_bits, eye_stats(received, labels))

@@ -212,8 +212,8 @@ def qd_response(
     """
     if signal_power < 0:
         raise ValueError(f"signal power must be >= 0, got {signal_power}")
-    if noise_std < 0:
-        raise ValueError(f"noise std must be >= 0, got {noise_std}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
     noise = _NO_NOISE
     if noise_std > 0:
         noise = np.random.default_rng(seed).normal(0.0, noise_std, (4, 1)).tolist()
@@ -323,6 +323,10 @@ def run_tracking_loop(
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
+    if not all(map(math.isfinite, initial_offset_m)):
+        raise ValueError(f"initial offset must be finite, got {initial_offset_m}")
     if not 0 < loop_rate_hz <= 1000.0:
         raise ValueError(f"loop rate must be in (0, 1000] Hz, got {loop_rate_hz}")
     n_steps = int(round(duration_s * loop_rate_hz))

@@ -27,6 +27,9 @@ from .reporting import as_jsonable
 from .spatial_filter import SolarModel
 
 _MIN_SYMBOLS = 10_000
+#: Largest run: a 4 GiB budget over the 15 B/symbol of ``run_endtoend``'s
+#: traced peak (bits in and out, labels, received samples, error mask).
+_MAX_SYMBOLS = (4 << 30) // 15
 
 #: Resolving a class's string annotations costs about 0.1 ms; do it once.
 _type_hints = functools.cache(typing.get_type_hints)
@@ -82,6 +85,11 @@ class RunConfig:
         if self.n_symbols < _MIN_SYMBOLS:
             raise ValueError(
                 f"sample budget must be >= {_MIN_SYMBOLS} symbols, "
+                f"got {self.n_symbols}"
+            )
+        if self.n_symbols > _MAX_SYMBOLS:
+            raise ValueError(
+                f"n_symbols must be <= {_MAX_SYMBOLS} (4 GiB of run memory), "
                 f"got {self.n_symbols}"
             )
         if self.workers < 1:

@@ -293,3 +293,14 @@ class TestTraceType:
                 gains=np.array([1.0, -0.1, 1.0, 1.0, 1.0]),
                 coherence_time_s=1.0,
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gains_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelTrace(
+                sample_rate_hz=5.0,
+                duration_s=1.0,
+                seed=0,
+                gains=np.array([1.0, bad, 1.0, 1.0, 1.0]),
+                coherence_time_s=1.0,
+            )

@@ -333,3 +333,24 @@ class TestOtherCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "gain" in out
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("flag", ["--initial-x", "--initial-y", "--noise-std"])
+    def test_pat_sim_rejects_nan(self, flag, capsys):
+        assert run_cli("pat-sim", "--m", "1", flag, "nan") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert len(err.splitlines()) == 1
+
+    def test_transmit_over_symbol_budget(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        # Fail rather than allocate if the budget check ever goes missing.
+        monkeypatch.setattr(pipeline, "_run", never)
+        over = scenarios._MAX_SYMBOLS + 1
+        assert run_cli("transmit", "--symbols", str(over)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_symbols" in err and str(over) in err
+        assert len(err.splitlines()) == 1

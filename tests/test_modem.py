@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +100,17 @@ class TestApplyChannel:
             apply_channel(symbols, trace, 0.0, seed=0, symbol_rate_hz=1e6)
 
 
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise_std):
+        # NaN must not pass as noiseless (nan > 0 is false).
+        bits = np.zeros(2000, dtype=np.uint8)
+        trace = constant_trace(1000 / CONFIG.symbol_rate_hz)
+        with pytest.raises(ValueError, match="finite"):
+            apply_channel(np.ones(1000), trace, noise_std, 0, CONFIG.symbol_rate_hz)
+        with pytest.raises(ValueError, match="finite"):
+            transmit(bits, trace, noise_std, 0, CONFIG)
+
+
 class TestDemodulate:
     def test_noiseless_ramp_exact(self):
         rng = np.random.default_rng(3)
@@ -148,6 +161,30 @@ class TestDemodulate:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             demodulate(np.array([]), CONFIG)
+
+
+    @pytest.mark.parametrize("thresholds", [None, "adaptive", [0.2, 0.5, 0.8]])
+    def test_nan_sample_rejected(self, thresholds):
+        # Counting cuts below a NaN would decide it as level 0; refuse instead.
+        samples = LEVELS[np.arange(4000) % 4].copy()
+        samples[2500] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            demodulate(samples, CONFIG, thresholds=thresholds)
+
+    @pytest.mark.parametrize("cuts", [None, [-0.25, 0.0, 0.7]])
+    def test_decision_matches_digitize(self, cuts):
+        binary = dataclasses.replace(CONFIG, gray_mapping=False)
+        edges = 0.5 * (LEVELS[:-1] + LEVELS[1:]) if cuts is None else np.array(cuts)
+        samples = np.concatenate([
+            np.random.default_rng(6).normal(0.5, 0.6, 200_003),
+            edges,  # exactly on a cut: the lower level
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            [-np.inf, np.inf, 0.0, -0.0],
+        ])
+        bits = demodulate(samples, binary, thresholds=cuts)
+        decided = 2 * bits[0::2].astype(int) + bits[1::2]
+        assert np.array_equal(decided, np.digitize(samples, edges, right=True))
 
 
 class TestEyeStats:
@@ -388,3 +425,121 @@ class TestCalibrationMatchesReference:
             calibrate_noise_std(bits, trace, 3.7, 9, CONFIG)
         with pytest.raises(ValueError, match="unreachable"):
             self.reference(bits, trace, CONFIG)
+
+
+class TestTransmitPinned:
+    """transmit's decided bits and BER report over a grid of runs, pinned
+    bit for bit.
+
+    Each digest is sha256 over the rx_bits bytes, then the repr of the
+    report's scalars, then the level means, stds, counts and Q-factors.
+    Sizes straddle the 2^16-symbol channel block: below one block, exactly
+    one, and several with a partial last block. The trace runs at 1e5 Hz,
+    so gains are looked up by index, except in the ``at-sample-rate`` case.
+    """
+
+    BLOCK = 1 << 16
+    SEVERAL = 2 * (3 * BLOCK + 1234)
+    CUTS = (0.17, 0.5, 0.83)
+
+    @staticmethod
+    def digest(rx_bits, report):
+        h = hashlib.sha256(rx_bits.tobytes())
+        scalars = (
+            report.bits_tx, report.bit_errors, report.ber_counted,
+            report.ber_estimated, report.snr_db,
+        )
+        h.update(repr(scalars).encode())
+        stats = report.level_stats
+        for values in (stats.means, stats.stds, stats.q_factors):
+            h.update(np.asarray(values, dtype=np.float64).tobytes())
+        h.update(np.asarray(stats.counts, dtype=np.int64).tobytes())
+        return h.hexdigest()
+
+    def run(self, n_bits, sps=1, workers=1, thresholds=None, gray=True,
+            noise_std=0.08, trace_rate_hz=1e5):
+        config = Pam4Config(
+            symbol_rate_hz=1e6, gray_mapping=gray, samples_per_symbol=sps
+        )
+        bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
+        duration = 1.01 * ((n_bits + 1) // 2) / config.symbol_rate_hz
+        rate = trace_rate_hz or config.symbol_rate_hz * sps
+        trace = generate_trace(
+            FadingModel.log_normal(0.05), 2e-3, rate, duration, seed=4
+        )
+        return transmit(bits, trace, noise_std, 11, config, workers, thresholds)
+
+    @pytest.mark.parametrize(
+        "case, expected",
+        [
+            (dict(n_bits=1001),
+                "49e85cdae0bf61b64e0e0af931140cd583be004ddc7c59d66f4954859f99e5e6",
+            ),
+            (dict(n_bits=2 * BLOCK),
+                "fbd2e8c3bc3cea74904e1e4dd213e3edbad75af12420c03348bce40a3d71fc1c",
+            ),
+            (dict(n_bits=SEVERAL + 1, thresholds="adaptive"),
+                "8247014f6ec51cd9095cc742396b6f0f2bbeb519529bddebc32a14dec5bfd73b",
+            ),
+            (dict(n_bits=SEVERAL, sps=2),
+                "37b2c10ddbc5dc3783897156a6c4866a66e2d1ad9a2e99de089947ee89b4a9dc",
+            ),
+            (dict(n_bits=SEVERAL, sps=3, workers=3, thresholds=CUTS),
+                "4de08844ab1193f99a960aea56282ab866318b08825e69ff49d82f75121fd741",
+            ),
+            (dict(n_bits=SEVERAL, workers=3, thresholds="adaptive", gray=False),
+                "9bf7351cd4f53530770eb54749a619b8b0fc6e4c3ff2277553ef26736e33ee6d",
+            ),
+            (dict(n_bits=2 * BLOCK, sps=3, thresholds="adaptive"),
+                "185d4a666bce419e5b0a1fe6c1f5696383e92f1774bc214757d60b4ed5a42d69",
+            ),
+            (dict(n_bits=2 * BLOCK + 1, sps=2, workers=3, thresholds="adaptive"),
+                "869a18a8f98b5253176b3dc106e50f97966004e48df800b996fce482d0253645",
+            ),
+            (dict(n_bits=3001, sps=2, workers=3, thresholds=CUTS, gray=False),
+                "c94c73972b96cb113c7d5aaf4113b6faf620dd8802b390404d8d44e0febe9b2f",
+            ),
+            (dict(n_bits=SEVERAL, sps=2, noise_std=0.0),
+                "f8cac909f456f5a052ca5a37d857f02b13c40992bd7dc2cb1a8354a1de16d304",
+            ),
+            (dict(n_bits=SEVERAL + 1, workers=3, trace_rate_hz=None),
+                "274a939a3982b18f727d9296f20af74968708619e88e33f7643320f90b5f360e",
+            ),
+            (dict(n_bits=SEVERAL, sps=3, thresholds="adaptive", trace_rate_hz=None),
+                "b6cdcfa6528179a8c3cd92027868a55ba6b42a97f3f32dea6077ab5d6f6f7e33",
+            ),
+        ],
+        ids=[
+            "below-block-odd", "one-block", "several-adaptive-odd", "several-sps2",
+            "several-sps3-w3-explicit", "several-w3-adaptive-binary",
+            "one-block-sps3-adaptive", "one-block-odd-sps2-w3-adaptive",
+            "below-block-sps2-w3-explicit-binary", "several-sps2-noiseless",
+            "several-odd-w3-at-sample-rate", "several-sps3-adaptive-at-sample-rate",
+        ],
+    )
+    def test_transmit_pinned(self, case, expected):
+        assert self.digest(*self.run(**case)) == expected
+
+
+class TestTransmitMemory:
+    """Traced allocation peak of one ``transmit`` call, beyond its input bits.
+
+    The whole-run arrays are the uint8 labels, the float64 received samples,
+    the decided bits and the error mask of the bit count (13 B/symbol);
+    adaptive thresholds add the k-means fit on up to 2^20 samples.
+    """
+
+    @pytest.mark.parametrize("thresholds, bound", [(None, 16), ("adaptive", 24)])
+    def test_peak_bytes_per_symbol(self, thresholds, bound):
+        n = 1_000_000
+        bits = np.random.default_rng(2).integers(0, 2, 2 * n, dtype=np.uint8)
+        trace = generate_trace(
+            FadingModel.log_normal(0.05), 2e-3, 1e5, n / 1e6, seed=4
+        )
+        tracemalloc.start()
+        try:
+            transmit(bits, trace, 0.08, 11, CONFIG, thresholds=thresholds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= bound

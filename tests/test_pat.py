@@ -85,6 +85,13 @@ class TestQdResponse:
             QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=2e-3)
 
 
+    @pytest.mark.parametrize("noise_std", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise_std):
+        # NaN must not pass as noiseless (nan > 0 is false).
+        with pytest.raises(ValueError, match="finite"):
+            qd_response(0, 0, GEOM, noise_std=noise_std)
+
+
 class TestEstimateDisplacement:
     def test_equal_quadrants_give_zero(self):
         assert estimate_displacement(QdReading(1, 1, 1, 1), GEOM) == (0.0, 0.0)
@@ -267,6 +274,17 @@ class TestTrackingLoop:
     def test_needs_one_sample_per_correction(self):
         with pytest.raises(ValueError, match="m must be >= 1"):
             run_tracking_loop((0, 0), None, GEOM, m=0)
+
+
+    @pytest.mark.parametrize(
+        "initial, noise_std",
+        [((math.nan, 0.0), 0.0), ((0.0, math.inf), 0.0), ((0.0, 0.0), math.nan),
+         ((0.0, 0.0), math.inf)],
+        ids=["nan-x", "inf-y", "nan-noise", "inf-noise"],
+    )
+    def test_non_finite_inputs_rejected(self, initial, noise_std):
+        with pytest.raises(ValueError, match="finite"):
+            run_tracking_loop(initial, None, GEOM, noise_std=noise_std)
 
 
 class TestTrackingLoopPinned:

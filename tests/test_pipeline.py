@@ -325,3 +325,10 @@ class TestRunConfig:
             NoiseSpec(mode="fixed_std", noise_std=None)
         with pytest.raises(ValueError):
             NoiseSpec(mode="of-course-not")
+
+    def test_symbol_budget(self):
+        # Constructing a config allocates nothing; the budget is checked first.
+        limit = scenarios._MAX_SYMBOLS
+        assert RunConfig(n_symbols=limit).n_symbols == limit
+        with pytest.raises(ValueError, match="n_symbols"):
+            RunConfig(n_symbols=limit + 1)
