@@ -223,7 +223,7 @@ def rytov_variance(geometry: LinkGeometry, scenario: WeatherScenario) -> float:
     )
 
 
-def scintillation_loss_db(rytov_var: float, outage_prob: float = 1e-3) -> float:
+def scintillation_loss_db(rytov_var: float, outage_prob: float) -> float:
     """Log-normal fade margin for a target outage probability.
 
     The received intensity is modeled as unit-mean log-normal with
@@ -274,15 +274,13 @@ def fog_attenuation_db_per_km(visibility_km: float, wavelength_m: float) -> floa
     return 4.343 * (3.91 / visibility_km) * (wavelength_nm / 550.0) ** (-q)
 
 
-def rain_attenuation_db_per_km(
-    rain_rate: float, k: float = 1.076, alpha: float = 0.67
-) -> float:
-    """Rain scattering rate k * R^alpha in dB/km (rate in mm/h)."""
+def rain_attenuation_db_per_km(rain_rate: float) -> float:
+    """Rain scattering rate 1.076 * R^0.67 in dB/km (rate R in mm/h)."""
     if rain_rate < 0:
         raise ValueError(f"rain rate must be >= 0, got {rain_rate}")
     if rain_rate == 0.0:
         return 0.0
-    return k * rain_rate**alpha
+    return 1.076 * rain_rate**0.67
 
 
 def cloud_attenuation_db(layer: CloudLayer | None, wavelength_m: float) -> float:
@@ -310,14 +308,15 @@ def geometric_loss_db(geometry: LinkGeometry) -> float:
 def total_atmospheric_loss(
     scenario: WeatherScenario,
     geometry: LinkGeometry,
-    outage_prob: float = 1e-3,
+    outage_prob: float,
     rytov_var: float | None = None,
 ) -> LossBreakdown:
     """Full loss breakdown for a scenario/geometry pair.
 
     Scattering rates are multiplied by their layer thicknesses; the
     scintillation margin is evaluated over the full path at the given
-    outage probability; the total is the plain sum of all components.
+    outage probability (``RunConfig.outage_prob`` in a run); the total
+    is the plain sum of all components.
     A caller that already holds ``rytov_variance(geometry, scenario)``
     passes it as ``rytov_var`` to skip recomputing it.
     """

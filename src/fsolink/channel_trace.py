@@ -225,7 +225,6 @@ def generate_trace(
     sample_rate_hz: float,
     duration_s: float,
     seed: int,
-    max_samples: int = MAX_TRACE_SAMPLES,
 ) -> ChannelTrace:
     """Generate a unit-mean fading trace with prescribed marginal and ACF.
 
@@ -238,11 +237,9 @@ def generate_trace(
         underlying process is exp(-(t/tau0)^2), so the half-power point
         sits at tau0*sqrt(ln 2).
     sample_rate_hz, duration_s : float
-        Trace sampling. Length is round(rate*duration).
+        Trace sampling; length round(rate*duration) <= ``MAX_TRACE_SAMPLES``.
     seed : int
         Master seed; identical inputs give bit-identical traces.
-    max_samples : int
-        In-memory budget; longer requests raise ``TraceLengthError``.
 
     Notes
     -----
@@ -262,9 +259,9 @@ def generate_trace(
     n = int(round(sample_rate_hz * duration_s))
     if n < 1:
         raise ValueError("rate*duration rounds to zero samples")
-    if n > max_samples:
+    if n > MAX_TRACE_SAMPLES:
         raise TraceLengthError(
-            f"trace of {n} samples exceeds the {max_samples}-sample budget; "
+            f"trace of {n} samples exceeds the {MAX_TRACE_SAMPLES}-sample budget; "
             "lower sample_rate_hz or duration_s"
         )
 

@@ -238,14 +238,11 @@ def _cmd_transmit(args) -> int:
 
 
 def _cmd_pat_sim(args) -> int:
-    disturbance = (
-        JitterParams(rms_m=args.disturbance_rms, bandwidth_hz=args.disturbance_bw)
-        if args.disturbance_rms > 0
-        else None
-    )
     result = run_tracking_loop(
         initial_offset_m=(args.initial_x, args.initial_y),
-        disturbance=disturbance,
+        disturbance=JitterParams(
+            rms_m=args.disturbance_rms, bandwidth_hz=args.disturbance_bw
+        ),
         geometry=QdGeometry(),
         m=args.m,
         loop_rate_hz=args.loop_rate,

@@ -82,20 +82,17 @@ def pointing_loss_db(
 def received_power_dbm(
     optics: TransceiverOptics,
     losses: LossBreakdown,
-    beam_divergence_rad: float | None = None,
+    beam_divergence_rad: float,
 ) -> LinkBudget:
     """Assemble the budget: p_r = tx - L_l - L_p - L_o.
 
-    The pointing term uses the Gaussian-beam model when both a pointing
-    error and a divergence are available, otherwise the fixed default.
-    snr_db is the aggregate p_r minus the configured noise floor; the
-    modem refines electrical SNR separately.
+    The pointing term is ``pointing_loss_db`` of the optics' pointing error
+    at the given divergence (the fixed 2 dB default when the error is
+    None). snr_db is the aggregate p_r minus the configured noise floor;
+    the modem refines electrical SNR separately.
     """
     l_o = optical_loss_db(optics.tx_efficiency, optics.rx_efficiency)
-    if optics.pointing_error_rad is not None and beam_divergence_rad is not None:
-        l_p = pointing_loss_db(optics.pointing_error_rad, beam_divergence_rad)
-    else:
-        l_p = DEFAULT_POINTING_LOSS_DB
+    l_p = pointing_loss_db(optics.pointing_error_rad, beam_divergence_rad)
     p_r = optics.tx_power_dbm - losses.l_total_db - l_p - l_o
     return LinkBudget(
         p_r_dbm=p_r,

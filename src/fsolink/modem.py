@@ -38,6 +38,10 @@ _KMEANS_MAX_POINTS = 1 << 20
 _CALIBRATION_SYMBOLS = 200_000
 _CALIBRATION_REL_TOL = 1e-4
 
+#: Largest run: a 4 GiB budget over the 15 B/symbol ``pipeline.run_endtoend``
+#: peaks at (bits in and out, labels, received samples, error mask).
+MAX_SYMBOLS = (4 << 30) // 15
+
 
 @dataclass(frozen=True)
 class Pam4Config:

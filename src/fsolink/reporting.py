@@ -90,10 +90,9 @@ def budget_csv(losses, budget) -> str:
     return buf.getvalue()
 
 
-def rows_to_csv(rows: list[dict], path, fieldnames: list[str] | None = None) -> None:
-    """Write dict rows with a stable header; empty input writes header only."""
-    if fieldnames is None:
-        fieldnames = list(rows[0].keys()) if rows else ["axis", "value"]
+def rows_to_csv(rows: list[dict], path) -> None:
+    """Write dict rows under the first row's keys; empty input writes ``axis,value``."""
+    fieldnames = list(rows[0].keys()) if rows else ["axis", "value"]
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()

@@ -15,6 +15,7 @@ import copy
 import dataclasses
 import functools
 import json
+import math
 import typing
 from dataclasses import dataclass
 from typing import Any
@@ -22,14 +23,11 @@ from typing import Any
 from .atmosphere import LinkGeometry, WeatherScenario
 from .errors import ConfigKeyError
 from .linkbudget import TransceiverOptics
-from .modem import Pam4Config
+from .modem import MAX_SYMBOLS, Pam4Config
 from .reporting import as_jsonable
 from .spatial_filter import SolarModel
 
 _MIN_SYMBOLS = 10_000
-#: Largest run: a 4 GiB budget over the 15 B/symbol of ``run_endtoend``'s
-#: traced peak (bits in and out, labels, received samples, error mask).
-_MAX_SYMBOLS = (4 << 30) // 15
 
 #: Resolving a class's string annotations costs about 0.1 ms; do it once.
 _type_hints = functools.cache(typing.get_type_hints)
@@ -87,9 +85,9 @@ class RunConfig:
                 f"sample budget must be >= {_MIN_SYMBOLS} symbols, "
                 f"got {self.n_symbols}"
             )
-        if self.n_symbols > _MAX_SYMBOLS:
+        if self.n_symbols > MAX_SYMBOLS:
             raise ValueError(
-                f"n_symbols must be <= {_MAX_SYMBOLS} (4 GiB of run memory), "
+                f"n_symbols must be <= {MAX_SYMBOLS} (4 GiB of run memory), "
                 f"got {self.n_symbols}"
             )
         if self.workers < 1:
@@ -111,8 +109,8 @@ def decode(cls, data, key: str = ""):
     """Build dataclass ``cls`` from a JSON-style dict at dotted path ``key``.
 
     Absent keys take the field default. An unknown or missing required key
-    raises ``ConfigKeyError``; a value of the wrong type raises ``ValueError``.
-    Both name the dotted key.
+    raises ``ConfigKeyError``; a value of the wrong type or a non-finite
+    float raises ``ValueError``. Both name the dotted key.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config key {key!r} must be an object, got {data!r}")
@@ -153,6 +151,8 @@ def _decode_value(hint, value, key: str):
         )
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is float and number:
+        if not math.isfinite(value):
+            raise ValueError(f"config key {key!r} must be finite, got {value!r}")
         return float(value)
     if hint is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)

@@ -175,7 +175,7 @@ class TestGenerateTrace:
 
     def test_length_budget_enforced(self):
         with pytest.raises(TraceLengthError):
-            generate_trace(FadingModel.log_normal(0.1), 1e-3, 1e9, 1.0, seed=0, max_samples=10**6)
+            generate_trace(FadingModel.log_normal(0.1), 1e-3, 1e9, 1.0, seed=0)
 
     def test_parameter_domains(self):
         with pytest.raises(ValueError):

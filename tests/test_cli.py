@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fsolink import pipeline, reporting, scenarios
+from fsolink import cli, modem, pipeline, reporting, scenarios
 from fsolink.cli import main
 from fsolink.reporting import as_jsonable
 
@@ -80,15 +80,31 @@ class TestDispatch:
             ("modem.levels=[0, 1]", "modem.levels"),
             ("scenario.visibility_km=abc", "scenario.visibility_km"),
             ("scenario=5", "scenario"),
+            ("scenario.visibility_km=NaN", "scenario.visibility_km"),
+            ("geometry.distance_m=Infinity", "geometry.distance_m"),
+            ("optics.tx_power_dbm=-Infinity", "optics.tx_power_dbm"),
         ],
         ids=["gray-string", "gray-int", "seed-fraction", "sps-fraction",
-             "levels-length", "visibility-string", "section-number"],
+             "levels-length", "visibility-string", "section-number",
+             "visibility-nan", "distance-inf", "power-minus-inf"],
     )
     def test_bad_config_value_is_runtime_error(self, override, key, capsys):
         assert run_cli("budget", "--scenario", "clear", "--set", override) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(key) in err
         assert len(err.splitlines()) == 1
+
+    def test_non_finite_value_in_config_file_or_transmit(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"scenario": {"visibility_km": NaN}}')
+        for args in (
+            ("budget", "--config", str(path)),
+            ("transmit", "--set", "scenario.visibility_km=NaN"),
+        ):
+            assert run_cli(*args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "'scenario.visibility_km'" in err
+            assert "finite" in err and len(err.splitlines()) == 1
 
     def test_nested_override_of_optional_section(self, capsys):
         assert run_cli(
@@ -336,7 +352,10 @@ class TestOtherCommands:
 
 
 class TestRejectedInputs:
-    @pytest.mark.parametrize("flag", ["--initial-x", "--initial-y", "--noise-std"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--initial-x", "--initial-y", "--noise-std", "--disturbance-rms", "--disturbance-bw"],
+    )
     def test_pat_sim_rejects_nan(self, flag, capsys):
         assert run_cli("pat-sim", "--m", "1", flag, "nan") == 1
         err = capsys.readouterr().err
@@ -349,8 +368,39 @@ class TestRejectedInputs:
 
         # Fail rather than allocate if the budget check ever goes missing.
         monkeypatch.setattr(pipeline, "_run", never)
-        over = scenarios._MAX_SYMBOLS + 1
+        over = modem.MAX_SYMBOLS + 1
         assert run_cli("transmit", "--symbols", str(over)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_symbols" in err and str(over) in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--disturbance-rms=-1e-6",), "jitter RMS"),
+            (("--disturbance-rms=0", "--disturbance-bw", "0"), "jitter bandwidth"),
+            (("--duration", "1e12"), "duration covers 1e+15 steps"),
+        ],
+        ids=["negative-jitter", "zero-bandwidth", "over-step-budget"],
+    )
+    def test_pat_sim_rejects_bad_loop(self, args, message, capsys):
+        assert run_cli("pat-sim", "--m", "1", *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert len(err.splitlines()) == 1
+
+    def test_filter_sim_over_symbol_budget(self, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "filtering_ber_demo", never)
+        assert run_cli("filter-sim", "--symbols", "1000000000000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_symbols" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("target", ["1e-2", "1e-4"])
+    def test_filter_sim_band_follows_target(self, target, capsys):
+        assert run_cli("filter-sim", "--target-ber", target) == 0
+        off = float(capsys.readouterr().out.split("BER ")[1].split(" ->")[0])
+        assert float(target) / 2 <= off <= 5 * float(target)

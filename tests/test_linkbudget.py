@@ -71,7 +71,7 @@ class TestPointingLoss:
 class TestReceivedPower:
     def test_identity_link(self):
         optics = TransceiverOptics(tx_efficiency=1.0, rx_efficiency=1.0, tx_power_dbm=10.0)
-        budget = received_power_dbm(optics, make_losses())
+        budget = received_power_dbm(optics, make_losses(), 100e-6)
         # Only the fixed pointing allowance remains.
         assert budget.p_r_dbm == pytest.approx(10.0 - 2.0, abs=1e-12)
         assert budget.l_o_db == 0.0
@@ -79,16 +79,20 @@ class TestReceivedPower:
     def test_clear_style_budget_composition(self):
         optics = TransceiverOptics(tx_power_dbm=30.0)
         losses = make_losses(sci=4.3, geom=17.0)
-        budget = received_power_dbm(optics, losses)
+        budget = received_power_dbm(optics, losses, 100e-6)
         expected = 30.0 - losses.l_total_db - 2.0 - optical_loss_db(0.8125, 0.8)
         assert budget.p_r_dbm == pytest.approx(expected, abs=1e-9)
         assert budget.snr_db == pytest.approx(budget.p_r_dbm - optics.noise_floor_dbm, abs=1e-12)
 
     def test_loss_delta_moves_power_exactly(self):
         optics = TransceiverOptics()
-        base = received_power_dbm(optics, make_losses(sci=3.0))
-        bumped = received_power_dbm(optics, make_losses(sci=3.0, fog=1.25))
+        base = received_power_dbm(optics, make_losses(sci=3.0), 100e-6)
+        bumped = received_power_dbm(optics, make_losses(sci=3.0, fog=1.25), 100e-6)
         assert base.p_r_dbm - bumped.p_r_dbm == pytest.approx(1.25, abs=1e-12)
+
+    def test_unknown_pointing_error_takes_the_default(self):
+        budget = received_power_dbm(TransceiverOptics(), make_losses(), 100e-6)
+        assert budget.l_p_db == pointing_loss_db(None, 100e-6) == 2.0
 
     def test_pointing_error_path_uses_divergence(self):
         optics = TransceiverOptics(pointing_error_rad=25e-6)
@@ -107,7 +111,7 @@ class TestReceivedPower:
         optics = TransceiverOptics(
             tx_efficiency=eta_t, rx_efficiency=eta_r, tx_power_dbm=tx
         )
-        budget = received_power_dbm(optics, make_losses(sci=sci, fog=fog))
+        budget = received_power_dbm(optics, make_losses(sci=sci, fog=fog), 100e-6)
         assert budget.p_r_dbm == pytest.approx(
             tx - budget.l_l_db - budget.l_p_db - budget.l_o_db, abs=1e-9
         )

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,10 @@ class TestQdResponse:
         b = qd_response(0.0, 0.0, GEOM, signal_power=0.01, noise_std=0.05, seed=3)
         assert (a.v1, a.v2, a.v3, a.v4) == (b.v1, b.v2, b.v3, b.v4)
         assert min(a.v1, a.v2, a.v3, a.v4) >= 0.0
+
+    def test_noise_without_seed_is_repeatable(self):
+        a = qd_response(0.0, 0.0, GEOM, signal_power=0.01, noise_std=0.05)
+        assert a == qd_response(0.0, 0.0, GEOM, signal_power=0.01, noise_std=0.05)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -199,7 +204,7 @@ class TestTrackingLoop:
     def test_clean_loop_converges_in_three_steps(self):
         result = run_tracking_loop(
             (0.15e-3, -0.1e-3),
-            disturbance=None,
+            disturbance=JitterParams(rms_m=0.0),
             geometry=GEOM,
             m=1,
             controller_gain=1.0,
@@ -242,7 +247,7 @@ class TestTrackingLoop:
         with pytest.raises(TrackingDivergedError):
             run_tracking_loop(
                 (0.2e-3, 0.0),
-                disturbance=None,
+                disturbance=JitterParams(rms_m=0.0),
                 geometry=GEOM,
                 controller_gain=-3.0,  # wrong-sign controller pushes the beam out
                 duration_s=0.2,
@@ -274,6 +279,28 @@ class TestTrackingLoop:
     def test_needs_one_sample_per_correction(self):
         with pytest.raises(ValueError, match="m must be >= 1"):
             run_tracking_loop((0, 0), None, GEOM, m=0)
+
+    def test_step_budget_checked_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(pat, "_MAX_STEPS", 1000)
+        still = JitterParams(rms_m=0.0)
+        assert len(run_tracking_loop((0, 0), still, GEOM, duration_s=1.0).times_s) == 1000
+        with pytest.raises(ValueError, match="4 GiB allows 1000"):
+            run_tracking_loop((0, 0), still, GEOM, duration_s=1.001)
+
+    def test_peak_bytes_per_step(self):
+        # _MAX_STEPS divides 4 GiB by 150 B/step; about 0.5 MiB is per-run
+        # (a block of noise draws as nested lists).
+        n = 10_000
+        tracemalloc.start()
+        try:
+            run_tracking_loop(
+                (2e-4, -1e-4), JitterParams(rms_m=50e-6), GEOM,
+                duration_s=n / 1000, noise_std=0.05,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150 * n + (1 << 20)
 
 
     @pytest.mark.parametrize(

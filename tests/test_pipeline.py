@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fsolink import atmosphere, pipeline, scenarios
+from fsolink import atmosphere, modem, pipeline, scenarios
 from fsolink.atmosphere import total_atmospheric_loss
 from fsolink.channel_trace import coherence_time, generate_trace
 from fsolink.errors import PipelineStageError, UnknownAxisError
@@ -328,7 +328,7 @@ class TestRunConfig:
 
     def test_symbol_budget(self):
         # Constructing a config allocates nothing; the budget is checked first.
-        limit = scenarios._MAX_SYMBOLS
+        limit = modem.MAX_SYMBOLS
         assert RunConfig(n_symbols=limit).n_symbols == limit
         with pytest.raises(ValueError, match="n_symbols"):
             RunConfig(n_symbols=limit + 1)

@@ -131,7 +131,7 @@ class TestGridCsv:
         cells = np.array([[0.1, 0.2], [0.3, 0.4]])
         path = tmp_path / "grid.csv"
         np.savetxt(path, cells, delimiter=",")
-        grid = grid_from_csv(path, noise_power_total=2.0)
+        grid = grid_from_csv(path)
         assert grid.n == 2
         assert np.allclose(grid.signal_power, cells)
 
@@ -169,9 +169,10 @@ class TestFilteringDemo:
         )
 
     def test_out_of_band_operating_point_rejected(self):
-        scenario = FilterDemoScenario(target_unfiltered_ber=0.05, n_symbols=100_000)
-        with pytest.raises(CalibrationError):
-            filtering_ber_demo(scenario, 2, self.CONFIG, seed=2)
+        # 1000 symbols at seed 5 count no bit errors, below the [5e-4, 5e-3] band.
+        scenario = FilterDemoScenario(n_symbols=1000)
+        with pytest.raises(CalibrationError, match=r"\[0.0005, 0.005\] calibration band"):
+            filtering_ber_demo(scenario, 2, self.CONFIG, seed=5)
 
 
 class TestApertureGridType:
