@@ -22,9 +22,11 @@ from .errors import TraceLengthError
 if TYPE_CHECKING:
     from .atmosphere import LinkGeometry
 
-#: Largest trace generated in one in-memory block. Above this the caller
-#: must lower rate or duration (bounded-memory contract).
-MAX_TRACE_SAMPLES = 100_000_000
+#: Longest trace: a 4 GiB budget over the 128 B/sample ``generate_trace``
+#: followed by ``trace_stats`` peaks at (tracemalloc: 80-87 B/sample for
+#: the trace, up to 126 B/sample once the statistics pad their FFT to 4n,
+#: at 1e6-4.2e6 samples, both marginals).
+MAX_TRACE_SAMPLES = (4 << 30) // 128
 
 _BINARY_MAGIC = b"FSOTRC01"
 _BINARY_HEADER = "<8sddd q q"
@@ -237,7 +239,8 @@ def generate_trace(
         underlying process is exp(-(t/tau0)^2), so the half-power point
         sits at tau0*sqrt(ln 2).
     sample_rate_hz, duration_s : float
-        Trace sampling; length round(rate*duration) <= ``MAX_TRACE_SAMPLES``.
+        Trace sampling, finite and > 0; rate*duration <= ``MAX_TRACE_SAMPLES``
+        (else ``TraceLengthError``, raised before anything is allocated).
     seed : int
         Master seed; identical inputs give bit-identical traces.
 
@@ -250,20 +253,22 @@ def generate_trace(
     marginal and degrades gracefully to a single frozen draw when the
     coherence time exceeds the trace duration.
     """
-    if sample_rate_hz <= 0:
-        raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
-    if duration_s <= 0:
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    if coherence_time_s <= 0:
-        raise ValueError(f"coherence_time_s must be > 0, got {coherence_time_s}")
-    n = int(round(sample_rate_hz * duration_s))
+    for name, value in (
+        ("sample_rate_hz", sample_rate_hz),
+        ("duration_s", duration_s),
+        ("coherence_time_s", coherence_time_s),
+    ):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0")
+    samples = sample_rate_hz * duration_s
+    if samples > MAX_TRACE_SAMPLES:
+        raise TraceLengthError(
+            f"trace of {samples:g} samples exceeds the {MAX_TRACE_SAMPLES}-sample "
+            "budget (4 GiB); lower sample_rate_hz or duration_s"
+        )
+    n = int(round(samples))
     if n < 1:
         raise ValueError("rate*duration rounds to zero samples")
-    if n > MAX_TRACE_SAMPLES:
-        raise TraceLengthError(
-            f"trace of {n} samples exceeds the {MAX_TRACE_SAMPLES}-sample budget; "
-            "lower sample_rate_hz or duration_s"
-        )
 
     if model.sigma_i2 == 0.0:
         gains = np.ones(n)
@@ -290,17 +295,16 @@ def generate_trace(
     )
 
 
-def constant_trace(duration_s: float, gain: float = 1.0, n: int = 1000) -> ChannelTrace:
-    """Non-fading trace of ``n`` equal gains spanning ``duration_s``."""
+def constant_trace(duration_s: float) -> ChannelTrace:
+    """Non-fading trace of 1000 unit gains spanning ``duration_s``; other
+    gains take a ``dataclasses.replace(trace, gains=...)`` of it."""
     if duration_s <= 0:
         raise ValueError(f"duration_s must be > 0, got {duration_s}")
-    if gain < 0:
-        raise ValueError(f"gain must be >= 0, got {gain}")
     return ChannelTrace(
-        sample_rate_hz=n / duration_s,
+        sample_rate_hz=1000 / duration_s,
         duration_s=duration_s,
         seed=0,
-        gains=np.full(n, float(gain)),
+        gains=np.ones(1000),
         coherence_time_s=math.inf,
     )
 

@@ -38,9 +38,22 @@ _KMEANS_MAX_POINTS = 1 << 20
 _CALIBRATION_SYMBOLS = 200_000
 _CALIBRATION_REL_TOL = 1e-4
 
+#: Smallest run: fewer symbols leave the four levels too thinly sampled
+#: for eye statistics and k-means thresholds.
+MIN_SYMBOLS = 10_000
+
 #: Largest run: a 4 GiB budget over the 15 B/symbol ``pipeline.run_endtoend``
 #: peaks at (bits in and out, labels, received samples, error mask).
 MAX_SYMBOLS = (4 << 30) // 15
+
+
+def check_n_symbols(n_symbols: int) -> None:
+    """Reject a run length outside [``MIN_SYMBOLS``, ``MAX_SYMBOLS``]."""
+    if not MIN_SYMBOLS <= n_symbols <= MAX_SYMBOLS:
+        raise ValueError(
+            f"n_symbols must be in [{MIN_SYMBOLS}, {MAX_SYMBOLS}] "
+            f"(at most 4 GiB of run memory), got {n_symbols}"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,7 +94,8 @@ class LevelStats:
     def __post_init__(self):
         if np.any(np.asarray(self.counts) <= 0):
             raise MissingLevelError(
-                f"every level needs samples, got counts {list(self.counts)}"
+                "every level needs samples, got counts "
+                f"{np.asarray(self.counts).tolist()}"
             )
         if np.any(np.asarray(self.stds) < 0):
             raise ValueError("standard deviations must be >= 0")
@@ -219,7 +233,7 @@ def _kmeans_levels(samples: np.ndarray) -> np.ndarray:
         counts = np.bincount(labels, minlength=4)
         if np.any(counts == 0):
             raise DegenerateLevelsError(
-                f"adaptive estimation found an empty level (counts {list(counts)})"
+                f"adaptive estimation found an empty level (counts {counts.tolist()})"
             )
         new_means = np.bincount(labels, weights=samples, minlength=4) / counts
         if np.allclose(new_means, means, rtol=1e-12, atol=1e-15):
@@ -228,7 +242,7 @@ def _kmeans_levels(samples: np.ndarray) -> np.ndarray:
         means = new_means
     if np.any(np.diff(means) <= 0):
         raise DegenerateLevelsError(
-            f"adaptive estimation found fewer than 4 distinct levels: {list(means)}"
+            f"adaptive estimation found fewer than 4 distinct levels: {means.tolist()}"
         )
     return means
 
@@ -287,7 +301,7 @@ def _level_counts(samples: np.ndarray, labels: np.ndarray) -> np.ndarray:
         counts += np.bincount(labels[lo : lo + _CHUNK_SYMBOLS], minlength=4)
     if np.any(counts == 0):
         raise MissingLevelError(
-            f"level(s) without samples: counts {list(counts)}"
+            f"level(s) without samples: counts {counts.tolist()}"
         )
     return counts
 

@@ -80,15 +80,15 @@ class QdGeometry:
     """Square quadrant detector with a dead-zone gap between cells.
 
     ``estimator_gain`` converts the normalized quadrant difference to
-    meters; when omitted it is calibrated so the estimator has unit slope
-    for small displacements of this geometry (the actual optics scale is a
-    free calibration).
+    meters. It is not an input: it is always calibrated so the estimator
+    has unit slope for small displacements of this geometry (the actual
+    optics scale is a free calibration).
     """
 
     detector_size_m: float = 1e-3
     beam_radius_m: float = 0.3e-3
     gap_m: float = 0.0
-    estimator_gain: float | None = None
+    estimator_gain: float = field(init=False)
 
     def __post_init__(self):
         if self.detector_size_m <= 0:
@@ -99,10 +99,7 @@ class QdGeometry:
             raise ValueError(f"gap must be >= 0, got {self.gap_m}")
         if self.gap_m >= self.detector_size_m:
             raise ValueError("gap must be smaller than the detector")
-        if self.estimator_gain is None:
-            object.__setattr__(self, "estimator_gain", _calibrate_gain(self))
-        elif self.estimator_gain <= 0:
-            raise ValueError(f"estimator gain must be > 0, got {self.estimator_gain}")
+        object.__setattr__(self, "estimator_gain", _calibrate_gain(self))
 
 
 @dataclass(frozen=True)
@@ -251,27 +248,24 @@ def estimate_displacement(
 
 
 def multisample_snr(
-    readings,
+    readings: np.ndarray,
     true_reading: QdReading | None = None,
 ) -> MultisampleResult:
     """Aggregate m readings of a static channel: coherent signal sum over
     root-sum-square noise.
 
-    ``readings`` is a list of QdReading or an (m, 4) array of quadrant
-    powers. With the true (noiseless) reading supplied, per-sample noise
-    is exact; otherwise it is estimated from the scatter of the readings
-    (needs m >= 2). Zero aggregate noise is flagged as saturated with
-    infinite SNR.
+    ``readings`` is an (m, 4) array of quadrant powers, one row per reading
+    in Q1..Q4 order. With the true (noiseless) reading supplied,
+    per-sample noise is exact; otherwise it is estimated from the scatter
+    of the readings (needs m >= 2). Zero aggregate noise is flagged as
+    saturated with infinite SNR.
     """
-    m = len(readings)
+    quads = np.asarray(readings)
+    if quads.ndim != 2 or quads.shape[1] != 4:
+        raise ValueError(f"expected (m, 4) powers, got shape {quads.shape}")
+    m = len(quads)
     if m == 0:
         raise ValueError("need at least one reading")
-    if isinstance(readings, np.ndarray):
-        quads = np.atleast_2d(readings)
-        if quads.shape[1] != 4:
-            raise ValueError(f"expected (m, 4) powers, got shape {quads.shape}")
-    else:
-        quads = np.array([[r.v1, r.v2, r.v3, r.v4] for r in readings])
     mean_reading = QdReading(*np.mean(quads, axis=0).tolist())
     totals = quads.sum(axis=1)
     if true_reading is not None:
@@ -335,6 +329,8 @@ def run_tracking_loop(
         raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
     if not all(map(math.isfinite, initial_offset_m)):
         raise ValueError(f"initial offset must be finite, got {initial_offset_m}")
+    if not math.isfinite(controller_gain):
+        raise ValueError("controller_gain must be finite")
     if not 0 < loop_rate_hz <= 1000.0:
         raise ValueError(f"loop rate must be in (0, 1000] Hz, got {loop_rate_hz}")
     steps = duration_s * loop_rate_hz

@@ -184,9 +184,9 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
     return report, rx_bits
 
 
-def run_endtoend(config: RunConfig, payload_bits: np.ndarray | None = None) -> RunReport:
-    """Run the full emulated transmission and return the report."""
-    report, _ = _run(config, payload_bits)
+def run_endtoend(config: RunConfig) -> RunReport:
+    """Run the full emulated transmission of random bits; return the report."""
+    report, _ = _run(config, None)
     return report
 
 

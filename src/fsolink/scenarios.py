@@ -23,11 +23,9 @@ from typing import Any
 from .atmosphere import LinkGeometry, WeatherScenario
 from .errors import ConfigKeyError
 from .linkbudget import TransceiverOptics
-from .modem import MAX_SYMBOLS, Pam4Config
+from .modem import Pam4Config, check_n_symbols
 from .reporting import as_jsonable
 from .spatial_filter import SolarModel
-
-_MIN_SYMBOLS = 10_000
 
 #: Resolving a class's string annotations costs about 0.1 ms; do it once.
 _type_hints = functools.cache(typing.get_type_hints)
@@ -80,16 +78,7 @@ class RunConfig:
     def __post_init__(self):
         if self.fading not in ("auto", "log_normal", "gamma_gamma"):
             raise ValueError(f"unknown fading selection {self.fading!r}")
-        if self.n_symbols < _MIN_SYMBOLS:
-            raise ValueError(
-                f"sample budget must be >= {_MIN_SYMBOLS} symbols, "
-                f"got {self.n_symbols}"
-            )
-        if self.n_symbols > MAX_SYMBOLS:
-            raise ValueError(
-                f"n_symbols must be <= {MAX_SYMBOLS} (4 GiB of run memory), "
-                f"got {self.n_symbols}"
-            )
+        check_n_symbols(self.n_symbols)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -109,8 +98,9 @@ def decode(cls, data, key: str = ""):
     """Build dataclass ``cls`` from a JSON-style dict at dotted path ``key``.
 
     Absent keys take the field default. An unknown or missing required key
-    raises ``ConfigKeyError``; a value of the wrong type or a non-finite
-    float raises ``ValueError``. Both name the dotted key.
+    raises ``ConfigKeyError``; a value of the wrong type, a non-finite
+    float or an integer beyond the float range raises ``ValueError``. Both
+    name the dotted key.
     """
     if not isinstance(data, dict):
         raise ValueError(f"config key {key!r} must be an object, got {data!r}")
@@ -151,9 +141,13 @@ def _decode_value(hint, value, key: str):
         )
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if hint is float and number:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
         if not math.isfinite(value):
             raise ValueError(f"config key {key!r} must be finite, got {value!r}")
-        return float(value)
+        return value
     if hint is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
     if hint in (bool, str) and isinstance(value, hint):

@@ -17,10 +17,10 @@ import numpy as np
 from .channel_trace import constant_trace
 from .errors import CalibrationError
 from .modem import (
-    MAX_SYMBOLS,
     BerReport,
     Pam4Config,
     calibrate_noise_std,
+    check_n_symbols,
     derive_seeds,
     q_for_target_ber,
     transmit,
@@ -85,8 +85,8 @@ class FilterSnr:
 
 @dataclass(frozen=True)
 class FilterDemoScenario:
-    """Concentrated-beam demo setup for the paired BER comparison; at most
-    ``modem.MAX_SYMBOLS`` symbols."""
+    """Concentrated-beam demo setup for the paired BER comparison: a finite
+    spot, ``modem.MIN_SYMBOLS`` to ``modem.MAX_SYMBOLS`` symbols."""
 
     spot_center: tuple[float, float] = (0.25, 0.25)  # aperture units, center origin
     spot_radius: float = 0.35
@@ -94,11 +94,11 @@ class FilterDemoScenario:
     n_symbols: int = 1_000_000
 
     def __post_init__(self):
-        if self.n_symbols > MAX_SYMBOLS:
-            raise ValueError(
-                f"n_symbols must be <= {MAX_SYMBOLS} (4 GiB of run memory), "
-                f"got {self.n_symbols}"
-            )
+        if not all(map(math.isfinite, self.spot_center)):
+            raise ValueError("spot_center must be finite")
+        if not 0.0 < self.spot_radius < math.inf:
+            raise ValueError("spot_radius must be finite and > 0")
+        check_n_symbols(self.n_symbols)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.special import ndtr
 
+from fsolink import channel_trace
 from fsolink.atmosphere import LinkGeometry
 from fsolink.channel_trace import (
     ChannelTrace,
@@ -177,6 +179,28 @@ class TestGenerateTrace:
         with pytest.raises(TraceLengthError):
             generate_trace(FadingModel.log_normal(0.1), 1e-3, 1e9, 1.0, seed=0)
 
+    def test_length_budget_checked_before_allocation(self):
+        # MAX_TRACE_SAMPLES is 4 GiB over 128 B/sample; one sample more is
+        # refused before any array is made.
+        rate = float(channel_trace.MAX_TRACE_SAMPLES + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceLengthError, match="4 GiB"):
+                generate_trace(FadingModel.log_normal(0.1), 1e-3, rate, 1.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert channel_trace.MAX_TRACE_SAMPLES == (4 << 30) // 128
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["coherence_time_s", "sample_rate_hz", "duration_s"])
+    def test_non_finite_parameters_rejected(self, name, bad):
+        args = {"coherence_time_s": 1e-3, "sample_rate_hz": 1e3, "duration_s": 1.0}
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            generate_trace(FadingModel.log_normal(0.1), seed=0, **args)
+
     def test_parameter_domains(self):
         with pytest.raises(ValueError):
             generate_trace(FadingModel.log_normal(0.1), 0.0, 1e3, 1.0, seed=0)
@@ -196,7 +220,7 @@ class TestGenerateTrace:
 
 class TestTraceStats:
     def test_constant_trace(self):
-        est = trace_stats(constant_trace(1.0, gain=1.0))
+        est = trace_stats(constant_trace(1.0))
         assert est.mean == 1.0
         assert est.sigma_i2 == 0.0
         assert math.isinf(est.coherence_time_s)
@@ -229,7 +253,11 @@ class TestTraceStats:
         assert est.mean == pytest.approx(1.0, rel=1e-12)
         assert est.sigma_i2 == pytest.approx(float(np.var(gains)), rel=1e-12)
         assert math.isnan(est.coherence_time_s)
-        assert math.isinf(trace_stats(constant_trace(1.0, n=50)).coherence_time_s)
+        flat = ChannelTrace(
+            sample_rate_hz=50.0, duration_s=1.0, seed=0, gains=np.ones(50),
+            coherence_time_s=1.0,
+        )
+        assert math.isinf(trace_stats(flat).coherence_time_s)
         empty = ChannelTrace(
             sample_rate_hz=1.0, duration_s=0.0, seed=0, gains=np.array([]),
             coherence_time_s=1.0,

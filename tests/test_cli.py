@@ -399,6 +399,50 @@ class TestRejectedInputs:
         assert err.startswith("error:") and "n_symbols" in err
         assert len(err.splitlines()) == 1
 
+    def test_integer_beyond_float_range_rejected(self, capsys):
+        override = "scenario.visibility_km=1" + "0" * 400
+        assert run_cli("budget", "--set", override) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'scenario.visibility_km'" in err
+        assert "finite" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [(("--symbols", "0"), "n_symbols"), (("--symbols", "10"), "n_symbols"),
+         (("--symbols", "-5"), "n_symbols"), (("--spot-radius", "nan"), "spot_radius"),
+         (("--spot-x", "nan"), "spot_center")],
+        ids=["zero-symbols", "ten-symbols", "negative-symbols", "nan-radius", "nan-spot-x"],
+    )
+    def test_filter_sim_rejects_bad_scenario(self, args, field, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "filtering_ber_demo", never)
+        assert run_cli("filter-sim", *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be")
+        assert "nan" not in err and "np." not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [(("--rate", "nan"), "sample_rate_hz"), (("--rate", "inf"), "sample_rate_hz"),
+         (("--duration", "inf"), "duration_s")],
+        ids=["nan-rate", "inf-rate", "inf-duration"],
+    )
+    def test_trace_rejects_non_finite(self, args, field, tmp_path, capsys):
+        out = tmp_path / "t.bin"
+        assert run_cli("trace", *args, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {field} must be finite and > 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gain", ["nan", "inf"])
+    def test_pat_sim_rejects_non_finite_gain(self, gain, capsys):
+        assert run_cli("pat-sim", "--gain", gain) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: controller_gain must be finite\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("target", ["1e-2", "1e-4"])
     def test_filter_sim_band_follows_target(self, target, capsys):
         assert run_cli("filter-sim", "--target-ber", target) == 0

@@ -1,8 +1,8 @@
 """Static check: no module of ``src/fsolink`` imports a name it never uses.
 
 A name counts as used when the module reads it anywhere, including inside
-a string annotation such as ``"LinkGeometry"``. ``__init__.py`` re-exports
-names on purpose and is exempt; ``__future__`` imports are directives.
+a string annotation such as ``"LinkGeometry"``. ``__init__.py`` is checked
+like every other module; ``__future__`` imports are directives.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fsolink"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:

@@ -73,7 +73,8 @@ class TestApplyChannel:
 
     def test_scalar_gain(self):
         symbols = np.ones(500)
-        trace = constant_trace(500 / CONFIG.symbol_rate_hz, gain=0.5)
+        trace = constant_trace(500 / CONFIG.symbol_rate_hz)
+        trace = dataclasses.replace(trace, gains=0.5 * trace.gains)
         out = apply_channel(symbols, trace, 0.0, seed=1, symbol_rate_hz=CONFIG.symbol_rate_hz)
         assert np.allclose(out, 0.5)
 
@@ -227,6 +228,16 @@ class TestEyeStats:
     def test_missing_level(self):
         with pytest.raises(MissingLevelError):
             eye_stats(np.zeros(100), np.zeros(100, dtype=int))
+
+    def test_level_messages_print_plain_numbers(self):
+        labels = np.array([0, 0, 1, 2, 2, 2])
+        with pytest.raises(MissingLevelError, match=r"counts \[2, 1, 3, 0\]$"):
+            eye_stats(np.zeros(6), labels)
+        with pytest.raises(MissingLevelError, match=r"counts \[2, 1, 3, 0\]$"):
+            LevelStats(means=np.zeros(4), stds=np.zeros(4), counts=np.array([2, 1, 3, 0]),
+                       q_factors=np.zeros(4))
+        with pytest.raises(DegenerateLevelsError, match=r"counts \[\d+, \d+, \d+, \d+\]\)$"):
+            demodulate(np.full(1000, 0.5), CONFIG, thresholds="adaptive")
 
 
 class TestEstimateBer:

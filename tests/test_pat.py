@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ class TestMultisample:
     def test_single_sample_matches_definition(self):
         truth = QdReading(0.25, 0.25, 0.25, 0.25)
         reading = QdReading(0.32, 0.2, 0.25, 0.25)  # total 1.02, noise +0.02
-        result = multisample_snr([reading], true_reading=truth)
+        result = multisample_snr(np.array([astuple(reading)]), true_reading=truth)
         # One sample: coherent sum is the sample itself.
         assert result.amplitude_snr == pytest.approx(
             truth.total / abs(reading.total - truth.total), rel=1e-12
@@ -151,7 +152,7 @@ class TestMultisample:
 
     def test_noiseless_flags_saturation(self):
         truth = QdReading(0.25, 0.25, 0.25, 0.25)
-        result = multisample_snr([truth, truth], true_reading=truth)
+        result = multisample_snr(np.array([astuple(truth)] * 2), true_reading=truth)
         assert result.saturated
         assert math.isinf(result.amplitude_snr)
 
@@ -193,11 +194,11 @@ class TestMultisample:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            multisample_snr([])
+            multisample_snr(np.empty((0, 4)))
 
     def test_blind_noise_estimate_needs_two(self):
         with pytest.raises(ValueError):
-            multisample_snr([QdReading(1, 1, 1, 1)])
+            multisample_snr(np.ones((1, 4)))
 
 
 class TestTrackingLoop:
@@ -312,6 +313,11 @@ class TestTrackingLoop:
     def test_non_finite_inputs_rejected(self, initial, noise_std):
         with pytest.raises(ValueError, match="finite"):
             run_tracking_loop(initial, None, GEOM, noise_std=noise_std)
+
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gain_rejected(self, gain):
+        with pytest.raises(ValueError, match="^controller_gain must be finite$"):
+            run_tracking_loop((0, 0), None, GEOM, controller_gain=gain)
 
 
 class TestTrackingLoopPinned:

@@ -51,7 +51,7 @@ class TestRunEndToEnd:
 
     def test_odd_payload_sets_pad_flag(self):
         bits = np.random.default_rng(8).integers(0, 2, 20_001, dtype=np.uint8)
-        report = pipeline.run_endtoend(quiet_config(), payload_bits=bits)
+        report, _ = pipeline._run(quiet_config(), bits)
         assert report.pad_bits == 1
 
     def test_auto_selects_log_normal_for_clear(self):
@@ -325,6 +325,11 @@ class TestRunConfig:
             NoiseSpec(mode="fixed_std", noise_std=None)
         with pytest.raises(ValueError):
             NoiseSpec(mode="of-course-not")
+
+    def test_integer_beyond_float_range_rejected(self):
+        huge = {"scenario": {"visibility_km": 10**400}}
+        with pytest.raises(ValueError, match="'scenario.visibility_km' must be finite"):
+            scenarios.decode(RunConfig, huge)
 
     def test_symbol_budget(self):
         # Constructing a config allocates nothing; the budget is checked first.

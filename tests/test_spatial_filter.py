@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from fsolink import modem
 from fsolink.errors import CalibrationError
 from fsolink.modem import Pam4Config
 from fsolink.reporting import as_jsonable
@@ -169,10 +170,32 @@ class TestFilteringDemo:
         )
 
     def test_out_of_band_operating_point_rejected(self):
-        # 1000 symbols at seed 5 count no bit errors, below the [5e-4, 5e-3] band.
-        scenario = FilterDemoScenario(n_symbols=1000)
-        with pytest.raises(CalibrationError, match=r"\[0.0005, 0.005\] calibration band"):
-            filtering_ber_demo(scenario, 2, self.CONFIG, seed=5)
+        # At target 1e-4, 10 000 symbols (20 000 bits) expect 2 bit errors;
+        # seed 10 counts none, below the [5e-5, 5e-4] band.
+        scenario = FilterDemoScenario(target_unfiltered_ber=1e-4, n_symbols=10_000)
+        with pytest.raises(CalibrationError, match=r"BER 0 is outside the \[5e-05, 0.0005\]"):
+            filtering_ber_demo(scenario, 2, self.CONFIG, seed=10)
+
+
+class TestFilterDemoScenario:
+    def test_symbol_range_is_the_modem_range(self):
+        assert FilterDemoScenario(n_symbols=modem.MIN_SYMBOLS).n_symbols == modem.MIN_SYMBOLS
+        for n in (modem.MIN_SYMBOLS - 1, 0, -5, modem.MAX_SYMBOLS + 1):
+            with pytest.raises(ValueError, match=f"n_symbols must be in .*, got {n}$"):
+                FilterDemoScenario(n_symbols=n)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"spot_center": (math.nan, 0.0)}, "spot_center"),
+         ({"spot_center": (0.0, math.inf)}, "spot_center"),
+         ({"spot_radius": math.nan}, "spot_radius"),
+         ({"spot_radius": math.inf}, "spot_radius"),
+         ({"spot_radius": 0.0}, "spot_radius")],
+        ids=["nan-x", "inf-y", "nan-radius", "inf-radius", "zero-radius"],
+    )
+    def test_spot_must_be_finite(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            FilterDemoScenario(**kwargs)
 
 
 class TestApertureGridType:
