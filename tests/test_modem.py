@@ -451,7 +451,6 @@ class TestTransmitPinned:
 
     BLOCK = 1 << 16
     SEVERAL = 2 * (3 * BLOCK + 1234)
-    CUTS = (0.17, 0.5, 0.83)
 
     @staticmethod
     def digest(rx_bits, report):
@@ -467,11 +466,9 @@ class TestTransmitPinned:
         h.update(np.asarray(stats.counts, dtype=np.int64).tobytes())
         return h.hexdigest()
 
-    def run(self, n_bits, sps=1, workers=1, thresholds=None, gray=True,
+    def run(self, n_bits, sps=1, workers=1, thresholds=None,
             noise_std=0.08, trace_rate_hz=1e5):
-        config = Pam4Config(
-            symbol_rate_hz=1e6, gray_mapping=gray, samples_per_symbol=sps
-        )
+        config = Pam4Config(symbol_rate_hz=1e6, samples_per_symbol=sps)
         bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
         duration = 1.01 * ((n_bits + 1) // 2) / config.symbol_rate_hz
         rate = trace_rate_hz or config.symbol_rate_hz * sps
@@ -495,11 +492,11 @@ class TestTransmitPinned:
             (dict(n_bits=SEVERAL, sps=2),
                 "37b2c10ddbc5dc3783897156a6c4866a66e2d1ad9a2e99de089947ee89b4a9dc",
             ),
-            (dict(n_bits=SEVERAL, sps=3, workers=3, thresholds=CUTS),
-                "4de08844ab1193f99a960aea56282ab866318b08825e69ff49d82f75121fd741",
+            (dict(n_bits=SEVERAL, sps=3, workers=3),
+                "ffcb4a468b1de73235eb041105ca4a212b4693ec2964360239f914c46d3818c6",
             ),
-            (dict(n_bits=SEVERAL, workers=3, thresholds="adaptive", gray=False),
-                "9bf7351cd4f53530770eb54749a619b8b0fc6e4c3ff2277553ef26736e33ee6d",
+            (dict(n_bits=SEVERAL, workers=3, thresholds="adaptive"),
+                "53204fcf637b3e390a08492563c7de25e2a88768f3be7a19d808590937f1bada",
             ),
             (dict(n_bits=2 * BLOCK, sps=3, thresholds="adaptive"),
                 "185d4a666bce419e5b0a1fe6c1f5696383e92f1774bc214757d60b4ed5a42d69",
@@ -507,8 +504,8 @@ class TestTransmitPinned:
             (dict(n_bits=2 * BLOCK + 1, sps=2, workers=3, thresholds="adaptive"),
                 "869a18a8f98b5253176b3dc106e50f97966004e48df800b996fce482d0253645",
             ),
-            (dict(n_bits=3001, sps=2, workers=3, thresholds=CUTS, gray=False),
-                "c94c73972b96cb113c7d5aaf4113b6faf620dd8802b390404d8d44e0febe9b2f",
+            (dict(n_bits=3001, sps=2, workers=3),
+                "f7027f85b0ed704fe1d8ddd159c29e9bc36cafbeb26d462972627ee545cb67d4",
             ),
             (dict(n_bits=SEVERAL, sps=2, noise_std=0.0),
                 "f8cac909f456f5a052ca5a37d857f02b13c40992bd7dc2cb1a8354a1de16d304",
@@ -522,9 +519,9 @@ class TestTransmitPinned:
         ],
         ids=[
             "below-block-odd", "one-block", "several-adaptive-odd", "several-sps2",
-            "several-sps3-w3-explicit", "several-w3-adaptive-binary",
+            "several-sps3-w3", "several-w3-adaptive",
             "one-block-sps3-adaptive", "one-block-odd-sps2-w3-adaptive",
-            "below-block-sps2-w3-explicit-binary", "several-sps2-noiseless",
+            "below-block-sps2-w3", "several-sps2-noiseless",
             "several-odd-w3-at-sample-rate", "several-sps3-adaptive-at-sample-rate",
         ],
     )

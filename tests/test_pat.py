@@ -324,12 +324,12 @@ class TestTrackingLoopPinned:
     """The offset traces of a small grid of loops, pinned bit for bit.
 
     Each digest is sha256(offsets_x_m bytes + offsets_y_m bytes). The grid
-    has a detector gap and signal_power != 1; noise_std 0.3 clamps readings
-    at zero and, at m = 1, loses the beam on some steps (hold position).
+    has a detector gap; noise_std 1.5 clamps readings at zero and, at
+    m = 1, loses the beam on 9 of the 150 steps (hold position).
     """
 
     GEOM_WIDE_GAP = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=1e-4)
-    NOISELESS = "e441b7ae50b7b1c8a3b0505ce8c9fc86badb60d8f38943546bfca7e07fb5715a"
+    NOISELESS = "b6e4d8f9c776b53d812d5aa17a0fbccfa5096d40d3f9f9fbc64513b30832f33c"
 
     @staticmethod
     def digest(result):
@@ -345,7 +345,6 @@ class TestTrackingLoopPinned:
             m=m,
             duration_s=duration_s,
             seed=seed,
-            signal_power=0.2,
             noise_std=noise_std,
         )
 
@@ -355,12 +354,12 @@ class TestTrackingLoopPinned:
             (1, 0.0, NOISELESS),
             (4, 0.0, NOISELESS),
             (10, 0.0, NOISELESS),
-            (1, 0.05, "b959861ff6031c6a93f6d4b6d016be16e8553b0b47ed87c297555dcee0056bf6"),
-            (4, 0.05, "c716f490a20f05069c533ca87eba29213d39fe3954b6e40e3c53098399d57ae0"),
-            (10, 0.05, "f8a35a1192a6367b436040c5c9164a3f65123e85dd6a2f55d592750dc4d4c1c5"),
-            (1, 0.3, "1c89ea34f930fb8fd9ff561d5e4ecc3459e26bb87c64d688ca00b8b7b672a2ae"),
-            (4, 0.3, "23cac9cefe9320f73081665c1b8645068c60056e2519f4f3f28dcb2ef118efc1"),
-            (10, 0.3, "2369522fe4d1db7a0608a617c920266b2564c16af8d83cdba2ad99064d2be4c8"),
+            (1, 0.25, "2075e135c689e8da00f1458df6798aa40d89767dd0a813a12544b08cec2f45ee"),
+            (4, 0.25, "2215a73e6e07112b40555fc798adecf280eb450769db44694d8c26a74743639f"),
+            (10, 0.25, "18da4b61c6dbdb4477f47c9136dbb5d0fa2460692d068db6f48e2fe9e97a6838"),
+            (1, 1.5, "e14415bbbff43de085b02a5811a60e12b9583679653063520169f93bb22c4366"),
+            (4, 1.5, "43299a3c7ee27637d97577191b6b70a6571487db05df4e491d2bf48443790c13"),
+            (10, 1.5, "c247a52cba060527c4653326295df7c8e46c503d21ed8600fe071a2894d7aced"),
         ],
     )
     def test_offsets_pinned(self, m, noise_std, expected):
@@ -368,17 +367,17 @@ class TestTrackingLoopPinned:
 
     def test_offsets_pinned_across_noise_blocks(self):
         # 1000 steps of m = 40 span several noise blocks, the last one partial.
-        result = self.run(40, 0.3, duration_s=1.0, seed=3)
-        expected = "150bbeed5b9c486f2201ef40d1b9f367429474fb7ac3b91d2f66cd1d630cde91"
+        result = self.run(40, 1.5, duration_s=1.0, seed=3)
+        expected = "dec6b9adefbb05ce0ee0552e56357d60864b6ab75f58f2246d3e70b01cb244b5"
         assert self.digest(result) == expected
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_noise_block_size_does_not_change_the_stream(self, monkeypatch, m):
-        default = self.run(m, 0.3, duration_s=0.2)
+        default = self.run(m, 1.5, duration_s=0.2)
         # One step per draw, then 7-step blocks (200 is not a multiple of 7).
         for block_values in (1, 7 * 4 * m):
             monkeypatch.setattr(pat, "_NOISE_BLOCK_VALUES", block_values)
-            result = self.run(m, 0.3, duration_s=0.2)
+            result = self.run(m, 1.5, duration_s=0.2)
             assert np.array_equal(result.offsets_x_m, default.offsets_x_m)
             assert np.array_equal(result.offsets_y_m, default.offsets_y_m)
 
@@ -409,6 +408,5 @@ class TestTrackingLoopPinned:
                 controller_gain=-3.0,
                 duration_s=0.2,
                 seed=0,
-                signal_power=0.5,
-                noise_std=0.1,
+                noise_std=0.2,
             )
