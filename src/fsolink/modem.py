@@ -29,9 +29,9 @@ from .channel_trace import ChannelTrace
 from .errors import DegenerateLevelsError, MissingLevelError, TraceTooShortError
 
 _GRAY_FORWARD = np.array([0, 1, 3, 2], dtype=np.uint8)  # bit pair value <-> level
-# Bit pair value -> its (msb, lsb) bytes read as one uint16: one gather
-# writes both bits of a symbol.
-_PAIR_BITS = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], np.uint8).view(np.uint16)[:, 0]
+# Level -> its Gray bit pair's (msb, lsb) bytes read as one uint16: one
+# gather writes both bits of a symbol.
+_LEVEL_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], np.uint8).view(np.uint16)[:, 0]
 
 _CHUNK_SYMBOLS = 1 << 16
 _KMEANS_MAX_POINTS = 1 << 20
@@ -62,7 +62,6 @@ class Pam4Config:
 
     symbol_rate_hz: float = 2e9
     levels: tuple[float, float, float, float] = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
-    gray_mapping: bool = True
     samples_per_symbol: int = 1
 
     def __post_init__(self):
@@ -114,7 +113,7 @@ class BerReport:
 
 
 def modulate(bits: np.ndarray, config: Pam4Config) -> tuple[np.ndarray, int]:
-    """Map a bit stream onto PAM-4 level indices.
+    """Map a bit stream onto Gray-coded PAM-4 level indices.
 
     Odd-length inputs are zero-padded by one bit; the returned pad count
     makes the padding explicit. Returns (labels, pad_bits); the transmitted
@@ -128,9 +127,7 @@ def modulate(bits: np.ndarray, config: Pam4Config) -> tuple[np.ndarray, int]:
         pairs = bits[2 * lo : 2 * (lo + _CHUNK_SYMBOLS)]
         label = pairs[0::2] << 1
         label[: len(pairs) // 2] |= pairs[1::2]
-        labels[lo : lo + len(label)] = (
-            _GRAY_FORWARD[label] if config.gray_mapping else label
-        )
+        labels[lo : lo + len(label)] = _GRAY_FORWARD[label]
     return labels, len(bits) % 2
 
 
@@ -248,40 +245,24 @@ def _kmeans_levels(samples: np.ndarray) -> np.ndarray:
 
 
 def demodulate(
-    samples: np.ndarray,
-    config: Pam4Config,
-    thresholds=None,
+    samples: np.ndarray, config: Pam4Config, adaptive: bool = False
 ) -> np.ndarray:
     """Nearest-region PAM-4 decision back to bits (inverse Gray map).
 
-    ``thresholds`` may be three explicit cut points, the string
-    ``"adaptive"`` (k-means level estimation, scale invariant), or None to
-    use midpoints of the configured levels.
+    The cuts are the midpoints of the configured levels or, when
+    ``adaptive``, of the k-means level estimates (scale invariant).
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
         raise ValueError("no samples to demodulate")
     if np.isnan(np.min(samples)):
         raise ValueError("cannot decide NaN samples")
-    if isinstance(thresholds, str):
-        if thresholds != "adaptive":
-            raise ValueError(f"unknown threshold mode {thresholds!r}")
-        means = _kmeans_levels(samples)
-        cuts = 0.5 * (means[:-1] + means[1:])
-    elif thresholds is None:
-        levels = np.asarray(config.levels)
-        cuts = 0.5 * (levels[:-1] + levels[1:])
-    else:
-        cuts = np.asarray(thresholds, dtype=float)
-        if cuts.shape != (3,):
-            raise ValueError(f"need exactly 3 thresholds, got shape {cuts.shape}")
-        if np.any(np.diff(cuts) <= 0):
-            raise ValueError("thresholds must be strictly increasing")
-    table = _PAIR_BITS[_GRAY_FORWARD] if config.gray_mapping else _PAIR_BITS
+    means = _kmeans_levels(samples) if adaptive else np.asarray(config.levels)
+    cuts = 0.5 * (means[:-1] + means[1:])
     pairs = np.empty(len(samples), dtype=np.uint16)
     for lo in range(0, len(samples), _CHUNK_SYMBOLS):
         block = samples[lo : lo + _CHUNK_SYMBOLS]
-        pairs[lo : lo + len(block)] = table[_decide(block, cuts)]
+        pairs[lo : lo + len(block)] = _LEVEL_BITS[_decide(block, cuts)]
     return pairs.view(np.uint8)
 
 
@@ -488,12 +469,12 @@ def transmit(
     seed: int,
     config: Pam4Config,
     workers: int = 1,
-    thresholds=None,
+    adaptive: bool = False,
 ) -> tuple[np.ndarray, BerReport]:
     """The link pass: modulate, fade and add noise, decide, count errors.
 
     Returns the decided bits, cut to ``len(bits)``, and their BER report
-    against genie-aided eye statistics. ``thresholds`` is passed to
+    against genie-aided eye statistics. ``adaptive`` is passed to
     ``demodulate``; ``workers`` only changes how the channel blocks run.
     """
     labels, _ = modulate(bits, config)
@@ -501,5 +482,5 @@ def transmit(
         labels, trace, noise_std, seed, config.symbol_rate_hz, workers,
         config.levels, config.samples_per_symbol,
     )
-    rx_bits = demodulate(received, config, thresholds)[: len(bits)]
+    rx_bits = demodulate(received, config, adaptive)[: len(bits)]
     return rx_bits, ber_report(bits, rx_bits, eye_stats(received, labels))

@@ -34,9 +34,11 @@ _DIVERGENCE_STEPS = 10
 #: Leading steps of the acquisition transient left out of the residual RMS.
 _SETTLE_STEPS = 20
 
-#: Longest run: a 4 GiB budget over the 150 B/step ``run_tracking_loop``
-#: peaks at (tracemalloc: 145-149 B/step at 1e5-4e5 steps, m = 1 and 10).
-_MAX_STEPS = (4 << 30) // 150
+#: Run memory of ``run_tracking_loop`` (tracemalloc): 150 B/step (145-149
+#: at 1e5-4e5 steps, m = 1 and 10) plus 162 B per reading of one step's noise
+#: block (161.9 and 160.3 at m = 1e4 and 5e4). It must stay within 4 GiB.
+_STEP_BYTES = 150
+_READING_BYTES = 162
 
 #: Most noise values ``run_tracking_loop`` draws at once. As nested lists a
 #: full block of m = 1 steps takes about 0.5 MiB.
@@ -180,19 +182,18 @@ def _calibrate_gain(geometry: QdGeometry) -> float:
 _NO_NOISE = ([0.0], [0.0], [0.0], [0.0])
 
 
-def _mean_reading(signal_power: float, fractions, noise) -> list[float]:
-    """Per quadrant, the mean over m readings of max(signal_power * fraction
-    + draw, 0), with ``noise`` holding each quadrant's m draws.
+def _mean_reading(fractions, noise) -> list[float]:
+    """Per quadrant, the mean over m readings of max(fraction + draw, 0),
+    with ``noise`` holding each quadrant's m draws.
 
     Adding the positive terms in reading order repeats numpy's axis-0 mean
     of the clamped (m, 4) readings bit for bit.
     """
     means = []
     for f, draws in zip(fractions, noise):
-        p = signal_power * f
         acc = 0.0
         for r in draws:
-            v = p + r
+            v = f + r
             if v > 0.0:
                 acc += v
         means.append(acc / len(draws))
@@ -203,26 +204,24 @@ def qd_response(
     offset_x: float,
     offset_y: float,
     geometry: QdGeometry,
-    signal_power: float = 1.0,
     noise_std: float = 0.0,
     seed: int = 0,
 ) -> QdReading:
-    """Quadrant powers for a Gaussian beam displaced by (offset_x, offset_y).
+    """Quadrant powers for a unit-power Gaussian beam displaced by
+    (offset_x, offset_y).
 
-    Each quadrant receives signal_power times the exact beam overlap with
-    its active area (separable Gaussian integrals), plus independent
-    Gaussian noise clamped at zero, drawn from ``seed``. A centered beam
-    with no noise yields four equal powers.
+    Each quadrant receives the exact beam overlap with its active area
+    (separable Gaussian integrals), plus independent Gaussian noise of
+    ``noise_std`` (relative to the beam power) clamped at zero, drawn from
+    ``seed``. A centered beam with no noise yields four equal powers.
     """
-    if signal_power < 0:
-        raise ValueError(f"signal power must be >= 0, got {signal_power}")
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
     noise = _NO_NOISE
     if noise_std > 0:
         noise = np.random.default_rng(seed).normal(0.0, noise_std, (4, 1)).tolist()
     fractions = _quadrant_fractions(offset_x, offset_y, geometry)
-    return QdReading(*_mean_reading(signal_power, fractions, noise))
+    return QdReading(*_mean_reading(fractions, noise))
 
 
 def _displacement(v, gain: float) -> tuple[float, float] | None:
@@ -309,7 +308,6 @@ def run_tracking_loop(
     controller_gain: float = DEMO_LOOP["controller_gain"],
     duration_s: float = DEMO_LOOP["duration_s"],
     seed: int = 0,
-    signal_power: float = 1.0,
     noise_std: float = 0.0,
 ) -> TrackingResult:
     """Closed-loop tracking: sample m readings, average, estimate, correct.
@@ -321,7 +319,9 @@ def run_tracking_loop(
     is computed after the first 20 steps to skip the acquisition
     transient; the max covers the whole run. Raises
     ``TrackingDivergedError`` after 10 consecutive off-detector steps, and
-    ``ValueError``, before allocating, for a run over 4 GiB.
+    ``ValueError``, before allocating, for a run over 4 GiB. The beam has
+    unit power; ``noise_std`` is each reading's per-quadrant detector noise
+    relative to it.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -334,8 +334,8 @@ def run_tracking_loop(
     if not 0 < loop_rate_hz <= 1000.0:
         raise ValueError(f"loop rate must be in (0, 1000] Hz, got {loop_rate_hz}")
     steps = duration_s * loop_rate_hz
-    if not steps <= _MAX_STEPS:
-        raise ValueError(f"duration covers {steps:g} steps; 4 GiB allows {_MAX_STEPS}")
+    if not _STEP_BYTES * steps + _READING_BYTES * m <= 4 << 30:
+        raise ValueError(f"duration covers {steps:g} steps of m = {m} readings: over 4 GiB")
     n_steps = int(round(steps))
     if n_steps < 100:
         raise ValueError(
@@ -377,7 +377,7 @@ def run_tracking_loop(
         if controller_gain == 0.0:
             continue
         fractions = _quadrant_fractions(true_x, true_y, geometry)
-        reading = _mean_reading(signal_power, fractions, next(noise))
+        reading = _mean_reading(fractions, next(noise))
         estimate = _displacement(reading, gain)
         if estimate is None:
             continue  # beam lost: no information this step, hold position

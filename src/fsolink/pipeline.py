@@ -161,7 +161,7 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
             noise_seed,
             config.modem,
             workers=config.workers,
-            thresholds=None if clean else "adaptive",
+            adaptive=not clean,
         )
 
     with _stage("report"):

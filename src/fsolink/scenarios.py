@@ -150,7 +150,7 @@ def _decode_value(hint, value, key: str):
         return value
     if hint is int and number and (isinstance(value, int) or value.is_integer()):
         return int(value)
-    if hint in (bool, str) and isinstance(value, hint):
+    if hint is str and isinstance(value, str):
         return value
     raise ValueError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
 
@@ -207,7 +207,10 @@ def preset_note(name: str) -> str:
 
 def load_config_file(path) -> dict[str, Any]:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # also Python's integer-string digit limit
+            raise ValueError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
     return data
@@ -245,6 +248,8 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except ValueError as exc:  # Python's integer-string digit limit
+            raise ValueError(f"config key {key!r}: {exc}") from exc
         config = merge_config(config, dotted_overlay(key, value))
     return config
 

@@ -27,6 +27,10 @@ from .modem import (
 )
 from .pat import gaussian_fraction
 
+#: Largest ``beam_on_grid`` order: 4 GiB over the 9 B/cell it peaks at
+#: (tracemalloc, n = 1000-3000: float64 cells and ``ApertureGrid``'s sign mask).
+_MAX_PARTITION = math.isqrt((4 << 30) // 9)
+
 
 @dataclass(frozen=True)
 class SolarModel:
@@ -159,6 +163,8 @@ def beam_on_grid(
     """
     if spot_radius <= 0:
         raise ValueError(f"spot radius must be > 0, got {spot_radius}")
+    if n > _MAX_PARTITION:
+        raise ValueError(f"n must be <= {_MAX_PARTITION} (n x n cells in 4 GiB), got {n}")
     cx, cy = spot_center
     edges = np.linspace(-0.5, 0.5, n + 1)
     frac_x = gaussian_fraction(edges[:-1], edges[1:], cx, spot_radius)
@@ -188,7 +194,7 @@ def filtering_ber_demo(
     sits near the target (outside [target/2, 5 target] it raises
     ``CalibrationError``); the filtered run then scales the noise by the
     optical SNR ratio of the two configurations. Both runs are
-    ``modem.transmit`` passes with fixed thresholds and share one noise
+    ``modem.transmit`` passes with level-midpoint cuts and share one noise
     seed, so selection off and on differ only through that scaling; n = 1
     reproduces identical reports. A precomputed cell grid (e.g. from CSV)
     overrides the beam model; its partition order wins over ``n``.

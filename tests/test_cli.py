@@ -44,8 +44,10 @@ class TestDispatch:
             ("noise.solar.fov=1e-6", "noise.solar.fov"),
             ("scenario.visibility_km.x=1", "scenario.visibility_km.x"),
             ("scenario.cloud={}", "scenario.cloud.thickness_m"),
+            ("modem.gray_mapping=false", "modem.gray_mapping"),
         ],
-        ids=["unknown", "cloud-typo", "solar-typo", "below-leaf", "cloud-missing"],
+        ids=["unknown", "cloud-typo", "solar-typo", "below-leaf", "cloud-missing",
+             "retired-gray-mapping"],
     )
     def test_unknown_override_key_is_usage_error(self, override, key, capsys):
         assert run_cli("budget", "--scenario", "clear", "--set", override) == 2
@@ -73,8 +75,8 @@ class TestDispatch:
     @pytest.mark.parametrize(
         "override, key",
         [
-            ('modem.gray_mapping="no"', "modem.gray_mapping"),
-            ("modem.gray_mapping=1", "modem.gray_mapping"),
+            ("seed=true", "seed"),
+            ("scenario.visibility_km=false", "scenario.visibility_km"),
             ("seed=1.5", "seed"),
             ("modem.samples_per_symbol=2.5", "modem.samples_per_symbol"),
             ("modem.levels=[0, 1]", "modem.levels"),
@@ -83,10 +85,12 @@ class TestDispatch:
             ("scenario.visibility_km=NaN", "scenario.visibility_km"),
             ("geometry.distance_m=Infinity", "geometry.distance_m"),
             ("optics.tx_power_dbm=-Infinity", "optics.tx_power_dbm"),
+            ("scenario.visibility_km=1" + "0" * 5000, "scenario.visibility_km"),
         ],
-        ids=["gray-string", "gray-int", "seed-fraction", "sps-fraction",
+        ids=["seed-bool", "visibility-bool", "seed-fraction", "sps-fraction",
              "levels-length", "visibility-string", "section-number",
-             "visibility-nan", "distance-inf", "power-minus-inf"],
+             "visibility-nan", "distance-inf", "power-minus-inf",
+             "visibility-5001-digits"],
     )
     def test_bad_config_value_is_runtime_error(self, override, key, capsys):
         assert run_cli("budget", "--scenario", "clear", "--set", override) == 1
@@ -105,6 +109,19 @@ class TestDispatch:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "'scenario.visibility_km'" in err
             assert "finite" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"scenario": {"visibility_km": 1' + "0" * 5000 + "}}", '{"scenario": '],
+        ids=["5001-digit-integer", "truncated"],
+    )
+    def test_unreadable_config_file_names_the_file(self, text, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run_cli("budget", "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {path}: ")
+        assert len(err.splitlines()) == 1
 
     def test_nested_override_of_optional_section(self, capsys):
         assert run_cli(
@@ -380,8 +397,10 @@ class TestRejectedInputs:
             (("--disturbance-rms=-1e-6",), "jitter RMS"),
             (("--disturbance-rms=0", "--disturbance-bw", "0"), "jitter bandwidth"),
             (("--duration", "1e12"), "duration covers 1e+15 steps"),
+            (("--m", "30000000"), "500 steps of m = 30000000 readings: over 4 GiB"),
         ],
-        ids=["negative-jitter", "zero-bandwidth", "over-step-budget"],
+        ids=["negative-jitter", "zero-bandwidth", "over-step-budget",
+             "over-reading-budget"],
     )
     def test_pat_sim_rejects_bad_loop(self, args, message, capsys):
         assert run_cli("pat-sim", "--m", "1", *args) == 1
@@ -397,6 +416,12 @@ class TestRejectedInputs:
         assert run_cli("filter-sim", "--symbols", "1000000000000") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_symbols" in err
+        assert len(err.splitlines()) == 1
+
+    def test_filter_sim_over_grid_budget(self, capsys):
+        assert run_cli("filter-sim", "--n", "1000000", "--symbols", "10000") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n must be <= ") and "got 1000000" in err
         assert len(err.splitlines()) == 1
 
     def test_integer_beyond_float_range_rejected(self, capsys):

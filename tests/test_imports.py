@@ -1,8 +1,12 @@
-"""Static check: no module of ``src/fsolink`` imports a name it never uses.
+"""Static checks on ``src/fsolink``: no module imports a name it never
+uses, and no module-level private name goes unread by every module.
 
 A name counts as used when the module reads it anywhere, including inside
 a string annotation such as ``"LinkGeometry"``. ``__init__.py`` is checked
-like every other module; ``__future__`` imports are directives.
+like every other module; ``__future__`` imports are directives. A private
+name is a ``_``-prefixed (not dunder) function, class or constant defined
+at module level; it is read when some module loads it by name or as an
+attribute (``modem._decide``).
 """
 
 from __future__ import annotations
@@ -40,7 +44,11 @@ def _annotations(tree: ast.AST):
 
 
 def _used_names(tree: ast.AST) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     for annotation in _annotations(tree):
         if annotation is None:
             continue
@@ -63,6 +71,79 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level ``_``-prefixed function, class and constant names -> line."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [
+                name.id
+                for target in node.targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            ]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module line N: name`` for each private name no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        read |= _used_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [
+        f"{module} line {line}: {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    ]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _unread_private_names(sources) == []
+
+
+def test_checker_finds_an_unread_private_name():
+    sources = {
+        "a.py": (
+            "_TABLE = (0, 1, 3, 2)\n"
+            "_LIMIT: int = 4\n"
+            "_old, _kept = 1, 2\n"
+            "def _helper():\n"
+            "    return 1\n"
+            "class _Unused:\n"
+            "    pass\n"
+            "def _orphan(n):\n"
+            "    _local = n\n"
+            "    return _local\n"
+            "def public(x: '_Hint') -> int:\n"
+            "    return _TABLE[x]\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "class _Hint:\n"
+            "    pass\n"
+            "def g():\n"
+            "    return a._helper() + a._LIMIT\n"
+        ),
+    }
+    assert _unread_private_names(sources) == [
+        "a.py line 3: _old", "a.py line 3: _kept", "a.py line 6: _Unused",
+        "a.py line 8: _orphan",
+    ]
 
 
 def test_checker_sees_string_annotations_and_unused_names():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsolink import modem
 from fsolink.channel_trace import FadingModel, constant_trace, generate_trace
 from fsolink.errors import DegenerateLevelsError, MissingLevelError, TraceTooShortError
 from fsolink.modem import (
@@ -39,12 +40,6 @@ class TestModulate:
     def test_gray_map_order(self):
         bits = np.array([0, 0, 0, 1, 1, 1, 1, 0], dtype=np.uint8)
         labels, _ = modulate(bits, CONFIG)
-        assert np.array_equal(labels, [0, 1, 2, 3])
-
-    def test_binary_map_order(self):
-        config = Pam4Config(symbol_rate_hz=1e6, gray_mapping=False)
-        bits = np.array([0, 0, 0, 1, 1, 0, 1, 1], dtype=np.uint8)
-        labels, _ = modulate(bits, config)
         assert np.array_equal(labels, [0, 1, 2, 3])
 
     def test_odd_length_pads_one_bit(self):
@@ -124,7 +119,7 @@ class TestDemodulate:
         bits = rng.integers(0, 2, 20_000, dtype=np.uint8)
         labels, _ = modulate(bits, CONFIG)
         received = 0.5 * LEVELS[labels] + rng.normal(0, 0.01, len(labels))
-        recovered = demodulate(received, CONFIG, thresholds="adaptive")
+        recovered = demodulate(received, CONFIG, adaptive=True)
         assert np.array_equal(recovered[: len(bits)], bits)
 
     def test_awgn_ber_matches_analytic_prediction(self):
@@ -145,36 +140,27 @@ class TestDemodulate:
         spread = 3 * math.sqrt(predicted * (1 - predicted) / n_bits)
         assert abs(ber - predicted) < spread
 
-    def test_explicit_thresholds(self):
-        samples = np.array([0.0, 0.4, 0.6, 1.0])
-        bits = demodulate(samples, CONFIG, thresholds=[0.2, 0.5, 0.8])
-        labels, _ = modulate(bits, CONFIG)
-        assert np.array_equal(labels, [0, 1, 2, 3])
-        with pytest.raises(ValueError):
-            demodulate(samples, CONFIG, thresholds=[0.5, 0.2, 0.8])
-        with pytest.raises(ValueError):
-            demodulate(samples, CONFIG, thresholds=[0.5])
-
     def test_degenerate_levels_error(self):
         with pytest.raises(DegenerateLevelsError):
-            demodulate(np.full(1000, 0.5), CONFIG, thresholds="adaptive")
+            demodulate(np.full(1000, 0.5), CONFIG, adaptive=True)
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
             demodulate(np.array([]), CONFIG)
 
 
-    @pytest.mark.parametrize("thresholds", [None, "adaptive", [0.2, 0.5, 0.8]])
-    def test_nan_sample_rejected(self, thresholds):
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["midpoints", "adaptive"])
+    def test_nan_sample_rejected(self, adaptive):
         # Counting cuts below a NaN would decide it as level 0; refuse instead.
         samples = LEVELS[np.arange(4000) % 4].copy()
         samples[2500] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            demodulate(samples, CONFIG, thresholds=thresholds)
+            demodulate(samples, CONFIG, adaptive=adaptive)
 
     @pytest.mark.parametrize("cuts", [None, [-0.25, 0.0, 0.7]])
     def test_decision_matches_digitize(self, cuts):
-        binary = dataclasses.replace(CONFIG, gray_mapping=False)
+        # The level midpoints through demodulate (its bits mapped back to
+        # levels); other cuts through the rule the k-means cuts also use.
         edges = 0.5 * (LEVELS[:-1] + LEVELS[1:]) if cuts is None else np.array(cuts)
         samples = np.concatenate([
             np.random.default_rng(6).normal(0.5, 0.6, 200_003),
@@ -183,8 +169,10 @@ class TestDemodulate:
             np.nextafter(edges, -np.inf),
             [-np.inf, np.inf, 0.0, -0.0],
         ])
-        bits = demodulate(samples, binary, thresholds=cuts)
-        decided = 2 * bits[0::2].astype(int) + bits[1::2]
+        if cuts is None:
+            decided, _ = modulate(demodulate(samples, CONFIG), CONFIG)
+        else:
+            decided = modem._decide(samples, edges)
         assert np.array_equal(decided, np.digitize(samples, edges, right=True))
 
 
@@ -237,7 +225,7 @@ class TestEyeStats:
             LevelStats(means=np.zeros(4), stds=np.zeros(4), counts=np.array([2, 1, 3, 0]),
                        q_factors=np.zeros(4))
         with pytest.raises(DegenerateLevelsError, match=r"counts \[\d+, \d+, \d+, \d+\]\)$"):
-            demodulate(np.full(1000, 0.5), CONFIG, thresholds="adaptive")
+            demodulate(np.full(1000, 0.5), CONFIG, adaptive=True)
 
 
 class TestEstimateBer:
@@ -466,7 +454,7 @@ class TestTransmitPinned:
         h.update(np.asarray(stats.counts, dtype=np.int64).tobytes())
         return h.hexdigest()
 
-    def run(self, n_bits, sps=1, workers=1, thresholds=None,
+    def run(self, n_bits, sps=1, workers=1, adaptive=False,
             noise_std=0.08, trace_rate_hz=1e5):
         config = Pam4Config(symbol_rate_hz=1e6, samples_per_symbol=sps)
         bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
@@ -475,7 +463,7 @@ class TestTransmitPinned:
         trace = generate_trace(
             FadingModel.log_normal(0.05), 2e-3, rate, duration, seed=4
         )
-        return transmit(bits, trace, noise_std, 11, config, workers, thresholds)
+        return transmit(bits, trace, noise_std, 11, config, workers, adaptive)
 
     @pytest.mark.parametrize(
         "case, expected",
@@ -486,7 +474,7 @@ class TestTransmitPinned:
             (dict(n_bits=2 * BLOCK),
                 "fbd2e8c3bc3cea74904e1e4dd213e3edbad75af12420c03348bce40a3d71fc1c",
             ),
-            (dict(n_bits=SEVERAL + 1, thresholds="adaptive"),
+            (dict(n_bits=SEVERAL + 1, adaptive=True),
                 "8247014f6ec51cd9095cc742396b6f0f2bbeb519529bddebc32a14dec5bfd73b",
             ),
             (dict(n_bits=SEVERAL, sps=2),
@@ -495,13 +483,13 @@ class TestTransmitPinned:
             (dict(n_bits=SEVERAL, sps=3, workers=3),
                 "ffcb4a468b1de73235eb041105ca4a212b4693ec2964360239f914c46d3818c6",
             ),
-            (dict(n_bits=SEVERAL, workers=3, thresholds="adaptive"),
+            (dict(n_bits=SEVERAL, workers=3, adaptive=True),
                 "53204fcf637b3e390a08492563c7de25e2a88768f3be7a19d808590937f1bada",
             ),
-            (dict(n_bits=2 * BLOCK, sps=3, thresholds="adaptive"),
+            (dict(n_bits=2 * BLOCK, sps=3, adaptive=True),
                 "185d4a666bce419e5b0a1fe6c1f5696383e92f1774bc214757d60b4ed5a42d69",
             ),
-            (dict(n_bits=2 * BLOCK + 1, sps=2, workers=3, thresholds="adaptive"),
+            (dict(n_bits=2 * BLOCK + 1, sps=2, workers=3, adaptive=True),
                 "869a18a8f98b5253176b3dc106e50f97966004e48df800b996fce482d0253645",
             ),
             (dict(n_bits=3001, sps=2, workers=3),
@@ -513,7 +501,7 @@ class TestTransmitPinned:
             (dict(n_bits=SEVERAL + 1, workers=3, trace_rate_hz=None),
                 "274a939a3982b18f727d9296f20af74968708619e88e33f7643320f90b5f360e",
             ),
-            (dict(n_bits=SEVERAL, sps=3, thresholds="adaptive", trace_rate_hz=None),
+            (dict(n_bits=SEVERAL, sps=3, adaptive=True, trace_rate_hz=None),
                 "b6cdcfa6528179a8c3cd92027868a55ba6b42a97f3f32dea6077ab5d6f6f7e33",
             ),
         ],
@@ -537,8 +525,10 @@ class TestTransmitMemory:
     adaptive thresholds add the k-means fit on up to 2^20 samples.
     """
 
-    @pytest.mark.parametrize("thresholds, bound", [(None, 16), ("adaptive", 24)])
-    def test_peak_bytes_per_symbol(self, thresholds, bound):
+    @pytest.mark.parametrize(
+        "adaptive, bound", [(False, 16), (True, 24)], ids=["midpoints-16", "adaptive-24"]
+    )
+    def test_peak_bytes_per_symbol(self, adaptive, bound):
         n = 1_000_000
         bits = np.random.default_rng(2).integers(0, 2, 2 * n, dtype=np.uint8)
         trace = generate_trace(
@@ -546,7 +536,7 @@ class TestTransmitMemory:
         )
         tracemalloc.start()
         try:
-            transmit(bits, trace, 0.08, 11, CONFIG, thresholds=thresholds)
+            transmit(bits, trace, 0.08, 11, CONFIG, adaptive=adaptive)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -43,7 +43,7 @@ def overlap_oracle(offset_x, offset_y, geometry, n_nodes=160):
 
 class TestQdResponse:
     def test_centered_beam_splits_equally(self):
-        reading = qd_response(0.0, 0.0, GEOM, signal_power=1.0)
+        reading = qd_response(0.0, 0.0, GEOM)
         assert reading.v1 == pytest.approx(reading.v2, rel=1e-12)
         assert reading.v2 == pytest.approx(reading.v3, rel=1e-12)
         assert reading.v3 == pytest.approx(reading.v4, rel=1e-12)
@@ -67,24 +67,22 @@ class TestQdResponse:
         "offset", [(0.15e-3, 0.0), (0.0, -0.2e-3), (0.1e-3, 0.07e-3)]
     )
     def test_overlap_matches_grid_integration(self, geometry, offset):
-        reading = qd_response(offset[0], offset[1], geometry, signal_power=2.5)
+        reading = qd_response(offset[0], offset[1], geometry)
         expected = overlap_oracle(offset[0], offset[1], geometry)
         for got, want in zip((reading.v1, reading.v2, reading.v3, reading.v4), expected):
-            assert got == pytest.approx(2.5 * want, rel=1e-8)
+            assert got == pytest.approx(want, rel=1e-8)
 
     def test_noise_is_clamped_and_seeded(self):
-        a = qd_response(0.0, 0.0, GEOM, signal_power=0.01, noise_std=0.05, seed=3)
-        b = qd_response(0.0, 0.0, GEOM, signal_power=0.01, noise_std=0.05, seed=3)
+        a = qd_response(0.0, 0.0, GEOM, noise_std=5.0, seed=3)
+        b = qd_response(0.0, 0.0, GEOM, noise_std=5.0, seed=3)
         assert (a.v1, a.v2, a.v3, a.v4) == (b.v1, b.v2, b.v3, b.v4)
         assert min(a.v1, a.v2, a.v3, a.v4) >= 0.0
 
     def test_noise_without_seed_is_repeatable(self):
-        a = qd_response(0.0, 0.0, GEOM, signal_power=0.01, noise_std=0.05)
-        assert a == qd_response(0.0, 0.0, GEOM, signal_power=0.01, noise_std=0.05)
+        a = qd_response(0.0, 0.0, GEOM, noise_std=5.0)
+        assert a == qd_response(0.0, 0.0, GEOM, noise_std=5.0)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            qd_response(0, 0, GEOM, signal_power=-1.0)
         with pytest.raises(ValueError):
             qd_response(0, 0, GEOM, noise_std=-0.1)
         with pytest.raises(ValueError):
@@ -282,15 +280,46 @@ class TestTrackingLoop:
             run_tracking_loop((0, 0), None, GEOM, m=0)
 
     def test_step_budget_checked_before_allocation(self, monkeypatch):
-        monkeypatch.setattr(pat, "_MAX_STEPS", 1000)
+        # 4 MiB per step and 1 MiB per reading: 4 GiB is 1000 steps of m = 96.
+        monkeypatch.setattr(pat, "_STEP_BYTES", 1 << 22)
+        monkeypatch.setattr(pat, "_READING_BYTES", 1 << 20)
         still = JitterParams(rms_m=0.0)
-        assert len(run_tracking_loop((0, 0), still, GEOM, duration_s=1.0).times_s) == 1000
-        with pytest.raises(ValueError, match="4 GiB allows 1000"):
-            run_tracking_loop((0, 0), still, GEOM, duration_s=1.001)
+        run = run_tracking_loop((0, 0), still, GEOM, m=96, duration_s=1.0)
+        assert len(run.times_s) == 1000
+        for m, duration_s in ((96, 1.001), (97, 1.0)):
+            with pytest.raises(ValueError, match="over 4 GiB"):
+                run_tracking_loop((0, 0), still, GEOM, m=m, duration_s=duration_s)
+
+    def test_reading_budget_checked_before_allocation(self):
+        # One reading past 4 GiB for the 500 steps of the default duration.
+        m = ((4 << 30) - 150 * 500) // 162 + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"500 steps of m = {m} readings"):
+                run_tracking_loop((0, 0), JitterParams(rms_m=50e-6), GEOM, m=m,
+                                  noise_std=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_peak_bytes_per_reading(self):
+        # 100 steps of m = 10 000: one step's noise block dominates.
+        steps, m = 100, 10_000
+        tracemalloc.start()
+        try:
+            run_tracking_loop(
+                (2e-4, -1e-4), JitterParams(rms_m=50e-6), GEOM, m=m,
+                duration_s=steps / 1000, noise_std=0.05,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 150 * steps + 162 * m
 
     def test_peak_bytes_per_step(self):
-        # _MAX_STEPS divides 4 GiB by 150 B/step; about 0.5 MiB is per-run
-        # (a block of noise draws as nested lists).
+        # 150 B/step of the run budget; about 0.5 MiB is per-run (a block of
+        # noise draws as nested lists).
         n = 10_000
         tracemalloc.start()
         try:
