@@ -163,8 +163,8 @@ def beam_on_grid(
     """
     if spot_radius <= 0:
         raise ValueError(f"spot radius must be > 0, got {spot_radius}")
-    if n > _MAX_PARTITION:
-        raise ValueError(f"n must be <= {_MAX_PARTITION} (n x n cells in 4 GiB), got {n}")
+    if not 1 <= n <= _MAX_PARTITION:
+        raise ValueError(f"n must be in [1, {_MAX_PARTITION}] (n x n cells in 4 GiB), got {n}")
     cx, cy = spot_center
     edges = np.linspace(-0.5, 0.5, n + 1)
     frac_x = gaussian_fraction(edges[:-1], edges[1:], cx, spot_radius)

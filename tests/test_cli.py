@@ -418,11 +418,12 @@ class TestRejectedInputs:
         assert err.startswith("error:") and "n_symbols" in err
         assert len(err.splitlines()) == 1
 
-    def test_filter_sim_over_grid_budget(self, capsys):
-        assert run_cli("filter-sim", "--n", "1000000", "--symbols", "10000") == 1
+    @pytest.mark.parametrize("n", ["1000000", "-3"])
+    def test_filter_sim_rejects_bad_partition_order(self, n, capsys):
+        # 10^6 is over the grid budget; numpy would also fail to allocate it.
+        assert run_cli("filter-sim", "--n", n, "--symbols", "10000") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: n must be <= ") and "got 1000000" in err
-        assert len(err.splitlines()) == 1
+        assert err == f"error: n must be in [1, 21845] (n x n cells in 4 GiB), got {n}\n"
 
     def test_integer_beyond_float_range_rejected(self, capsys):
         override = "scenario.visibility_km=1" + "0" * 400

@@ -394,6 +394,19 @@ class TestTrackingLoopPinned:
     def test_offsets_pinned(self, m, noise_std, expected):
         assert self.digest(self.run(m, noise_std)) == expected
 
+    def test_loud_single_sample_loop_holds_position(self, monkeypatch):
+        lost = []
+
+        def counting(v, gain):
+            estimate = displacement(v, gain)
+            lost.append(estimate is None)
+            return estimate
+
+        displacement = pat._displacement
+        monkeypatch.setattr(pat, "_displacement", counting)
+        self.run(1, 1.5)
+        assert sum(lost) == 9
+
     def test_offsets_pinned_across_noise_blocks(self):
         # 1000 steps of m = 40 span several noise blocks, the last one partial.
         result = self.run(40, 1.5, duration_s=1.0, seed=3)
