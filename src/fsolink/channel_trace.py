@@ -10,12 +10,14 @@ independently. Everything is deterministic given the seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
 import numpy as np
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln, ndtri
 
 from .errors import TraceLengthError
 
@@ -194,31 +196,86 @@ def _gaussian_acf_series(
     return series
 
 
-_GG_TABLE_SIZE = 1 << 20
+#: The quantile table spans |z| <= 8 (tail mass 6e-16) in steps of 1/256.
+_Z_MAX = 8.0
+_Z_POINTS = 16 * 256 + 1
 
 
-def _gamma_gamma_quantiles(g, alpha, beta, seed_x, seed_y) -> np.ndarray:
+def gamma_gamma_cdf(
+    x: np.ndarray, alpha: float, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """CDF F(x) and its complement 1 - F(x), x >= 0, of the unit-mean
+    gamma-gamma law.
+
+    I = X*Y with X ~ Gamma(alpha, 1/alpha) and Y ~ Gamma(beta, 1/beta), so
+    F(x) = E_Y[P(X <= x/Y)] (Al-Habash, Andrews & Phillips, Opt. Eng. 40(8),
+    2001). The expectation runs over the factor with the larger shape (the
+    narrower one in log scale), by a trapezoid rule in its logarithm that
+    spans its 1e-22 and 1 - 1e-22 quantiles in steps of 0.25/sqrt(shape)
+    (0.25 for a shape below 1). Both tails are sums of positive terms,
+    ``gammainc`` for F and ``gammaincc`` for 1 - F, and keep their relative
+    accuracy: within 1e-7 of adaptive quadrature down to 6e-16 for the
+    plane-wave shapes. The weights are normalised, so F + (1 - F) = 1.
+    """
+    k_mix, k_cond = max(alpha, beta), min(alpha, beta)
+    u_lo = math.log(gammaincinv(k_mix, 1e-22) / k_mix)
+    u_hi = math.log(gammainccinv(k_mix, 1e-22) / k_mix)
+    n = math.ceil((u_hi - u_lo) * math.sqrt(max(k_mix, 1.0)) / 0.25) + 1
+    u = np.linspace(u_lo, u_hi, n)
+    # Density of log(mixing factor) at the nodes, up to the common step.
+    w = np.exp(k_mix * (u - np.exp(u) + math.log(k_mix)) - gammaln(k_mix))
+    w /= w.sum()
+    t = k_cond * np.multiply.outer(np.asarray(x, dtype=float), np.exp(-u))
+    return gammainc(k_cond, t) @ w, gammaincc(k_cond, t) @ w
+
+
+@functools.lru_cache(maxsize=8)
+def _gamma_gamma_table(alpha: float, beta: float) -> np.ndarray:
+    """Gamma-gamma quantiles at z = -8, -8 + 1/256, ..., 8 (read-only).
+
+    log x is laid on 512 points between the products of the two factors'
+    1e-16 and 1 - 1e-16 quantiles, where F <= 2e-16 and 1 - F <= 2e-16.
+    Each point gets z = Phi^-1(F), or -Phi^-1(1 - F) in the upper half, and
+    a cubic Hermite curve through them (slopes by finite differences) gives
+    log x on the uniform grid: within 3e-6 of a 60 000-point table for the
+    plane-wave shapes of Rytov variance 0.43 to 1e4.
+    """
+    log_x = np.linspace(
+        math.log(gammaincinv(alpha, 1e-16) * gammaincinv(beta, 1e-16) / (alpha * beta)),
+        math.log(gammainccinv(alpha, 1e-16) * gammainccinv(beta, 1e-16) / (alpha * beta)),
+        512,
+    )
+    cdf, ccdf = gamma_gamma_cdf(np.exp(log_x), alpha, beta)
+    z = np.where(cdf < 0.5, ndtri(cdf), -ndtri(ccdf))
+    slope = np.gradient(log_x, z)
+    grid = np.linspace(-_Z_MAX, _Z_MAX, _Z_POINTS)
+    i = np.searchsorted(z, grid) - 1
+    h = z[i + 1] - z[i]
+    s = (grid - z[i]) / h
+    table = np.exp(
+        (1.0 - s) ** 2 * ((1.0 + 2.0 * s) * log_x[i] + s * h * slope[i])
+        + s**2 * ((3.0 - 2.0 * s) * log_x[i + 1] + (s - 1.0) * h * slope[i + 1])
+    )
+    table.setflags(write=False)
+    return table
+
+
+def _gamma_gamma_quantiles(g: np.ndarray, alpha: float, beta: float) -> np.ndarray:
     """Copula transform of a standard-normal series to the gamma-gamma marginal.
 
-    The quantile function is tabulated from a large sorted sample of
-    products of two unit-mean gamma variates; the Gaussian series is then
-    mapped through rank position sqrt -> Phi(g) with linear interpolation.
-    Unlike direct rank matching of n fresh draws, this stays constant when
-    the driving series is constant (the frozen-channel limit) while being
-    asymptotically identical in the well-mixed regime.
+    Each g is mapped to the quantile F^-1(Phi(g)) by linear interpolation
+    in the per-(alpha, beta) table of ``_gamma_gamma_table``, whose uniform
+    z grid turns the lookup into index arithmetic. Samples beyond |g| = 8
+    take the end values. Unlike rank matching of n fresh draws, this stays
+    constant when the driving series is constant (the frozen-channel limit).
     """
-    from scipy.special import ndtr
-
-    rng_x = np.random.default_rng(seed_x)
-    rng_y = np.random.default_rng(seed_y)
-    table = np.sort(
-        rng_x.gamma(alpha, 1.0 / alpha, _GG_TABLE_SIZE)
-        * rng_y.gamma(beta, 1.0 / beta, _GG_TABLE_SIZE)
-    )
-    positions = ndtr(g) * (_GG_TABLE_SIZE - 1)
-    idx = np.clip(positions.astype(np.intp), 0, _GG_TABLE_SIZE - 2)
-    frac = positions - idx
-    return table[idx] * (1.0 - frac) + table[idx + 1] * frac
+    table = _gamma_gamma_table(alpha, beta)
+    last = len(table) - 1
+    pos = (g + _Z_MAX) * (last / (2.0 * _Z_MAX))
+    np.clip(pos, 0.0, last, out=pos)
+    idx = np.minimum(pos.astype(np.intp), last - 1)
+    pos -= idx
+    return table[idx] * (1.0 - pos) + table[idx + 1] * pos
 
 
 def generate_trace(
@@ -248,10 +305,12 @@ def generate_trace(
     -----
     The log-normal trace is the exact monotone transform
     exp(sigma*g - sigma^2/2) of the correlated Gaussian g. The gamma-gamma
-    trace maps g through the empirical quantile function of a large
-    product-of-two-gammas sample (Gaussian copula), which keeps the
-    marginal and degrades gracefully to a single frozen draw when the
-    coherence time exceeds the trace duration.
+    trace maps g through the quantile function F^-1(Phi(g)) (Gaussian
+    copula), tabulated from ``gamma_gamma_cdf`` on a uniform grid over
+    |g| <= 8, so fades out to the 6e-16 quantile are reached. The table is
+    built once per (alpha, beta) and cached. The mapping keeps the marginal
+    and degrades gracefully to a single frozen draw when the coherence time
+    exceeds the trace duration.
     """
     for name, value in (
         ("sample_rate_hz", sample_rate_hz),
@@ -273,8 +332,7 @@ def generate_trace(
     if model.sigma_i2 == 0.0:
         gains = np.ones(n)
     else:
-        seq = np.random.SeedSequence(seed)
-        child_g, child_x, child_y = seq.spawn(3)
+        (child_g,) = np.random.SeedSequence(seed).spawn(1)
         g = _gaussian_acf_series(
             n, 1.0 / sample_rate_hz, coherence_time_s, np.random.default_rng(child_g)
         )
@@ -282,9 +340,7 @@ def generate_trace(
             s2 = math.log1p(model.sigma_i2)
             gains = np.exp(math.sqrt(s2) * g - 0.5 * s2)
         else:
-            gains = _gamma_gamma_quantiles(
-                g, model.alpha, model.beta, child_x, child_y
-            )
+            gains = _gamma_gamma_quantiles(g, model.alpha, model.beta)
 
     return ChannelTrace(
         sample_rate_hz=sample_rate_hz,
@@ -348,7 +404,7 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
     return TraceStats(
         mean=mean,
         sigma_i2=sigma_i2,
-        coherence_time_s=t_half / math.sqrt(math.log(2.0)),
+        coherence_time_s=float(t_half) / math.sqrt(math.log(2.0)),
     )
 
 

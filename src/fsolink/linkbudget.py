@@ -65,9 +65,13 @@ def pointing_loss_db(
 ) -> float:
     """Pointing loss for a Gaussian beam, or the fixed default when unspecified.
 
-    With theta_b = divergence/2 (the 1/e^2 half-angle):
-    loss = 8.686 * 2 * (theta_err / theta_b)^2 dB, zero at perfect alignment.
-    A ``None`` error angle returns the lumped 2 dB allowance.
+    With theta_b = divergence/2 (the 1/e^2 half-angle), the intensity at
+    angle theta_err off the beam axis falls by exp(-2 theta_err^2 / theta_b^2)
+    (Farid & Hranilovic, J. Lightwave Technol. 25(7), 2007, in the limit of
+    an aperture small against the beam), so the loss is
+    10 log10(e) * 2 * (theta_err / theta_b)^2 = 8.686 * (theta_err / theta_b)^2 dB,
+    zero at perfect alignment. A ``None`` error angle returns the lumped
+    2 dB allowance.
     """
     if beam_divergence_rad <= 0:
         raise ValueError(f"beam divergence must be > 0, got {beam_divergence_rad}")
@@ -76,7 +80,7 @@ def pointing_loss_db(
     if pointing_error_rad < 0:
         raise ValueError(f"pointing error must be >= 0, got {pointing_error_rad}")
     theta_b = 0.5 * beam_divergence_rad
-    return 8.686 * 2.0 * (pointing_error_rad / theta_b) ** 2
+    return 20.0 * math.log10(math.e) * (pointing_error_rad / theta_b) ** 2
 
 
 def received_power_dbm(

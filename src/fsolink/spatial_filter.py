@@ -27,9 +27,9 @@ from .modem import (
 )
 from .pat import gaussian_fraction
 
-#: Largest ``beam_on_grid`` order: 4 GiB over the 9 B/cell it peaks at
-#: (tracemalloc, n = 1000-3000: float64 cells and ``ApertureGrid``'s sign mask).
-_MAX_PARTITION = math.isqrt((4 << 30) // 9)
+#: Largest ``beam_on_grid`` order: 4 GiB over the 8 B/cell it peaks at
+#: (tracemalloc with ``filtered_snr``, n = 1000-3000: the float64 cells).
+_MAX_PARTITION = math.isqrt((4 << 30) // 8)
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class ApertureGrid:
                 f"signal_power must have shape ({self.n}, {self.n}), "
                 f"got {cells.shape}"
             )
-        if np.any(cells < 0):
+        if np.min(cells) < 0:
             raise ValueError("cell powers must be >= 0")
         if self.noise_power_total <= 0:
             raise ValueError(

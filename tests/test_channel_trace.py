@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from fsolink.channel_trace import (
     FadingModel,
     coherence_time,
     constant_trace,
+    gamma_gamma_cdf,
     gamma_gamma_params,
     generate_trace,
     scintillation_index,
@@ -70,6 +72,44 @@ class TestGammaGammaParams:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             gamma_gamma_params(0.0)
+
+
+def quad_cdf(x, a, b):
+    """F(x) and 1 - F(x) by adaptive quadrature over Y ~ Gamma(b, 1/b) in log y."""
+    lo = math.log(stats.gamma.ppf(1e-30, b, scale=1 / b))
+    hi = math.log(stats.gamma.isf(1e-30, b, scale=1 / b))
+    split = [min(max(math.log(x), lo + 1e-9), hi - 1e-9)]
+
+    def integrand(u, tail):
+        y = math.exp(u)
+        return stats.gamma.pdf(y, b, scale=1 / b) * y * tail(x / y, a, scale=1 / a)
+
+    return tuple(
+        integrate.quad(
+            integrand, lo, hi, args=(tail,), points=split, limit=500,
+            epsabs=0.0, epsrel=1e-10,
+        )[0]
+        for tail in (stats.gamma.cdf, stats.gamma.sf)
+    )
+
+
+class TestGammaGammaCdf:
+    # Points from F ~ 1e-9 to 1 - F ~ 1e-9 at Rytov 1 (alpha 4.39, beta 2.56)
+    # and Rytov 25 (alpha 8.05, beta 1.03, the strong-turbulence limit).
+    @pytest.mark.parametrize(
+        "rytov, xs",
+        [
+            (1.0, [1.1e-4, 1e-3, 0.03, 0.3, 1.0, 3.0, 6.0, 17.0, 26.0]),
+            (25.0, [1.6e-9, 4e-7, 1.4e-3, 0.16, 1.0, 8.0, 24.0, 37.0]),
+        ],
+    )
+    def test_matches_quadrature_into_both_tails(self, rytov, xs):
+        a, b = gamma_gamma_params(rytov)
+        cdf, ccdf = gamma_gamma_cdf(np.array(xs), a, b)
+        reference = np.array([quad_cdf(x, a, b) for x in xs])
+        assert cdf == pytest.approx(reference[:, 0], rel=1e-4)
+        assert ccdf == pytest.approx(reference[:, 1], rel=1e-4)
+        assert cdf[0] < 1.5e-9 and ccdf[-1] < 1.5e-9
 
 
 class TestCoherenceTime:
@@ -160,6 +200,35 @@ class TestGenerateTrace:
             empirical = float(np.mean(trace.gains <= x))
             assert empirical == pytest.approx(cdf, abs=0.012)
 
+    def test_gamma_gamma_trace_repeats_across_table_builds(self):
+        # Each (alpha, beta) keeps its own cached table, so a trace repeats
+        # bit for bit whichever model's table was built first. The models
+        # share alpha: a table cached by alpha alone would be handed over.
+        models = [
+            FadingModel(kind="gamma_gamma", sigma_i2=0.25 + 1.25 / b, alpha=4.0, beta=b)
+            for b in (2.0, 3.0)
+        ]
+        first = [generate_trace(m, 1e-3, 1e4, 0.5, seed=8).gains for m in models]
+        channel_trace._gamma_gamma_table.cache_clear()
+        again = [generate_trace(m, 1e-3, 1e4, 0.5, seed=8).gains for m in models[::-1]]
+        assert all(map(np.array_equal, first, again[::-1]))
+        assert not np.array_equal(*first)
+
+    def test_gamma_gamma_tails_are_not_clamped(self):
+        # g = -6 and +6 are the 1e-9 quantiles; a 2^20-draw table could
+        # not reach past about 1e-6.
+        a, b = gamma_gamma_params(1.0)
+        gains = channel_trace._gamma_gamma_quantiles(np.array([-6.0, 6.0]), a, b)
+        cdf, ccdf = gamma_gamma_cdf(gains, a, b)
+        assert cdf[0] == pytest.approx(ndtr(-6.0), rel=1e-4)
+        assert ccdf[1] == pytest.approx(ndtr(-6.0), rel=1e-4)
+
+    def test_gamma_gamma_table_is_read_only(self):
+        table = channel_trace._gamma_gamma_table(*gamma_gamma_params(1.0))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
     def test_gamma_gamma_frozen_limit_is_single_draw(self):
         # Coherence time far beyond the window: the channel holds one
         # fading state, so the trace must be (nearly) constant.
@@ -224,6 +293,16 @@ class TestTraceStats:
         assert est.mean == 1.0
         assert est.sigma_i2 == 0.0
         assert math.isinf(est.coherence_time_s)
+
+    def test_fields_are_builtin_floats(self):
+        fading = generate_trace(FadingModel.log_normal(0.1), 1e-3, 1e4, 0.05, seed=9)
+        short = ChannelTrace(
+            sample_rate_hz=50.0, duration_s=1.0, seed=0,
+            gains=np.linspace(0.5, 1.5, 50), coherence_time_s=1.0,
+        )
+        for trace in (fading, constant_trace(1.0), short):
+            est = trace_stats(trace)
+            assert [type(getattr(est, f.name)) for f in dataclasses.fields(est)] == [float] * 3
 
     def test_generated_trace_reports_target_index(self):
         trace = generate_trace(FadingModel.log_normal(0.2), 5e-5, 1e6, 0.5, seed=3)

@@ -423,7 +423,7 @@ class TestRejectedInputs:
         # 10^6 is over the grid budget; numpy would also fail to allocate it.
         assert run_cli("filter-sim", "--n", n, "--symbols", "10000") == 1
         err = capsys.readouterr().err
-        assert err == f"error: n must be in [1, 21845] (n x n cells in 4 GiB), got {n}\n"
+        assert err == f"error: n must be in [1, 23170] (n x n cells in 4 GiB), got {n}\n"
 
     def test_integer_beyond_float_range_rejected(self, capsys):
         override = "scenario.visibility_km=1" + "0" * 400

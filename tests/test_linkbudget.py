@@ -53,9 +53,11 @@ class TestPointingLoss:
         assert pointing_loss_db(None, 100e-6) == 2.0
 
     def test_error_at_half_angle(self):
-        # theta_err equal to the 1/e^2 half-angle costs 8.686 * 2 dB.
+        # theta_err equal to the 1/e^2 half-angle leaves exp(-2) of the
+        # on-axis intensity: 8.686 dB.
         theta_b = 50e-6
-        assert pointing_loss_db(theta_b, 100e-6) == pytest.approx(8.686 * 2.0, rel=1e-12)
+        expected = -10.0 * math.log10(math.exp(-2.0))
+        assert pointing_loss_db(theta_b, 100e-6) == pytest.approx(expected, rel=1e-12)
 
     def test_strictly_increasing(self):
         values = [pointing_loss_db(t, 100e-6) for t in (0.0, 1e-6, 1e-5, 5e-5, 1e-4)]

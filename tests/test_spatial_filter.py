@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,18 @@ class TestBeamOnGrid:
         grid = beam_on_grid(2, (0.25, 0.25), 0.25)
         assert select_cell(grid) == (0, 1)  # +x +y quadrant = top right
 
+    def test_peak_bytes_per_cell(self):
+        # The 8 B/cell behind the partition-order limit: the float64 cells
+        # and nothing of their size besides, the sign check included.
+        n = 1500
+        tracemalloc.start()
+        try:
+            filtered_snr(beam_on_grid(n, (0.25, 0.25), 0.35))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.25 * n * n
+
 
 class TestGridCsv:
     def test_round_trip(self, tmp_path):
@@ -206,5 +219,7 @@ class TestApertureGridType:
             ApertureGrid(n=2, signal_power=np.ones((2, 3)))
         with pytest.raises(ValueError):
             ApertureGrid(n=2, signal_power=-np.ones((2, 2)))
+        with pytest.raises(ValueError, match="cell powers"):
+            ApertureGrid(n=2, signal_power=np.array([[1.0, 1.0], [1.0, -1e-300]]))
         with pytest.raises(ValueError):
             ApertureGrid(n=2, signal_power=np.ones((2, 2)), noise_power_total=0.0)
