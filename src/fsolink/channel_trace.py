@@ -214,7 +214,7 @@ def gamma_gamma_cdf(
     spans its 1e-22 and 1 - 1e-22 quantiles in steps of 0.25/sqrt(shape)
     (0.25 for a shape below 1). Both tails are sums of positive terms,
     ``gammainc`` for F and ``gammaincc`` for 1 - F, and keep their relative
-    accuracy: within 1e-7 of adaptive quadrature down to 6e-16 for the
+    accuracy: within 1e-7 of ``scipy.integrate.quad`` down to 6e-16 for the
     plane-wave shapes. The weights are normalised, so F + (1 - F) = 1.
     """
     k_mix, k_cond = max(alpha, beta), min(alpha, beta)

@@ -18,10 +18,6 @@ class TraceTooShortError(FsoLinkError):
     """Channel trace does not cover the requested symbol duration."""
 
 
-class DegenerateLevelsError(FsoLinkError):
-    """Adaptive threshold estimation found fewer than four distinct levels."""
-
-
 class MissingLevelError(FsoLinkError):
     """A symbol level has no received samples to compute statistics from."""
 

@@ -4,16 +4,19 @@ Bits are numpy uint8 arrays of 0/1. Intensity levels are nonnegative
 (direct detection); the Gray map is 00/01/11/10 onto ascending levels,
 and modulation returns uint8 level indices (the intensities are
 ``levels[labels]``). ``transmit`` is the one link pass: modulate, fade and
-add noise, matched-filter, decide, and count errors against the eye
-statistics. Each stage runs in blocks of ``_CHUNK_SYMBOLS`` symbols; the
-whole-run arrays are the bits in and out, the labels and the received
-samples (about 13 B/symbol). A block's noise is drawn in chunks seeded by
-(seed, chunk index), so no worker count changes the result. A sample is
-decided by counting the thresholds strictly below it (one exactly on a
-threshold goes to the lower level). Noise calibration reuses the same
-unit-variance draws: it reduces the first ``_CALIBRATION_SYMBOLS`` symbols
-to per-level sufficient statistics in one pass and then evaluates the eye
-Q-factor in closed form at every trial noise level.
+add noise, matched-filter, reduce, decide, and count errors. Every stage
+runs over the blocks of ``_blocks`` (2^16 symbols, the last one taking the
+tail); the whole-run arrays are the bits in and out, the labels and the
+received samples (about 13 B/symbol). Noise is drawn in 2^16-sample chunks
+seeded by (seed, chunk index), so no worker count changes the result.
+
+The received samples are reduced once, per block, to genie-aided per-level
+count, mean and M2. Each block is cut at the midpoints of its own level
+means (ideal level tracking over 33 us at 2 GBd; the fade's coherence time
+is milliseconds); a sample's level is the number of cuts strictly below
+it. The BER estimate averages the blocks' Q-factor estimates, the reported
+statistics merge the blocks by Chan's update, and noise calibration
+evaluates the same merge in closed form at every trial noise level.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .channel_trace import ChannelTrace
-from .errors import DegenerateLevelsError, MissingLevelError, TraceTooShortError
+from .errors import MissingLevelError, TraceTooShortError
 
 _GRAY_FORWARD = np.array([0, 1, 3, 2], dtype=np.uint8)  # bit pair value <-> level
 # Level -> its Gray bit pair's (msb, lsb) bytes read as one uint16: one
@@ -34,16 +37,15 @@ _GRAY_FORWARD = np.array([0, 1, 3, 2], dtype=np.uint8)  # bit pair value <-> lev
 _LEVEL_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], np.uint8).view(np.uint16)[:, 0]
 
 _CHUNK_SYMBOLS = 1 << 16
-_KMEANS_MAX_POINTS = 1 << 20
 _CALIBRATION_SYMBOLS = 200_000
 _CALIBRATION_REL_TOL = 1e-4
 
 #: Smallest run: fewer symbols leave the four levels too thinly sampled
-#: for eye statistics and k-means thresholds.
+#: for the eye statistics and the level means that set the cuts.
 MIN_SYMBOLS = 10_000
 
-#: Largest run: a 4 GiB budget over the 15 B/symbol ``pipeline.run_endtoend``
-#: peaks at (bits in and out, labels, received samples, error mask).
+#: Largest run: a 4 GiB budget over 15 B/symbol, above the 13 B/symbol
+#: ``pipeline.run_endtoend`` peaks at (bits in and out, labels, samples).
 MAX_SYMBOLS = (4 << 30) // 15
 
 
@@ -96,8 +98,17 @@ class LevelStats:
                 "every level needs samples, got counts "
                 f"{np.asarray(self.counts).tolist()}"
             )
-        if np.any(np.asarray(self.stds) < 0):
-            raise ValueError("standard deviations must be >= 0")
+
+
+@dataclass(frozen=True)
+class EyeStats:
+    """Genie-aided level statistics of the run, the level means of each block
+    (rows; a level a block lacks takes its whole-run mean), and the
+    symbol-weighted mean of the blocks' Q-factor BER estimates."""
+
+    run: LevelStats
+    means: np.ndarray
+    ber_estimated: float
 
 
 @dataclass(frozen=True)
@@ -123,11 +134,11 @@ def modulate(bits: np.ndarray, config: Pam4Config) -> tuple[np.ndarray, int]:
     if bits.ndim != 1:
         raise ValueError("bits must be a 1-D array")
     labels = np.empty((len(bits) + 1) // 2, dtype=np.uint8)
-    for lo in range(0, len(labels), _CHUNK_SYMBOLS):
-        pairs = bits[2 * lo : 2 * (lo + _CHUNK_SYMBOLS)]
+    for b in _blocks(len(labels)):
+        pairs = bits[2 * b.start : 2 * b.stop]
         label = pairs[0::2] << 1
         label[: len(pairs) // 2] |= pairs[1::2]
-        labels[lo : lo + len(label)] = _GRAY_FORWARD[label]
+        labels[b] = _GRAY_FORWARD[label]
     return labels, len(bits) % 2
 
 
@@ -152,10 +163,10 @@ def apply_channel(
     ``symbols`` are the transmitted intensities, or indices into ``levels``
     when those are given. Each is held for ``samples_per_symbol`` samples,
     which the matched filter averages back to one. The trace is sampled at
-    each sample's start time and must cover the run. Blocks of
-    ``_CHUNK_SYMBOLS`` symbols are mapped over ``workers`` threads; a
-    block's noise comes from the seeded chunks of its samples, so the
-    output never depends on the worker count.
+    each sample's start time and must cover the run. The blocks of
+    ``_blocks`` are mapped over ``workers`` threads; a block's noise comes
+    from the seeded chunks of its samples, so the output never depends on
+    the worker count.
     """
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
@@ -171,26 +182,24 @@ def apply_channel(
     symbols = np.asarray(symbols)
     received = np.empty(n)
 
-    def block(lo: int) -> None:
-        hi = min(lo + _CHUNK_SYMBOLS, n)
-        tx = symbols[lo:hi] if levels is None else np.take(levels, symbols[lo:hi])
+    def block(b: slice) -> None:
+        tx = symbols[b] if levels is None else np.take(levels, symbols[b])
         if sps > 1:
             tx = np.repeat(tx, sps)
-        idx = (np.arange(lo * sps, hi * sps) * step).astype(np.intp)
+        idx = (np.arange(b.start * sps, b.stop * sps) * step).astype(np.intp)
         r = trace.gains[idx] * tx
         if noise_std > 0:
-            noise = _unit_noise(lo * sps, hi * sps, seed)
+            noise = _unit_noise(b.start * sps, b.stop * sps, seed)
             noise *= noise_std
             r += noise
-        received[lo:hi] = matched_filter(r, sps)
+        received[b] = matched_filter(r, sps)
 
-    starts = range(0, n, _CHUNK_SYMBOLS)
     if workers == 1:
-        for lo in starts:
-            block(lo)
+        for b in _blocks(n):
+            block(b)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block, starts))
+            list(pool.map(block, _blocks(n)))
     return received
 
 
@@ -209,60 +218,29 @@ def _unit_noise(lo: int, hi: int, seed: int) -> np.ndarray:
     return noise
 
 
-def _kmeans_levels(samples: np.ndarray) -> np.ndarray:
-    """1-D k-means (k=4) level means, initialized at quartile medians."""
-    if len(samples) > _KMEANS_MAX_POINTS:
-        stride = len(samples) // _KMEANS_MAX_POINTS + 1
-        samples = samples[::stride]
-    quarter = len(samples) // 4
-    if quarter == 0:
-        raise DegenerateLevelsError("too few samples for adaptive thresholds")
-    # Medians of the sorted quarters; the sorted copy is a temporary, so the
-    # median may partition it in place.
-    means = np.median(
-        np.sort(samples)[: 4 * quarter].reshape(4, quarter),
-        axis=1,
-        overwrite_input=True,
-    )
-    for _ in range(50):
-        cuts = 0.5 * (means[:-1] + means[1:])
-        labels = _decide(samples, cuts)
-        counts = np.bincount(labels, minlength=4)
-        if np.any(counts == 0):
-            raise DegenerateLevelsError(
-                f"adaptive estimation found an empty level (counts {counts.tolist()})"
-            )
-        new_means = np.bincount(labels, weights=samples, minlength=4) / counts
-        if np.allclose(new_means, means, rtol=1e-12, atol=1e-15):
-            means = new_means
-            break
-        means = new_means
-    if np.any(np.diff(means) <= 0):
-        raise DegenerateLevelsError(
-            f"adaptive estimation found fewer than 4 distinct levels: {means.tolist()}"
-        )
-    return means
+def _blocks(n: int) -> list[slice]:
+    """The blocks every stage of an n-symbol pass runs over:
+    ``_CHUNK_SYMBOLS`` symbols each, the last one taking the shorter tail."""
+    edges = [k * _CHUNK_SYMBOLS for k in range(max(n // _CHUNK_SYMBOLS, 1))] + [n]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def demodulate(
-    samples: np.ndarray, config: Pam4Config, adaptive: bool = False
-) -> np.ndarray:
+def demodulate(samples: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Nearest-region PAM-4 decision back to bits (inverse Gray map).
 
-    The cuts are the midpoints of the configured levels or, when
-    ``adaptive``, of the k-means level estimates (scale invariant).
+    ``means`` has one row of four level means per block of ``_blocks``;
+    each block is cut at the midpoints of its own row.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) == 0:
         raise ValueError("no samples to demodulate")
     if np.isnan(np.min(samples)):
         raise ValueError("cannot decide NaN samples")
-    means = _kmeans_levels(samples) if adaptive else np.asarray(config.levels)
-    cuts = 0.5 * (means[:-1] + means[1:])
+    means = np.asarray(means, dtype=float)
+    cuts = 0.5 * (means[:, :-1] + means[:, 1:])
     pairs = np.empty(len(samples), dtype=np.uint16)
-    for lo in range(0, len(samples), _CHUNK_SYMBOLS):
-        block = samples[lo : lo + _CHUNK_SYMBOLS]
-        pairs[lo : lo + len(block)] = _LEVEL_BITS[_decide(block, cuts)]
+    for block, block_cuts in zip(_blocks(len(samples)), cuts, strict=True):
+        pairs[block] = _LEVEL_BITS[_decide(samples[block], block_cuts)]
     return pairs.view(np.uint8)
 
 
@@ -273,56 +251,58 @@ def _decide(samples: np.ndarray, cuts) -> np.ndarray:
     return above + (samples > cuts[1]) + (samples > cuts[2])
 
 
-def _level_counts(samples: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Samples per level; every level must have at least one."""
-    if samples.shape != labels.shape:
-        raise ValueError("samples and labels must have equal length")
-    counts = np.zeros(4, dtype=np.intp)
-    for lo in range(0, len(labels), _CHUNK_SYMBOLS):
-        counts += np.bincount(labels[lo : lo + _CHUNK_SYMBOLS], minlength=4)
-    if np.any(counts == 0):
-        raise MissingLevelError(
-            f"level(s) without samples: counts {counts.tolist()}"
-        )
-    return counts
-
-
-def _level_sums(labels: np.ndarray, terms) -> np.ndarray:
-    """Per-level sums of ``terms(block)`` over ``_CHUNK_SYMBOLS`` slices;
-    ``np.add.at`` adds in sample order, so they equal the whole-array
-    ``np.bincount(labels, weights=...)`` bit for bit."""
-    sums = np.zeros(4)
-    for lo in range(0, len(labels), _CHUNK_SYMBOLS):
-        block = slice(lo, lo + _CHUNK_SYMBOLS)
-        np.add.at(sums, labels[block], terms(block))
-    return sums
-
-
 def _eye_q(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
     """Eye Q-factors gap / (sigma_lo + sigma_hi) between adjacent levels.
 
     A noiseless eye is +inf when open and -inf when closed (gap <= 0).
     """
     gaps = np.diff(means)
-    denoms = stds[1:] + stds[:-1]
+    denoms = stds[..., 1:] + stds[..., :-1]
     q = np.where(denoms > 0, gaps / np.where(denoms > 0, denoms, 1.0), np.inf)
     return np.where((denoms == 0) & (gaps <= 0), -np.inf, q)
 
 
-def eye_stats(samples: np.ndarray, labels: np.ndarray) -> LevelStats:
-    """Genie-aided per-level moments from received samples and true levels."""
+def _level_moments(samples: np.ndarray, labels: np.ndarray):
+    """Count, mean and M2 of each level (columns) in each block of
+    ``_blocks`` (rows), and the whole run's ``LevelStats`` merged from them.
+
+    Two passes within a block: immune to the cancellation that would report
+    nonzero noise on noiseless levels. The blocks are folded into the run
+    with Chan, Golub & LeVeque's pairwise update (Am. Stat. 37(3), 1983).
+    """
+    rows = []
+    for b in _blocks(len(labels)):
+        x, lab = samples[b], labels[b].astype(np.intp)
+        count = np.bincount(lab, minlength=4)
+        mean = np.bincount(lab, weights=x, minlength=4) / np.maximum(count, 1)
+        d = x - mean[lab]
+        rows.append((count, mean, np.bincount(lab, weights=d * d, minlength=4)))
+    n, mean, m2 = rows[0]
+    for nb, mb, m2b in rows[1:]:
+        w = nb / np.maximum(n + nb, 1)
+        delta = mb - mean
+        mean = mean + delta * w
+        m2 = m2 + m2b + delta * delta * n * w
+        n = n + nb
+    stds = np.sqrt(m2 / np.maximum(n, 1))
+    run = LevelStats(means=mean, stds=stds, counts=n, q_factors=_eye_q(mean, stds))
+    return run, *(np.array(column) for column in zip(*rows))
+
+
+def eye_stats(samples: np.ndarray, labels: np.ndarray) -> EyeStats:
+    """Genie-aided per-level statistics of received samples, per block and
+    for the whole run, from one reduction by true level."""
     samples = np.asarray(samples, dtype=float)
     labels = np.asarray(labels)
-    counts = _level_counts(samples, labels)
-    # Two-pass variance: immune to the cancellation that would report
-    # nonzero noise on noiseless levels.
-    means = _level_sums(labels, lambda b: samples[b]) / counts
-    variances = _level_sums(labels, lambda b: (samples[b] - means[labels[b]]) ** 2)
-    variances /= counts
-    stds = np.sqrt(variances)
-    return LevelStats(
-        means=means, stds=stds, counts=counts, q_factors=_eye_q(means, stds)
-    )
+    if samples.shape != labels.shape:
+        raise ValueError("samples and labels must have equal length")
+    run, counts, means, m2 = _level_moments(samples, labels)
+    present = counts > 0
+    means = np.where(present, means, run.means)
+    stds = np.where(present, np.sqrt(m2 / np.maximum(counts, 1)), run.stds)
+    weights = counts.sum(axis=1) / len(labels)
+    ber = float(np.sum(_ber_from_q(_eye_q(means, stds)) * weights))
+    return EyeStats(run=run, means=means, ber_estimated=ber)
 
 
 def gaussian_tail(q) -> np.ndarray | float:
@@ -338,13 +318,17 @@ def estimate_ber_from_stats(stats: LevelStats) -> float:
     Open noiseless eyes (Q = +inf) contribute zero; a closed noiseless
     eye (Q = -inf, see ``_eye_q``) has no estimate.
     """
-    q = np.asarray(stats.q_factors, dtype=float)
+    return float(_ber_from_q(stats.q_factors))
+
+
+def _ber_from_q(q) -> np.ndarray:
+    """(1/4) * sum of Q(q) over the last axis, clipped to [0, 1/2]."""
+    q = np.asarray(q, dtype=float)
     if np.any(q == -np.inf):
         raise ValueError(
             "cannot estimate BER: an eye has zero noise and a nonpositive gap"
         )
-    ber = 0.25 * float(np.sum(gaussian_tail(q)))
-    return min(max(ber, 0.0), 0.5)
+    return np.clip(0.25 * np.sum(gaussian_tail(q), axis=-1), 0.0, 0.5)
 
 
 def count_ber(tx_bits: np.ndarray, rx_bits: np.ndarray) -> tuple[int, int, float]:
@@ -363,8 +347,6 @@ def q_for_target_ber(target_ber: float) -> float:
     """Eye Q-factor at which the PAM-4 estimate (3/4) Q(q) equals target_ber."""
     if not 0.0 < target_ber < 0.375:
         raise ValueError(f"target BER must be in (0, 0.375), got {target_ber}")
-    from scipy.special import ndtri
-
     return float(-ndtri(4.0 * target_ber / 3.0))
 
 
@@ -388,12 +370,12 @@ def calibrate_noise_std(
     over the first ``_CALIBRATION_SYMBOLS`` symbols of ``bits``, after the
     matched filter. Every trial level reuses the same noise draws z (those
     ``apply_channel`` makes for ``seed``), so the received samples are
-    u + noise_std * z with u = H * x. The block is therefore reduced once
-    to per-level means of u and z and their centered second moments
-    A = Var(u), B = Var(z), C = Cov(u, z); a trial level s then has means
-    u_mean + s * z_mean and variances A + 2 s C + s^2 B. The bracketed
-    function is deterministic and strictly decreasing; the interval is
-    shrunk to 1e-4 relative width.
+    u + noise_std * z with u = H * x. The per-level means and variances of
+    u + s z at s = 0, 1 and -1 (``eye_stats``' reduction) give the means of
+    u and z and A = Var(u), B = Var(z), C = Cov(u, z); a trial level s then
+    has means u_mean + s * z_mean and variances A + 2 s C + s^2 B. The
+    bracketed function is deterministic and strictly decreasing; the
+    interval is shrunk to 1e-4 relative width.
     """
     if target_q <= 0:
         raise ValueError(f"target_q must be > 0, got {target_q}")
@@ -404,17 +386,14 @@ def calibrate_noise_std(
         levels=config.levels, samples_per_symbol=sps,
     )
     z = matched_filter(_unit_noise(0, len(labels) * sps, seed), sps)
-    counts = _level_counts(u, labels)
-    u_mean = _level_sums(labels, lambda b: u[b]) / counts
-    z_mean = _level_sums(labels, lambda b: z[b]) / counts
-    du = u - u_mean[labels]
-    dz = z - z_mean[labels]
-    var_u = _level_sums(labels, lambda b: du[b] * du[b]) / counts
-    var_z = _level_sums(labels, lambda b: dz[b] * dz[b]) / counts
-    cov_uz = _level_sums(labels, lambda b: du[b] * dz[b]) / counts
+    at_0, at_1, at_minus_1 = (_level_moments(x, labels)[0] for x in (u, u + z, u - z))
+    z_mean = at_1.means - at_0.means
+    var_u, var_plus, var_minus = (s.stds**2 for s in (at_0, at_1, at_minus_1))
+    var_z = 0.5 * (var_plus + var_minus) - var_u
+    cov_uz = 0.25 * (var_plus - var_minus)
 
     def mean_q(noise_std: float) -> float:
-        means = u_mean + noise_std * z_mean
+        means = at_0.means + noise_std * z_mean
         variances = var_u + 2.0 * noise_std * cov_uz + noise_std**2 * var_z
         # Rounding can push a near-noiseless variance just below zero.
         stds = np.sqrt(np.maximum(variances, 0.0))
@@ -430,9 +409,7 @@ def calibrate_noise_std(
         raise ValueError("could not bracket the target Q-factor from above")
     lo = span * 1e-9
     if mean_q(lo) <= target_q:
-        raise ValueError(
-            "target Q-factor unreachable: the channel itself is too noisy"
-        )
+        raise ValueError("target Q-factor unreachable: the channel itself is too noisy")
     while (hi - lo) > _CALIBRATION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if mean_q(mid) > target_q:
@@ -442,12 +419,10 @@ def calibrate_noise_std(
     return 0.5 * (lo + hi)
 
 
-def ber_report(
-    tx_bits: np.ndarray, rx_bits: np.ndarray, stats: LevelStats
-) -> BerReport:
+def ber_report(tx_bits: np.ndarray, rx_bits: np.ndarray, eye: EyeStats) -> BerReport:
     """Bundle counted and estimated BER with an SNR read off the eye stats."""
     errors, bits, ratio = count_ber(tx_bits, rx_bits)
-    estimated = estimate_ber_from_stats(stats)
+    stats = eye.run
     counts = np.asarray(stats.counts, dtype=float)
     mean_power = float(np.sum(counts * np.asarray(stats.means) ** 2) / np.sum(counts))
     noise_var = float(np.sum(counts * np.asarray(stats.stds) ** 2) / np.sum(counts))
@@ -456,7 +431,7 @@ def ber_report(
         bits_tx=bits,
         bit_errors=errors,
         ber_counted=ratio,
-        ber_estimated=estimated,
+        ber_estimated=eye.ber_estimated,
         level_stats=stats,
         snr_db=snr_db,
     )
@@ -469,18 +444,19 @@ def transmit(
     seed: int,
     config: Pam4Config,
     workers: int = 1,
-    adaptive: bool = False,
 ) -> tuple[np.ndarray, BerReport]:
     """The link pass: modulate, fade and add noise, decide, count errors.
 
-    Returns the decided bits, cut to ``len(bits)``, and their BER report
-    against genie-aided eye statistics. ``adaptive`` is passed to
-    ``demodulate``; ``workers`` only changes how the channel blocks run.
+    Returns the decided bits, cut to ``len(bits)``, and their BER report.
+    One ``eye_stats`` reduction sets each block's cuts and the estimate;
+    ``workers`` only changes how the channel blocks run.
     """
     labels, _ = modulate(bits, config)
     received = apply_channel(
         labels, trace, noise_std, seed, config.symbol_rate_hz, workers,
         config.levels, config.samples_per_symbol,
     )
-    rx_bits = demodulate(received, config, adaptive)[: len(bits)]
-    return rx_bits, ber_report(bits, rx_bits, eye_stats(received, labels))
+    eye = eye_stats(received, labels)
+    rx_bits = demodulate(received, eye.means)[: len(bits)]
+    del labels, received  # freed before the error count allocates its mask
+    return rx_bits, ber_report(bits, rx_bits, eye)

@@ -31,7 +31,9 @@ from .channel_trace import (
 )
 from .errors import PipelineStageError, UnknownAxisError
 from .linkbudget import LinkBudget, TransceiverOptics, received_power_dbm
-from .modem import BerReport, calibrate_noise_std, derive_seeds, transmit
+from .modem import (
+    BerReport, calibrate_noise_std, check_n_symbols, derive_seeds, transmit,
+)
 from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
 from .scenarios import NoiseSpec, RunConfig, dotted_overlay, merge_config
 from .spatial_filter import solar_noise_power
@@ -153,15 +155,8 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
             )
 
     with _stage("transmit"):
-        clean = noise_std == 0.0 and model.sigma_i2 == 0.0
         rx_bits, ber = transmit(
-            bits,
-            trace,
-            noise_std,
-            noise_seed,
-            config.modem,
-            workers=config.workers,
-            adaptive=not clean,
+            bits, trace, noise_std, noise_seed, config.modem, workers=config.workers
         )
 
     with _stage("report"):
@@ -195,7 +190,8 @@ def payload_roundtrip(path_in, config: RunConfig, path_out) -> RunReport:
     the recovered bytes.
 
     The report gains byte-level error accounting; a clean channel
-    reproduces the input bit-exactly.
+    reproduces the input bit-exactly. The payload's four symbols per byte
+    must lie in the modem's symbol range, checked before unpacking.
     """
     try:
         if str(path_in) == "-":
@@ -206,6 +202,7 @@ def payload_roundtrip(path_in, config: RunConfig, path_out) -> RunReport:
             data = np.fromfile(path_in, dtype=np.uint8)
     except OSError as exc:
         raise OSError(f"cannot read payload {path_in!r}: {exc}") from exc
+    check_n_symbols(4 * len(data))
     bits = np.unpackbits(data)
     report, rx_bits = _run(config, bits)
     recovered = np.packbits(rx_bits)

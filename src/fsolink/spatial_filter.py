@@ -194,10 +194,10 @@ def filtering_ber_demo(
     sits near the target (outside [target/2, 5 target] it raises
     ``CalibrationError``); the filtered run then scales the noise by the
     optical SNR ratio of the two configurations. Both runs are
-    ``modem.transmit`` passes with level-midpoint cuts and share one noise
-    seed, so selection off and on differ only through that scaling; n = 1
-    reproduces identical reports. A precomputed cell grid (e.g. from CSV)
-    overrides the beam model; its partition order wins over ``n``.
+    ``modem.transmit`` passes (each block cut at its own level means) on
+    one noise seed, so selection off and on differ only through that
+    scaling; n = 1 reproduces identical reports. A precomputed cell grid
+    (e.g. from CSV) overrides the beam model and ``n``.
     """
     if grid is None:
         grid = beam_on_grid(n, scenario.spot_center, scenario.spot_radius)

@@ -21,7 +21,6 @@ from fsolink.modem import (
     apply_channel,
     count_ber,
     demodulate,
-    estimate_ber_from_stats,
     eye_stats,
     modulate,
 )
@@ -191,9 +190,10 @@ def test_criterion_07_estimator_vs_counting():
             symbols, trace, sigma, seed=int(rng.integers(2**31)),
             symbol_rate_hz=config.symbol_rate_hz,
         )
-        recovered = demodulate(received, config)
+        eye = eye_stats(received, labels)
+        recovered = demodulate(received, eye.means)
         errors, _, counted = count_ber(bits, recovered[: len(bits)])
-        estimated = estimate_ber_from_stats(eye_stats(received, labels))
+        estimated = eye.ber_estimated
         gap = abs(math.log10(estimated) - math.log10(counted))
         worst = max(worst, gap)
         if errors < 100 or gap > 0.3:

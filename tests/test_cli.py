@@ -379,6 +379,16 @@ class TestRejectedInputs:
         assert err.startswith("error:") and "finite" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("n_bytes", [0, 2048], ids=["empty", "2KiB"])
+    def test_payload_outside_symbol_range(self, n_bytes, tmp_path, capsys):
+        payload = tmp_path / "payload.bin"
+        payload.write_bytes(bytes(n_bytes))
+        assert run_cli("transmit", "--payload", str(payload)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_symbols must be in [10000, ")
+        assert err.rstrip().endswith(f"got {4 * n_bytes}")
+        assert len(err.splitlines()) == 1
+
     def test_transmit_over_symbol_budget(self, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("the run started")

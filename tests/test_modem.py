@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fsolink import modem
 from fsolink.channel_trace import FadingModel, constant_trace, generate_trace
-from fsolink.errors import DegenerateLevelsError, MissingLevelError, TraceTooShortError
+from fsolink.errors import MissingLevelError, TraceTooShortError
 from fsolink.modem import (
     LevelStats,
     Pam4Config,
@@ -53,7 +53,7 @@ class TestModulate:
     def test_round_trip_identity(self, bits):
         bits = np.array(bits, dtype=np.uint8)
         labels, pad = modulate(bits, CONFIG)
-        recovered = demodulate(LEVELS[labels], CONFIG)
+        recovered = demodulate(LEVELS[labels], [LEVELS])
         assert np.array_equal(recovered[: len(bits)], bits)
         assert len(recovered) == len(bits) + pad
 
@@ -112,15 +112,20 @@ class TestDemodulate:
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 20_000, dtype=np.uint8)
         labels, _ = modulate(bits, CONFIG)
-        assert np.array_equal(demodulate(LEVELS[labels], CONFIG)[: len(bits)], bits)
+        assert np.array_equal(demodulate(LEVELS[labels], [LEVELS])[: len(bits)], bits)
 
     def test_adaptive_is_scale_invariant(self):
+        # Cuts at each block's own level means follow any received scale.
         rng = np.random.default_rng(4)
-        bits = rng.integers(0, 2, 20_000, dtype=np.uint8)
+        bits = rng.integers(0, 2, 300_000, dtype=np.uint8)
         labels, _ = modulate(bits, CONFIG)
         received = 0.5 * LEVELS[labels] + rng.normal(0, 0.01, len(labels))
-        recovered = demodulate(received, CONFIG, adaptive=True)
+        recovered = demodulate(received, eye_stats(received, labels).means)
         assert np.array_equal(recovered[: len(bits)], bits)
+        scaled = 3.0 * received
+        assert np.array_equal(
+            demodulate(scaled, eye_stats(scaled, labels).means), recovered
+        )
 
     def test_awgn_ber_matches_analytic_prediction(self):
         rng = np.random.default_rng(5)
@@ -133,34 +138,37 @@ class TestDemodulate:
         received = apply_channel(
             symbols, trace, sigma, seed=6, symbol_rate_hz=CONFIG.symbol_rate_hz
         )
-        recovered = demodulate(received, CONFIG)
+        recovered = demodulate(received, eye_stats(received, labels).means)
         errors, _, ber = count_ber(bits, recovered[: len(bits)])
         q = (1 / 3) / (2 * sigma)
         predicted = 0.75 * float(gaussian_tail(q))
         spread = 3 * math.sqrt(predicted * (1 - predicted) / n_bits)
         assert abs(ber - predicted) < spread
 
-    def test_degenerate_levels_error(self):
-        with pytest.raises(DegenerateLevelsError):
-            demodulate(np.full(1000, 0.5), CONFIG, adaptive=True)
-
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            demodulate(np.array([]), CONFIG)
+            demodulate(np.array([]), [LEVELS])
 
+    def test_one_row_of_means_per_block(self):
+        samples = LEVELS[np.arange(3 << 16) % 4]
+        with pytest.raises(ValueError):
+            demodulate(samples, [LEVELS])
+        assert len(modem._blocks(len(samples))) == 3
+        assert [b.stop - b.start for b in modem._blocks((3 << 16) - 1)] == [
+            1 << 16, (2 << 16) - 1
+        ]
 
-    @pytest.mark.parametrize("adaptive", [False, True], ids=["midpoints", "adaptive"])
-    def test_nan_sample_rejected(self, adaptive):
+    def test_nan_sample_rejected(self):
         # Counting cuts below a NaN would decide it as level 0; refuse instead.
         samples = LEVELS[np.arange(4000) % 4].copy()
         samples[2500] = np.nan
         with pytest.raises(ValueError, match="NaN"):
-            demodulate(samples, CONFIG, adaptive=adaptive)
+            demodulate(samples, [LEVELS])
 
     @pytest.mark.parametrize("cuts", [None, [-0.25, 0.0, 0.7]])
     def test_decision_matches_digitize(self, cuts):
         # The level midpoints through demodulate (its bits mapped back to
-        # levels); other cuts through the rule the k-means cuts also use.
+        # levels); other cuts through the rule every block's cuts use.
         edges = 0.5 * (LEVELS[:-1] + LEVELS[1:]) if cuts is None else np.array(cuts)
         samples = np.concatenate([
             np.random.default_rng(6).normal(0.5, 0.6, 200_003),
@@ -170,7 +178,8 @@ class TestDemodulate:
             [-np.inf, np.inf, 0.0, -0.0],
         ])
         if cuts is None:
-            decided, _ = modulate(demodulate(samples, CONFIG), CONFIG)
+            every_block = np.tile(LEVELS, (len(modem._blocks(len(samples))), 1))
+            decided, _ = modulate(demodulate(samples, every_block), CONFIG)
         else:
             decided = modem._decide(samples, edges)
         assert np.array_equal(decided, np.digitize(samples, edges, right=True))
@@ -185,13 +194,13 @@ class TestEyeStats:
 
     def test_moment_recovery(self):
         samples, labels = self.synthetic()
-        stats = eye_stats(samples, labels)
+        stats = eye_stats(samples, labels).run
         assert np.allclose(stats.means, LEVELS, atol=1e-3)
         assert np.allclose(stats.stds, 0.02, rtol=0.10)
 
     def test_noiseless_levels(self):
         labels = np.repeat(np.arange(4), 100)
-        stats = eye_stats(LEVELS[labels], labels)
+        stats = eye_stats(LEVELS[labels], labels).run
         # Level 1/3 is not exactly representable, so the group mean can be
         # off by one ulp; anything at machine-epsilon scale counts as zero.
         assert np.all(stats.stds < 1e-12)
@@ -201,14 +210,14 @@ class TestEyeStats:
     def test_noiseless_exact_levels(self):
         exact = Pam4Config(symbol_rate_hz=1e6, levels=(0.0, 0.25, 0.5, 1.0))
         labels = np.repeat(np.arange(4), 100)
-        stats = eye_stats(np.asarray(exact.levels)[labels], labels)
+        stats = eye_stats(np.asarray(exact.levels)[labels], labels).run
         assert np.all(stats.stds == 0.0)
         assert np.all(np.isinf(stats.q_factors))
 
     def test_scale_equivariance(self):
         samples, labels = self.synthetic()
-        base = eye_stats(samples, labels)
-        scaled = eye_stats(3.0 * samples, labels)
+        base = eye_stats(samples, labels).run
+        scaled = eye_stats(3.0 * samples, labels).run
         assert np.allclose(scaled.means, 3.0 * base.means, rtol=1e-12)
         assert np.allclose(scaled.stds, 3.0 * base.stds, rtol=1e-9)
         assert np.allclose(scaled.q_factors, base.q_factors, rtol=1e-9)
@@ -217,6 +226,37 @@ class TestEyeStats:
         with pytest.raises(MissingLevelError):
             eye_stats(np.zeros(100), np.zeros(100, dtype=int))
 
+    @staticmethod
+    def drifting(seed=13):
+        """Three blocks, the last with a tail; the first holds level 2 only."""
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, 4, (3 << 16) + 999).astype(np.uint8)
+        labels[: 1 << 16] = 2
+        gains = np.linspace(0.9, 1.1, len(labels))
+        return gains * LEVELS[labels] + rng.normal(0, 0.05, len(labels)), labels
+
+    def test_blocks_merge_to_the_whole_run(self):
+        samples, labels = self.drifting()
+        eye = eye_stats(samples, labels)
+        assert [b.stop - b.start for b in modem._blocks(len(labels))] == [
+            1 << 16, 1 << 16, (1 << 16) + 999
+        ]
+        for level in range(4):
+            x = samples[labels == level]
+            assert eye.run.counts[level] == len(x)
+            assert eye.run.means[level] == pytest.approx(x.mean(), rel=1e-12)
+            assert eye.run.stds[level] == pytest.approx(x.std(), rel=1e-12)
+        tail = slice(2 << 16, None)
+        x = samples[tail][labels[tail] == 1]
+        assert eye.means[2, 1] == pytest.approx(x.mean(), rel=1e-12)
+
+    def test_block_without_a_level_takes_the_run_value(self):
+        samples, labels = self.drifting()
+        eye = eye_stats(samples, labels)
+        lacking = [0, 1, 3]
+        assert np.array_equal(eye.means[0, lacking], eye.run.means[lacking])
+        assert eye.means[0, 2] == pytest.approx(samples[: 1 << 16].mean(), rel=1e-12)
+
     def test_level_messages_print_plain_numbers(self):
         labels = np.array([0, 0, 1, 2, 2, 2])
         with pytest.raises(MissingLevelError, match=r"counts \[2, 1, 3, 0\]$"):
@@ -224,15 +264,14 @@ class TestEyeStats:
         with pytest.raises(MissingLevelError, match=r"counts \[2, 1, 3, 0\]$"):
             LevelStats(means=np.zeros(4), stds=np.zeros(4), counts=np.array([2, 1, 3, 0]),
                        q_factors=np.zeros(4))
-        with pytest.raises(DegenerateLevelsError, match=r"counts \[\d+, \d+, \d+, \d+\]\)$"):
-            demodulate(np.full(1000, 0.5), CONFIG, adaptive=True)
 
 
 class TestEstimateBer:
     def test_noiseless_gives_zero(self):
         labels = np.repeat(np.arange(4), 100)
-        stats = eye_stats(LEVELS[labels], labels)
-        assert estimate_ber_from_stats(stats) == 0.0
+        eye = eye_stats(LEVELS[labels], labels)
+        assert estimate_ber_from_stats(eye.run) == 0.0
+        assert eye.ber_estimated == 0.0
 
     def test_equal_gap_collapse(self):
         # Equal gaps d and equal sigmas: estimate = (3/4) Q(d / 2 sigma).
@@ -257,11 +296,30 @@ class TestEstimateBer:
         received = apply_channel(
             symbols, trace, sigma, seed=9, symbol_rate_hz=CONFIG.symbol_rate_hz
         )
-        recovered = demodulate(received, CONFIG)
+        eye = eye_stats(received, labels)
+        recovered = demodulate(received, eye.means)
         _, _, counted = count_ber(bits, recovered[: len(bits)])
-        estimated = estimate_ber_from_stats(eye_stats(received, labels))
+        estimated = eye.ber_estimated
         assert counted > 0
         assert 1 / 1.5 < estimated / counted < 1.5
+
+    def test_block_estimates_weighted_by_symbols(self):
+        # (1/4) sum Q(gap / (sigma_lo + sigma_hi)) per block, a level the
+        # block lacks at its whole-run mean and std, weighted by symbols.
+        samples, labels = TestEyeStats.drifting()
+        eye = eye_stats(samples, labels)
+        per_block, sizes = [], []
+        for b in modem._blocks(len(labels)):
+            x, lab = samples[b], labels[b]
+            means, stds = eye.run.means.copy(), eye.run.stds.copy()
+            for level in np.unique(lab):
+                means[level], stds[level] = x[lab == level].mean(), x[lab == level].std()
+            q = np.diff(means) / (stds[1:] + stds[:-1])
+            per_block.append(0.25 * float(np.sum(gaussian_tail(q))))
+            sizes.append(len(x))
+        expected = np.dot(per_block, sizes) / len(labels)
+        assert eye.ber_estimated == pytest.approx(expected, rel=1e-9)
+        assert estimate_ber_from_stats(eye.run) != pytest.approx(expected, rel=0.01)
 
     def test_zero_denominator_with_bad_gap(self):
         stats = LevelStats(
@@ -337,7 +395,7 @@ def reference_calibrate_noise_std(
             apply_channel(tx, trace, noise_std, seed, symbol_rate_hz=rate),
             samples_per_symbol,
         )
-        return float(np.mean(eye_stats(received, labels).q_factors))
+        return float(np.mean(eye_stats(received, labels).run.q_factors))
 
     span = float(np.max(symbols) - np.min(symbols)) or 1.0
     hi = span
@@ -432,8 +490,9 @@ class TestTransmitPinned:
 
     Each digest is sha256 over the rx_bits bytes, then the repr of the
     report's scalars, then the level means, stds, counts and Q-factors.
-    Sizes straddle the 2^16-symbol channel block: below one block, exactly
-    one, and several with a partial last block. The trace runs at 1e5 Hz,
+    Sizes straddle the 2^16-symbol channel and statistics block: below one
+    block, exactly one, and several with a partial last channel block (which
+    the last statistics block absorbs). The trace runs at 1e5 Hz,
     so gains are looked up by index, except in the ``at-sample-rate`` case.
     """
 
@@ -454,8 +513,7 @@ class TestTransmitPinned:
         h.update(np.asarray(stats.counts, dtype=np.int64).tobytes())
         return h.hexdigest()
 
-    def run(self, n_bits, sps=1, workers=1, adaptive=False,
-            noise_std=0.08, trace_rate_hz=1e5):
+    def run(self, n_bits, sps=1, workers=1, noise_std=0.08, trace_rate_hz=1e5):
         config = Pam4Config(symbol_rate_hz=1e6, samples_per_symbol=sps)
         bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
         duration = 1.01 * ((n_bits + 1) // 2) / config.symbol_rate_hz
@@ -463,46 +521,46 @@ class TestTransmitPinned:
         trace = generate_trace(
             FadingModel.log_normal(0.05), 2e-3, rate, duration, seed=4
         )
-        return transmit(bits, trace, noise_std, 11, config, workers, adaptive)
+        return transmit(bits, trace, noise_std, 11, config, workers)
 
     @pytest.mark.parametrize(
         "case, expected",
         [
             (dict(n_bits=1001),
-                "49e85cdae0bf61b64e0e0af931140cd583be004ddc7c59d66f4954859f99e5e6",
+                "2bb94271f2e7b5fe0600481372fe7c64d5f20edd07a0e039f315dbbcc04054ea",
             ),
             (dict(n_bits=2 * BLOCK),
-                "fbd2e8c3bc3cea74904e1e4dd213e3edbad75af12420c03348bce40a3d71fc1c",
+                "ee0aca07b1d4abb9d0104ecfca272ab55b39ed6981fdc899e75082898081126d",
             ),
-            (dict(n_bits=SEVERAL + 1, adaptive=True),
-                "8247014f6ec51cd9095cc742396b6f0f2bbeb519529bddebc32a14dec5bfd73b",
+            (dict(n_bits=SEVERAL + 1),
+                "58911bf31f1a0fb16c856ef69a5779b309ec925c25bb1c9d1602c2e1e83532a9",
             ),
             (dict(n_bits=SEVERAL, sps=2),
-                "37b2c10ddbc5dc3783897156a6c4866a66e2d1ad9a2e99de089947ee89b4a9dc",
+                "41491618eec4979b3f7583bb3633a3fe0fd5382cc2564caf902c525a3250c649",
             ),
             (dict(n_bits=SEVERAL, sps=3, workers=3),
-                "ffcb4a468b1de73235eb041105ca4a212b4693ec2964360239f914c46d3818c6",
+                "0ab8b1a709ca68efcb1c3d41bb415508504b1bdd376a7a813dbb358068f7f1d3",
             ),
-            (dict(n_bits=SEVERAL, workers=3, adaptive=True),
-                "53204fcf637b3e390a08492563c7de25e2a88768f3be7a19d808590937f1bada",
+            (dict(n_bits=SEVERAL, workers=3),
+                "7c1d4b3bca393bdfb0ba322da45075fcb53c4f47e051bebe0e2552103ebd88ea",
             ),
-            (dict(n_bits=2 * BLOCK, sps=3, adaptive=True),
-                "185d4a666bce419e5b0a1fe6c1f5696383e92f1774bc214757d60b4ed5a42d69",
+            (dict(n_bits=2 * BLOCK, sps=3),
+                "31dc589a9fb266c174d4cca27d20c41f3355142eb626ae6a5bb3bf4c87690266",
             ),
-            (dict(n_bits=2 * BLOCK + 1, sps=2, workers=3, adaptive=True),
-                "869a18a8f98b5253176b3dc106e50f97966004e48df800b996fce482d0253645",
+            (dict(n_bits=2 * BLOCK + 1, sps=2, workers=3),
+                "e5661cf04bfee47f08dcd6bb5ed2d052cd1f5075b85942f37fafbabece4f62ea",
             ),
             (dict(n_bits=3001, sps=2, workers=3),
-                "f7027f85b0ed704fe1d8ddd159c29e9bc36cafbeb26d462972627ee545cb67d4",
+                "d81460b55a36132258307782c6cef4d347d4532f72752254608255bd4d4704e1",
             ),
             (dict(n_bits=SEVERAL, sps=2, noise_std=0.0),
-                "f8cac909f456f5a052ca5a37d857f02b13c40992bd7dc2cb1a8354a1de16d304",
+                "cb00fc1a57039eb8192e138dafd1bd1e0b8f8ee0ac4e5872bb04eec6e2920536",
             ),
             (dict(n_bits=SEVERAL + 1, workers=3, trace_rate_hz=None),
-                "274a939a3982b18f727d9296f20af74968708619e88e33f7643320f90b5f360e",
+                "5c93c2b665730ce183ee0300a7049aa66102e3cf28319535071e2f3684f18709",
             ),
-            (dict(n_bits=SEVERAL, sps=3, adaptive=True, trace_rate_hz=None),
-                "b6cdcfa6528179a8c3cd92027868a55ba6b42a97f3f32dea6077ab5d6f6f7e33",
+            (dict(n_bits=SEVERAL, sps=3, trace_rate_hz=None),
+                "d767ca6ecd855c83a790cf3acc3a0eae4f1621c9d66f739528476e1e50021c43",
             ),
         ],
         ids=[
@@ -520,15 +578,12 @@ class TestTransmitPinned:
 class TestTransmitMemory:
     """Traced allocation peak of one ``transmit`` call, beyond its input bits.
 
-    The whole-run arrays are the uint8 labels, the float64 received samples,
-    the decided bits and the error mask of the bit count (13 B/symbol);
-    adaptive thresholds add the k-means fit on up to 2^20 samples.
+    The whole-run arrays are the uint8 labels, the float64 received samples
+    and the decided bits (11 B/symbol); the labels and samples are freed
+    before the bit count allocates its 2 B/symbol error mask.
     """
 
-    @pytest.mark.parametrize(
-        "adaptive, bound", [(False, 16), (True, 24)], ids=["midpoints-16", "adaptive-24"]
-    )
-    def test_peak_bytes_per_symbol(self, adaptive, bound):
+    def test_peak_bytes_per_symbol(self):
         n = 1_000_000
         bits = np.random.default_rng(2).integers(0, 2, 2 * n, dtype=np.uint8)
         trace = generate_trace(
@@ -536,8 +591,8 @@ class TestTransmitMemory:
         )
         tracemalloc.start()
         try:
-            transmit(bits, trace, 0.08, 11, CONFIG, adaptive=adaptive)
+            transmit(bits, trace, 0.08, 11, CONFIG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n <= bound
+        assert peak / n <= 14

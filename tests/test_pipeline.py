@@ -10,7 +10,9 @@ from fsolink.atmosphere import total_atmospheric_loss
 from fsolink.channel_trace import coherence_time, generate_trace
 from fsolink.errors import PipelineStageError, UnknownAxisError
 from fsolink.linkbudget import received_power_dbm
-from fsolink.modem import apply_channel, count_ber, demodulate, derive_seeds, modulate
+from fsolink.modem import (
+    apply_channel, count_ber, demodulate, derive_seeds, eye_stats, modulate,
+)
 from fsolink.pipeline import NoiseSpec, RunConfig
 from fsolink.reporting import as_jsonable
 from fsolink.spatial_filter import SolarModel, solar_noise_power
@@ -105,13 +107,26 @@ class TestRunEndToEnd:
             symbol_rate_hz=config.modem.symbol_rate_hz * sps,
         )
         received = received.reshape(-1, sps).mean(axis=1)
-        rx_bits = demodulate(received, config.modem, adaptive=True)[: len(bits)]
+        means = eye_stats(received, labels).means
+        rx_bits = demodulate(received, means)[: len(bits)]
         errors, _, manual_ber = count_ber(bits, rx_bits)
 
         assert report.losses.l_total_db == pytest.approx(losses.l_total_db, abs=1e-12)
         assert report.budget.p_r_dbm == pytest.approx(budget.p_r_dbm, abs=1e-12)
         assert report.ber.bit_errors == errors
         assert report.ber.ber_counted == pytest.approx(manual_ber, rel=1e-12)
+
+    def test_estimate_tracks_count_under_drift(self):
+        # A 200 m/s-scale wind moves the fade within the run; per-block
+        # cuts and per-block eye statistics follow it together.
+        cfg = scenarios.resolve_config(preset="hazy")
+        cfg["scenario"]["wind_speed_ground"] = 100.0
+        cfg["n_symbols"] = 2_000_000
+        cfg["seed"] = 2
+        cfg["noise"] = {"mode": "fixed_std", "noise_std": 0.03}
+        ber = pipeline.run_endtoend(RunConfig.from_dict(cfg)).ber
+        assert ber.bit_errors >= 100
+        assert abs(math.log10(ber.ber_estimated / ber.ber_counted)) <= 0.1
 
     def test_seed_changes_errors_within_binomial_dispersion(self):
         base = dict(n_symbols=100_000, noise={"mode": "fixed_std", "noise_std": 0.05})
@@ -244,6 +259,33 @@ class TestPayloadRoundtrip:
         expected = n_bytes * p_byte
         spread = 3 * math.sqrt(n_bytes * p_byte * (1 - p_byte))
         assert abs(report.byte_errors - expected) <= spread
+
+    def test_constant_runs_transmit(self, tmp_path):
+        # Blocks that hold one level take the other levels' whole-run means;
+        # the decisions and the estimate must not run away on them.
+        rng = np.random.default_rng(12)
+        body = bytearray(rng.bytes(400_000))
+        body[100_000 : 100_000 + (64 << 10)] = bytes(64 << 10)
+        src = tmp_path / "in.bin"
+        src.write_bytes(b"\xff" * 40_000 + bytes(body))
+        config = make_config("clear", seed=5)
+        assert config.noise.mode == "target_q"
+        report = pipeline.payload_roundtrip(src, config, tmp_path / "out.bin")
+        ber = report.ber
+        assert ber.bit_errors >= 100
+        assert abs(math.log10(ber.ber_estimated / ber.ber_counted)) <= 0.3
+
+    def test_range_checked_before_unpacking(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the payload was unpacked")
+
+        config = quiet_config()
+        monkeypatch.setattr(modem, "MAX_SYMBOLS", 20_000)
+        monkeypatch.setattr(np, "unpackbits", never)
+        src = tmp_path / "in.bin"
+        src.write_bytes(bytes(5001))
+        with pytest.raises(ValueError, match=r"\[10000, 20000\].*got 20004$"):
+            pipeline.payload_roundtrip(src, config, tmp_path / "out.bin")
 
     def test_missing_input_surfaces_path(self, tmp_path):
         with pytest.raises(OSError) as info:
