@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
 import numpy as np
+import scipy.fft
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln, ndtri
 
 from .errors import TraceLengthError
@@ -24,10 +25,9 @@ from .errors import TraceLengthError
 if TYPE_CHECKING:
     from .atmosphere import LinkGeometry
 
-#: Longest trace: a 4 GiB budget over the 128 B/sample ``generate_trace``
-#: followed by ``trace_stats`` peaks at (tracemalloc: 80-87 B/sample for
-#: the trace, up to 126 B/sample once the statistics pad their FFT to 4n,
-#: at 1e6-4.2e6 samples, both marginals).
+#: Longest trace: a 4 GiB budget over 128 B/sample. ``generate_trace``
+#: followed by ``trace_stats`` peaks at 48 B/sample (tracemalloc, 1e6-4.2e6
+#: samples, both marginals); the budget moves only with its own re-measurement.
 MAX_TRACE_SAMPLES = (4 << 30) // 128
 
 _BINARY_MAGIC = b"FSOTRC01"
@@ -188,12 +188,12 @@ def _gaussian_acf_series(
         return rng.standard_normal(1)
     lags = np.minimum(np.arange(n), n - np.arange(n)) * dt
     cov = np.exp(-((lags / tau0) ** 2))
-    spectrum = np.fft.fft(cov).real
+    # cov is real and even, so its DFT is real; the half spectrum suffices.
+    spectrum = np.fft.rfft(cov).real
     # Tiny negative eigenvalues can appear from truncation; clip them.
     np.clip(spectrum, 0.0, None, out=spectrum)
     white = rng.standard_normal(n)
-    series = np.fft.ifft(np.sqrt(spectrum) * np.fft.fft(white)).real
-    return series
+    return np.fft.irfft(np.sqrt(spectrum) * np.fft.rfft(white), n)
 
 
 #: The quantile table spans |z| <= 8 (tail mass 6e-16) in steps of 1/256.
@@ -365,13 +365,28 @@ def constant_trace(duration_s: float) -> ChannelTrace:
     )
 
 
+def _autocovariance(x: np.ndarray) -> np.ndarray:
+    """Sums sum_i x[i] * x[i + k] for lags k = 0..len(x)//2, by real FFT.
+
+    The circular correlation over m points adds lag k - m to lag k; with
+    m >= n + n//2 + 1, |k - m| > n for every k <= n//2, so no wrap-around
+    enters.
+    """
+    n = len(x)
+    m = scipy.fft.next_fast_len(n + n // 2 + 1, real=True)
+    spec = np.fft.rfft(x, m)
+    power = spec.real**2 + spec.imag**2
+    del spec  # the inverse needs only the power
+    return np.fft.irfft(power, m)[: n // 2 + 1]
+
+
 def trace_stats(trace: ChannelTrace) -> TraceStats:
     """Sample mean, scintillation index, and ACF half-power coherence time.
 
     The coherence-time estimate inverts the Gaussian-ACF relation: the lag
-    where the normalized autocovariance first drops below 1/2 (linearly
-    interpolated) divided by sqrt(ln 2). Infinite for a constant trace;
-    nan below 100 samples, too few to estimate it.
+    where the biased autocovariance, normalized to 1 at lag 0, first drops
+    below 1/2 (linearly interpolated) divided by sqrt(ln 2). Infinite for a
+    constant trace; nan below 100 samples, too few to estimate it.
     """
     g = trace.gains
     if len(g) == 0:
@@ -384,12 +399,7 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
     if len(g) < 100:
         return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.nan)
 
-    n = len(g)
-    # Biased autocovariance via FFT, normalized to 1 at lag 0.
-    centered = g - mean
-    m = 1 << int(math.ceil(math.log2(2 * n)))
-    spec = np.fft.rfft(centered, m)
-    acov = np.fft.irfft(spec * np.conj(spec), m)[: n // 2 + 1]
+    acov = _autocovariance(g - mean)
     acf = acov / acov[0]
 
     below = np.nonzero(acf < 0.5)[0]
@@ -421,22 +431,19 @@ def trace_to_csv(trace: ChannelTrace, path) -> None:
 
 
 def trace_from_csv(path) -> ChannelTrace:
-    meta: dict[str, str] = {}
-    gains = []
+    """Read ``trace_to_csv``'s layout: "#" metadata comments, an optional
+    ``time_s,gain`` header, then the rows (blank ones skipped)."""
     with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
-                continue
-            if line.strip().startswith("time_s"):
-                continue
-            row = line.strip()
-            if not row:
-                continue
-            gains.append(float(row.split(",")[1]))
+        lines = fh.readlines()
+    start = next((i for i, line in enumerate(lines) if line[0] != "#"), len(lines))
+    meta = {}
+    for line in lines[:start]:
+        key, sep, value = line[1:].partition("=")
+        if sep:
+            meta[key.strip()] = value.strip()
+    if start < len(lines) and lines[start].lstrip().startswith("time_s"):
+        start += 1
+    gains = [float(row.split(",")[1]) for row in lines[start:] if not row.isspace()]
     missing = [key for key in _TRACE_FIELDS if key not in meta]
     if missing:
         raise ValueError(f"trace CSV missing metadata keys: {missing}")

@@ -9,6 +9,7 @@ overrides. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -134,14 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_filter.add_argument("--n", type=int, default=2, help="partition order")
     p_filter.add_argument("--seed", type=int, default=0)
-    demo = FilterDemoScenario()
-    p_filter.add_argument("--symbols", type=int, default=demo.n_symbols)
+    # Read the defaults without building (and so validating) a scenario.
+    demo = {f.name: f.default for f in dataclasses.fields(FilterDemoScenario)}
+    p_filter.add_argument("--symbols", type=int, default=demo["n_symbols"])
     p_filter.add_argument(
-        "--target-ber", type=float, default=demo.target_unfiltered_ber
+        "--target-ber", type=float, default=demo["target_unfiltered_ber"]
     )
-    p_filter.add_argument("--spot-x", type=float, default=demo.spot_center[0])
-    p_filter.add_argument("--spot-y", type=float, default=demo.spot_center[1])
-    p_filter.add_argument("--spot-radius", type=float, default=demo.spot_radius)
+    p_filter.add_argument("--spot-x", type=float, default=demo["spot_center"][0])
+    p_filter.add_argument("--spot-y", type=float, default=demo["spot_center"][1])
+    p_filter.add_argument("--spot-radius", type=float, default=demo["spot_radius"])
     p_filter.add_argument(
         "--grid", metavar="PATH", help="CSV matrix of cell intensities (overrides the beam model)"
     )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import math
+import os
 import time
 from dataclasses import dataclass
 
@@ -191,7 +192,8 @@ def payload_roundtrip(path_in, config: RunConfig, path_out) -> RunReport:
 
     The report gains byte-level error accounting; a clean channel
     reproduces the input bit-exactly. The payload's four symbols per byte
-    must lie in the modem's symbol range, checked before unpacking.
+    must lie in the modem's symbol range, checked before a file is read
+    (its size is known) and before stdin is unpacked.
     """
     try:
         if str(path_in) == "-":
@@ -199,6 +201,7 @@ def payload_roundtrip(path_in, config: RunConfig, path_out) -> RunReport:
 
             data = np.frombuffer(sys.stdin.buffer.read(), dtype=np.uint8)
         else:
+            check_n_symbols(4 * os.stat(path_in).st_size)
             data = np.fromfile(path_in, dtype=np.uint8)
     except OSError as exc:
         raise OSError(f"cannot read payload {path_in!r}: {exc}") from exc

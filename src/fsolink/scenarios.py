@@ -184,8 +184,10 @@ PRESETS: dict[str, dict[str, Any]] = {
 
 
 def default_config() -> dict[str, Any]:
-    """Built-in baseline configuration: the encoded ``RunConfig()``."""
-    return as_jsonable(RunConfig())
+    """Built-in baseline configuration: the encoded ``RunConfig`` field
+    defaults, read without validating a default run; the resolved config is
+    checked when it is decoded."""
+    return {f.name: as_jsonable(f.default) for f in dataclasses.fields(RunConfig)}
 
 
 def preset_names() -> list[str]:

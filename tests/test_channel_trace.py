@@ -134,6 +134,21 @@ class TestCoherenceTime:
             coherence_time(LinkGeometry(distance_m=1000.0), 0.0)
 
 
+class TestGaussianSeries:
+    @pytest.mark.parametrize("n", [2, 1001, 4_000_001])
+    def test_length_is_kept(self, n):
+        g = channel_trace._gaussian_acf_series(n, 1e-4, 5e-3, np.random.default_rng(1))
+        assert g.shape == (n,)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_white_noise_limit_is_the_seed_draw(self, n):
+        # tau0 << dt: every lag but 0 has covariance exp(-1e6) = 0, so the
+        # spectrum is all ones and the filter passes the draw through.
+        g = channel_trace._gaussian_acf_series(n, 1.0, 1e-3, np.random.default_rng(8))
+        white = np.random.default_rng(8).standard_normal(n)
+        np.testing.assert_allclose(g, white, rtol=0, atol=1e-12)
+
+
 class TestGenerateTrace:
     def test_no_fading_is_constant_ones(self):
         trace = generate_trace(FadingModel.log_normal(0.0), 1e-3, 1e4, 0.1, seed=5)
@@ -319,6 +334,31 @@ class TestTraceStats:
             coherence_time_s=trace.coherence_time_s,
         )
         assert trace_stats(doubled).mean == pytest.approx(trace_stats(trace).mean, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_autocovariance_has_no_wrap(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        acov = channel_trace._autocovariance(x)
+        assert len(acov) == n // 2 + 1
+        k = n // 2
+        assert acov[k] == pytest.approx(np.dot(x[: n - k], x[k:]), rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "model",
+        [FadingModel.log_normal(0.3), FadingModel.gamma_gamma_from_rytov(1.0)],
+        ids=["log_normal", "gamma_gamma"],
+    )
+    def test_trace_then_stats_memory(self, model):
+        # Real FFTs at the trace length, and the statistics padded to
+        # 1.5n rather than up to 4n: 48 B/sample measured.
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            trace_stats(generate_trace(model, 5e-3, 1e5, n / 1e5, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 64
 
     def test_too_short(self):
         # Below 100 samples the moments are reported but the coherence time

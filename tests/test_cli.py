@@ -14,7 +14,7 @@ def run_cli(*args):
 
 class TestDispatch:
     def test_budget_prints_table(self, capsys):
-        assert run_cli("budget", "--scenario", "clear") == 0
+        assert run_cli("budget", "--scenario", "clear", "--set", "n_symbols=10000") == 0
         out = capsys.readouterr().out
         assert "scintillation_margin_db" in out
         assert "received_power_dbm" in out
@@ -388,6 +388,27 @@ class TestRejectedInputs:
         assert err.startswith("error: n_symbols must be in [10000, ")
         assert err.rstrip().endswith(f"got {4 * n_bytes}")
         assert len(err.splitlines()) == 1
+
+    def test_oversized_payload_rejected_before_reading(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the payload was read")
+
+        monkeypatch.setattr(modem, "MAX_SYMBOLS", 20_000)
+        monkeypatch.setattr(np, "fromfile", never)
+        payload = tmp_path / "payload.bin"
+        payload.write_bytes(bytes(5001))
+        assert run_cli("transmit", "--symbols", "10000", "--payload", str(payload)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_symbols must be in [10000, 20000]")
+        assert err.rstrip().endswith("got 20004")
+
+    def test_parser_does_not_validate_the_filter_demo(self, monkeypatch, capsys):
+        # The filter-sim defaults (1e6 symbols) and the run config's (1e7)
+        # are read, not validated; the resolved run config is still
+        # checked, so both runs set an n_symbols in range.
+        monkeypatch.setattr(modem, "MAX_SYMBOLS", 20_000)
+        assert run_cli("budget", "--scenario", "clear", "--set", "n_symbols=10000") == 0
+        assert run_cli("transmit", "--scenario", "clear", "--symbols", "10000") == 0
 
     def test_transmit_over_symbol_budget(self, monkeypatch, capsys):
         def never(*args, **kwargs):

@@ -527,40 +527,40 @@ class TestTransmitPinned:
         "case, expected",
         [
             (dict(n_bits=1001),
-                "2bb94271f2e7b5fe0600481372fe7c64d5f20edd07a0e039f315dbbcc04054ea",
+                "ce8a5845123e6e6d12ab9a2309e57f36e4170624f3af8f08fcc238cb33976622",
             ),
             (dict(n_bits=2 * BLOCK),
-                "ee0aca07b1d4abb9d0104ecfca272ab55b39ed6981fdc899e75082898081126d",
+                "98e71c30c770578b680bcb185a19b1a8d91b892d67be9791296bd99eb45373a3",
             ),
             (dict(n_bits=SEVERAL + 1),
-                "58911bf31f1a0fb16c856ef69a5779b309ec925c25bb1c9d1602c2e1e83532a9",
+                "6394f215d0e85ebaef3385c189f561b5687c1fa350d06508f34d16bf190c2c0d",
             ),
             (dict(n_bits=SEVERAL, sps=2),
-                "41491618eec4979b3f7583bb3633a3fe0fd5382cc2564caf902c525a3250c649",
+                "5ff1dd2559b040b6dc974ecec4e7999854a861007eed8a5e9fcc867ae102f145",
             ),
             (dict(n_bits=SEVERAL, sps=3, workers=3),
-                "0ab8b1a709ca68efcb1c3d41bb415508504b1bdd376a7a813dbb358068f7f1d3",
+                "59548b3ef58c2fb8b513a8ed0259181c1d6021ba35b70c91a0394eecddbfa692",
             ),
             (dict(n_bits=SEVERAL, workers=3),
-                "7c1d4b3bca393bdfb0ba322da45075fcb53c4f47e051bebe0e2552103ebd88ea",
+                "c2e09d3c6ca0802e589488e3ccd20318ca06d0338fe708dfd7271edbf277136d",
             ),
             (dict(n_bits=2 * BLOCK, sps=3),
-                "31dc589a9fb266c174d4cca27d20c41f3355142eb626ae6a5bb3bf4c87690266",
+                "c3828e8c9c50e75469908f0c36f62847ead533e7f5f50bc6db6bb22d26188eba",
             ),
             (dict(n_bits=2 * BLOCK + 1, sps=2, workers=3),
-                "e5661cf04bfee47f08dcd6bb5ed2d052cd1f5075b85942f37fafbabece4f62ea",
+                "3bb799239007bb50fba07c068f76a594e4c915e359cb66c9727ebc46ee6ca75e",
             ),
             (dict(n_bits=3001, sps=2, workers=3),
-                "d81460b55a36132258307782c6cef4d347d4532f72752254608255bd4d4704e1",
+                "c5dd606801e26a2cd1493a75010eea2ecdcd5cb43660c295b61a1319c0622033",
             ),
             (dict(n_bits=SEVERAL, sps=2, noise_std=0.0),
-                "cb00fc1a57039eb8192e138dafd1bd1e0b8f8ee0ac4e5872bb04eec6e2920536",
+                "b0f41054c6889539c3a72e0702b1cdb7c6db25aa0cb17efa43a780fe3cdffe02",
             ),
             (dict(n_bits=SEVERAL + 1, workers=3, trace_rate_hz=None),
-                "5c93c2b665730ce183ee0300a7049aa66102e3cf28319535071e2f3684f18709",
+                "ead1b108be317a54f86c7828858c018717997ed403c5d821450d8a433ce816b3",
             ),
             (dict(n_bits=SEVERAL, sps=3, trace_rate_hz=None),
-                "d767ca6ecd855c83a790cf3acc3a0eae4f1621c9d66f739528476e1e50021c43",
+                "7a345301e06cb840e378f6f6c745b02389d4da123c32598f46ccf6c6457e5408",
             ),
         ],
         ids=[
