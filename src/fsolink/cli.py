@@ -95,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_tx.add_argument(
         "--summary-csv", metavar="PATH", help="append-style one-row CSV summary"
     )
-    p_tx.add_argument("--workers", type=int, help="worker threads (results identical)")
+    p_tx.add_argument(
+        "--workers", type=int, help="threads for every stage of the link pass (results identical)"
+    )
     p_tx.add_argument(
         "--no-timestamp",
         action="store_true",

@@ -4,11 +4,12 @@ Bits are numpy uint8 arrays of 0/1. Intensity levels are nonnegative
 (direct detection); the Gray map is 00/01/11/10 onto ascending levels,
 and modulation returns uint8 level indices (the intensities are
 ``levels[labels]``). ``transmit`` is the one link pass: modulate, fade and
-add noise, matched-filter, reduce, decide, and count errors. Every stage
-runs over the blocks of ``_blocks`` (2^16 symbols, the last one taking the
-tail); the whole-run arrays are the bits in and out, the labels and the
-received samples (about 13 B/symbol). Noise is drawn in 2^16-sample chunks
-seeded by (seed, chunk index), so no worker count changes the result.
+add noise, matched-filter, reduce, decide, and count errors, fused into one
+kernel per block of ``_blocks`` (2^16 symbols, the last one taking the
+tail) on a pool of worker threads. Its whole-run arrays are the bits in and
+out, 2 B/symbol each. Noise is drawn in 2^16-sample chunks seeded by (seed,
+chunk index) and the blocks are merged in block order, so no worker count
+changes the result.
 
 The received samples are reduced once, per block, to genie-aided per-level
 count, mean and M2. Each block is cut at the midpoints of its own level
@@ -21,9 +22,11 @@ evaluates the same merge in closed form at every trial noise level.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -31,7 +34,6 @@ from scipy.special import erfc, ndtri
 from .channel_trace import ChannelTrace
 from .errors import MissingLevelError, TraceTooShortError
 
-_GRAY_FORWARD = np.array([0, 1, 3, 2], dtype=np.uint8)  # bit pair value <-> level
 # Level -> its Gray bit pair's (msb, lsb) bytes read as one uint16: one
 # gather writes both bits of a symbol.
 _LEVEL_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], np.uint8).view(np.uint16)[:, 0]
@@ -44,9 +46,14 @@ _CALIBRATION_REL_TOL = 1e-4
 #: for the eye statistics and the level means that set the cuts.
 MIN_SYMBOLS = 10_000
 
-#: Largest run: a 4 GiB budget over 15 B/symbol, above the 13 B/symbol
-#: ``pipeline.run_endtoend`` peaks at (bits in and out, labels, samples).
+#: Largest run: a 4 GiB budget over 15 B/symbol. ``pipeline.run_endtoend``
+#: peaks at 4.5 B/symbol at 1e7 symbols (bits in and out, 2 B/symbol each,
+#: and about 5 MiB of calibration, trace and block temporaries).
 MAX_SYMBOLS = (4 << 30) // 15
+
+#: Most worker threads a run may ask for; ``transmit`` starts one per block
+#: at most.
+MAX_WORKERS = 64
 
 
 def check_n_symbols(n_symbols: int) -> None:
@@ -130,16 +137,31 @@ def modulate(bits: np.ndarray, config: Pam4Config) -> tuple[np.ndarray, int]:
     makes the padding explicit. Returns (labels, pad_bits); the transmitted
     intensities are ``levels[labels]``.
     """
+    bits = _bit_array(bits)
+    labels = np.empty((len(bits) + 1) // 2, dtype=np.uint8)
+    for b in _blocks(len(labels)):
+        labels[b] = _block_labels(bits, b)
+    return labels, len(bits) % 2
+
+
+def _bit_array(bits) -> np.ndarray:
+    """``bits`` as a contiguous 1-D uint8 array (``_block_labels`` reads
+    its bit pairs as 16-bit words)."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1:
         raise ValueError("bits must be a 1-D array")
-    labels = np.empty((len(bits) + 1) // 2, dtype=np.uint8)
-    for b in _blocks(len(labels)):
-        pairs = bits[2 * b.start : 2 * b.stop]
-        label = pairs[0::2] << 1
-        label[: len(pairs) // 2] |= pairs[1::2]
-        labels[b] = _GRAY_FORWARD[label]
-    return labels, len(bits) % 2
+    return np.ascontiguousarray(bits)
+
+
+def _block_labels(bits: np.ndarray, b: slice) -> np.ndarray:
+    """Gray-mapped level indices of block b's symbols, 2 * msb + (msb ^ lsb)
+    for the bit pair (msb, lsb); an odd tail's last symbol takes a zero pad
+    bit."""
+    pairs = bits[2 * b.start : 2 * b.stop]
+    if len(pairs) % 2:
+        pairs = np.append(pairs, np.uint8(0))
+    word = pairs.view("<u2")  # msb + 256 * lsb
+    return ((word << 1) & 2 | (word ^ word >> 8) & 1).astype(np.uint8)
 
 
 def derive_seeds(seed: int, n: int) -> list[int]:
@@ -164,43 +186,65 @@ def apply_channel(
     when those are given. Each is held for ``samples_per_symbol`` samples,
     which the matched filter averages back to one. The trace is sampled at
     each sample's start time and must cover the run. The blocks of
-    ``_blocks`` are mapped over ``workers`` threads; a block's noise comes
-    from the seeded chunks of its samples, so the output never depends on
-    the worker count.
+    ``_blocks`` run on ``workers`` threads (as every stage of ``transmit``
+    does); a block's noise comes from the seeded chunks of its samples, so
+    the output never depends on the worker count.
     """
+    symbols = np.asarray(symbols)
+    channel = _channel(
+        len(symbols), trace, noise_std, seed, symbol_rate_hz, samples_per_symbol
+    )
+    received = np.empty(len(symbols))
+
+    def block(b: slice) -> None:
+        tx = symbols[b] if levels is None else np.take(levels, symbols[b])
+        received[b] = channel(tx, b.start)
+
+    blocks = _blocks(len(symbols))
+    with _pool(workers, blocks) as pool:
+        list(pool.map(block, blocks))
+    return received
+
+
+def _pool(workers: int, blocks: list[slice]):
+    """An executor of ``workers`` threads, never more than there are blocks.
+    One thread's work runs in the calling thread: a started thread would
+    add its own malloc arena to the peak RSS."""
+    threads = min(workers, len(blocks))
+    if threads == 1:
+        return contextlib.nullcontext(SimpleNamespace(map=map))
+    return ThreadPoolExecutor(max_workers=threads)
+
+
+def _channel(
+    n: int, trace: ChannelTrace, noise_std: float, seed: int, symbol_rate_hz: float, sps: int
+):
+    """Check an n-symbol channel and return its block function: (the
+    intensities of the symbols from index lo on, lo) -> their matched-filter
+    outputs."""
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    sps = samples_per_symbol
     rate = symbol_rate_hz * sps
-    n = len(symbols)
     if int((n * sps - 1) / rate * trace.sample_rate_hz) >= len(trace.gains):
         raise TraceTooShortError(
             f"trace covers {trace.duration_s:g} s but {n} symbols at "
             f"{symbol_rate_hz:g} Baud need {n / symbol_rate_hz:g} s"
         )
     step = trace.sample_rate_hz / rate
-    symbols = np.asarray(symbols)
-    received = np.empty(n)
 
-    def block(b: slice) -> None:
-        tx = symbols[b] if levels is None else np.take(levels, symbols[b])
+    def block(tx: np.ndarray, lo: int) -> np.ndarray:
         if sps > 1:
             tx = np.repeat(tx, sps)
-        idx = (np.arange(b.start * sps, b.stop * sps) * step).astype(np.intp)
+        lo, hi = lo * sps, lo * sps + len(tx)
+        idx = (np.arange(lo, hi) * step).astype(np.intp)
         r = trace.gains[idx] * tx
         if noise_std > 0:
-            noise = _unit_noise(b.start * sps, b.stop * sps, seed)
+            noise = _unit_noise(lo, hi, seed)
             noise *= noise_std
             r += noise
-        received[b] = matched_filter(r, sps)
+        return matched_filter(r, sps)
 
-    if workers == 1:
-        for b in _blocks(n):
-            block(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(block, _blocks(n)))
-    return received
+    return block
 
 
 def _unit_noise(lo: int, hi: int, seed: int) -> np.ndarray:
@@ -237,11 +281,16 @@ def demodulate(samples: np.ndarray, means: np.ndarray) -> np.ndarray:
     if np.isnan(np.min(samples)):
         raise ValueError("cannot decide NaN samples")
     means = np.asarray(means, dtype=float)
-    cuts = 0.5 * (means[:, :-1] + means[:, 1:])
     pairs = np.empty(len(samples), dtype=np.uint16)
-    for block, block_cuts in zip(_blocks(len(samples)), cuts, strict=True):
-        pairs[block] = _LEVEL_BITS[_decide(samples[block], block_cuts)]
+    for block, row in zip(_blocks(len(samples)), means, strict=True):
+        pairs[block] = _decide_pairs(samples[block], row)
     return pairs.view(np.uint8)
+
+
+def _decide_pairs(samples: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Gray bit pairs, as ``_LEVEL_BITS`` words, of samples cut at the
+    midpoints of the four level means."""
+    return np.take(_LEVEL_BITS, _decide(samples, 0.5 * (means[:-1] + means[1:])))
 
 
 def _decide(samples: np.ndarray, cuts) -> np.ndarray:
@@ -262,21 +311,28 @@ def _eye_q(means: np.ndarray, stds: np.ndarray) -> np.ndarray:
     return np.where((denoms == 0) & (gaps <= 0), -np.inf, q)
 
 
-def _level_moments(samples: np.ndarray, labels: np.ndarray):
-    """Count, mean and M2 of each level (columns) in each block of
-    ``_blocks`` (rows), and the whole run's ``LevelStats`` merged from them.
+def _block_moments(samples: np.ndarray, labels: np.ndarray):
+    """Count, mean and M2 of each level among one block's samples.
 
-    Two passes within a block: immune to the cancellation that would report
-    nonzero noise on noiseless levels. The blocks are folded into the run
-    with Chan, Golub & LeVeque's pairwise update (Am. Stat. 37(3), 1983).
+    Two passes within the block: immune to the cancellation that would
+    report nonzero noise on noiseless levels.
     """
-    rows = []
-    for b in _blocks(len(labels)):
-        x, lab = samples[b], labels[b].astype(np.intp)
-        count = np.bincount(lab, minlength=4)
-        mean = np.bincount(lab, weights=x, minlength=4) / np.maximum(count, 1)
-        d = x - mean[lab]
-        rows.append((count, mean, np.bincount(lab, weights=d * d, minlength=4)))
+    lab = labels.astype(np.intp)
+    count = np.bincount(lab, minlength=4)
+    mean = np.bincount(lab, weights=samples, minlength=4) / np.maximum(count, 1)
+    d = samples - mean[lab]
+    return count, mean, np.bincount(lab, weights=d * d, minlength=4)
+
+
+def _level_moments(samples: np.ndarray, labels: np.ndarray) -> list[tuple]:
+    """``_block_moments`` of each block of ``_blocks``, in block order."""
+    return [_block_moments(samples[b], labels[b]) for b in _blocks(len(labels))]
+
+
+def _merge(rows) -> LevelStats:
+    """The whole run's statistics from its block moments, folded in block
+    order with Chan, Golub & LeVeque's pairwise update (Am. Stat. 37(3),
+    1983)."""
     n, mean, m2 = rows[0]
     for nb, mb, m2b in rows[1:]:
         w = nb / np.maximum(n + nb, 1)
@@ -285,8 +341,21 @@ def _level_moments(samples: np.ndarray, labels: np.ndarray):
         m2 = m2 + m2b + delta * delta * n * w
         n = n + nb
     stds = np.sqrt(m2 / np.maximum(n, 1))
-    run = LevelStats(means=mean, stds=stds, counts=n, q_factors=_eye_q(mean, stds))
-    return run, *(np.array(column) for column in zip(*rows))
+    return LevelStats(means=mean, stds=stds, counts=n, q_factors=_eye_q(mean, stds))
+
+
+def _eye(rows) -> EyeStats:
+    """``EyeStats`` from the block moments: a level a block lacks takes the
+    whole-run mean and std, and each block's Q-factor estimate is weighted
+    by its symbols."""
+    run = _merge(rows)
+    counts, means, m2 = (np.array(column) for column in zip(*rows))
+    present = counts > 0
+    means = np.where(present, means, run.means)
+    stds = np.where(present, np.sqrt(m2 / np.maximum(counts, 1)), run.stds)
+    weights = counts.sum(axis=1) / counts.sum()
+    ber = float(np.sum(_ber_from_q(_eye_q(means, stds)) * weights))
+    return EyeStats(run=run, means=means, ber_estimated=ber)
 
 
 def eye_stats(samples: np.ndarray, labels: np.ndarray) -> EyeStats:
@@ -296,13 +365,7 @@ def eye_stats(samples: np.ndarray, labels: np.ndarray) -> EyeStats:
     labels = np.asarray(labels)
     if samples.shape != labels.shape:
         raise ValueError("samples and labels must have equal length")
-    run, counts, means, m2 = _level_moments(samples, labels)
-    present = counts > 0
-    means = np.where(present, means, run.means)
-    stds = np.where(present, np.sqrt(m2 / np.maximum(counts, 1)), run.stds)
-    weights = counts.sum(axis=1) / len(labels)
-    ber = float(np.sum(_ber_from_q(_eye_q(means, stds)) * weights))
-    return EyeStats(run=run, means=means, ber_estimated=ber)
+    return _eye(_level_moments(samples, labels))
 
 
 def gaussian_tail(q) -> np.ndarray | float:
@@ -386,7 +449,7 @@ def calibrate_noise_std(
         levels=config.levels, samples_per_symbol=sps,
     )
     z = matched_filter(_unit_noise(0, len(labels) * sps, seed), sps)
-    at_0, at_1, at_minus_1 = (_level_moments(x, labels)[0] for x in (u, u + z, u - z))
+    at_0, at_1, at_minus_1 = (_merge(_level_moments(x, labels)) for x in (u, u + z, u - z))
     z_mean = at_1.means - at_0.means
     var_u, var_plus, var_minus = (s.stds**2 for s in (at_0, at_1, at_minus_1))
     var_z = 0.5 * (var_plus + var_minus) - var_u
@@ -419,18 +482,18 @@ def calibrate_noise_std(
     return 0.5 * (lo + hi)
 
 
-def ber_report(tx_bits: np.ndarray, rx_bits: np.ndarray, eye: EyeStats) -> BerReport:
-    """Bundle counted and estimated BER with an SNR read off the eye stats."""
-    errors, bits, ratio = count_ber(tx_bits, rx_bits)
+def ber_report(bit_errors: int, bits_tx: int, eye: EyeStats) -> BerReport:
+    """Bundle a counted and the estimated BER with an SNR read off the eye
+    stats."""
     stats = eye.run
     counts = np.asarray(stats.counts, dtype=float)
     mean_power = float(np.sum(counts * np.asarray(stats.means) ** 2) / np.sum(counts))
     noise_var = float(np.sum(counts * np.asarray(stats.stds) ** 2) / np.sum(counts))
     snr_db = 10.0 * math.log10(mean_power / noise_var) if noise_var > 0 else math.inf
     return BerReport(
-        bits_tx=bits,
-        bit_errors=errors,
-        ber_counted=ratio,
+        bits_tx=bits_tx,
+        bit_errors=bit_errors,
+        ber_counted=bit_errors / bits_tx,
         ber_estimated=eye.ber_estimated,
         level_stats=stats,
         snr_db=snr_db,
@@ -448,15 +511,47 @@ def transmit(
     """The link pass: modulate, fade and add noise, decide, count errors.
 
     Returns the decided bits, cut to ``len(bits)``, and their BER report.
-    One ``eye_stats`` reduction sets each block's cuts and the estimate;
-    ``workers`` only changes how the channel blocks run.
+    Each block of ``_blocks`` runs one kernel: bits to level indices, the
+    channel of ``apply_channel``, per-level moments, the cut at the
+    midpoints of its own level means and its bit-error count. A block that
+    lacks a level is decided after the merge, at that level's whole-run
+    mean, from its samples made again from the same seeded noise.
+    ``workers`` threads run every stage of the pass; the blocks are merged
+    in block order with ``eye_stats``' arithmetic, so the worker count
+    never changes a result.
     """
-    labels, _ = modulate(bits, config)
-    received = apply_channel(
-        labels, trace, noise_std, seed, config.symbol_rate_hz, workers,
-        config.levels, config.samples_per_symbol,
+    bits = _bit_array(bits)
+    n = (len(bits) + 1) // 2
+    levels = np.asarray(config.levels)
+    channel = _channel(
+        n, trace, noise_std, seed, config.symbol_rate_hz, config.samples_per_symbol
     )
-    eye = eye_stats(received, labels)
-    rx_bits = demodulate(received, eye.means)[: len(bits)]
-    del labels, received  # freed before the error count allocates its mask
-    return rx_bits, ber_report(bits, rx_bits, eye)
+    blocks = _blocks(n)
+    pairs = np.empty(n, dtype=np.uint16)
+    rx_bits = pairs.view(np.uint8)[: len(bits)]
+
+    def received(b: slice) -> tuple[np.ndarray, np.ndarray]:
+        labels = _block_labels(bits, b)
+        return labels, channel(np.take(levels, labels), b.start)
+
+    def decide(b: slice, samples: np.ndarray, means: np.ndarray) -> int:
+        """Write block b's decided bits; return its bit errors."""
+        pairs[b] = _decide_pairs(samples, means)
+        tx = bits[2 * b.start : 2 * b.stop]
+        return int(np.count_nonzero(tx != rx_bits[2 * b.start : 2 * b.stop]))
+
+    def kernel(b: slice):
+        labels, samples = received(b)
+        row = _block_moments(samples, labels)
+        return row, decide(b, samples, row[1]) if np.all(row[0]) else None
+
+    def deferred(k: int) -> int:
+        """Decide block k at its row of the merged ``eye``."""
+        return decide(blocks[k], received(blocks[k])[1], eye.means[k])
+
+    with _pool(workers, blocks) as pool:
+        rows, errors = zip(*pool.map(kernel, blocks))
+        eye = _eye(rows)
+        late = [k for k, e in enumerate(errors) if e is None]
+        bit_errors = sum(e for e in errors if e is not None) + sum(pool.map(deferred, late))
+    return rx_bits, ber_report(bit_errors, len(bits), eye)

@@ -23,7 +23,7 @@ from typing import Any
 from .atmosphere import LinkGeometry, WeatherScenario
 from .errors import ConfigKeyError
 from .linkbudget import TransceiverOptics
-from .modem import Pam4Config, check_n_symbols
+from .modem import MAX_WORKERS, Pam4Config, check_n_symbols
 from .reporting import as_jsonable
 from .spatial_filter import SolarModel
 
@@ -79,8 +79,8 @@ class RunConfig:
         if self.fading not in ("auto", "log_normal", "gamma_gamma"):
             raise ValueError(f"unknown fading selection {self.fading!r}")
         check_n_symbols(self.n_symbols)
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {self.workers}")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":

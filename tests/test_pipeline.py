@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -372,6 +373,18 @@ class TestRunConfig:
         huge = {"scenario": {"visibility_km": 10**400}}
         with pytest.raises(ValueError, match="'scenario.visibility_km' must be finite"):
             scenarios.decode(RunConfig, huge)
+
+    def test_worker_bound(self):
+        # Checked on the config alone: no run, pool or thread is started.
+        threads = threading.active_count()
+        limit = modem.MAX_WORKERS
+        assert RunConfig(workers=limit).workers == limit
+        for workers in (0, limit + 1):
+            with pytest.raises(ValueError, match=rf"workers must be in \[1, {limit}\]"):
+                RunConfig(workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            RunConfig.from_dict({"workers": limit + 1})
+        assert threading.active_count() == threads
 
     def test_symbol_budget(self):
         # Constructing a config allocates nothing; the budget is checked first.
