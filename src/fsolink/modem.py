@@ -3,13 +3,13 @@
 Bits are numpy uint8 arrays of 0/1. Intensity levels are nonnegative
 (direct detection); the Gray map is 00/01/11/10 onto ascending levels,
 and modulation returns uint8 level indices (the intensities are
-``levels[labels]``). ``transmit`` is the one link pass: modulate, fade and
-add noise, matched-filter, reduce, decide, and count errors, fused into one
-kernel per block of ``_blocks`` (2^16 symbols, the last one taking the
-tail) on a pool of worker threads. Its whole-run arrays are the bits in and
-out, 2 B/symbol each. Noise is drawn in 2^16-sample chunks seeded by (seed,
-chunk index) and the blocks are merged in block order, so no worker count
-changes the result.
+``levels[labels]``). ``transmit`` is the one link pass and the only code
+run in blocks and threads: modulate, fade and add noise, matched-filter,
+reduce, decide and count errors, fused into one kernel per block of
+``_blocks`` (2^16 symbols, the last taking the tail) on worker threads; the
+stage functions are its whole-array references. It holds only the bits in
+and out, 2 B/symbol each. Noise comes in 2^16-sample chunks seeded by (seed,
+chunk index) and blocks merge in order, so no worker count changes a result.
 
 The received samples are reduced once, per block, to genie-aided per-level
 count, mean and M2. Each block is cut at the midpoints of its own level
@@ -26,7 +26,6 @@ import contextlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -130,7 +129,7 @@ class BerReport:
     snr_db: float
 
 
-def modulate(bits: np.ndarray, config: Pam4Config) -> tuple[np.ndarray, int]:
+def modulate(bits: np.ndarray) -> tuple[np.ndarray, int]:
     """Map a bit stream onto Gray-coded PAM-4 level indices.
 
     Odd-length inputs are zero-padded by one bit; the returned pad count
@@ -138,18 +137,17 @@ def modulate(bits: np.ndarray, config: Pam4Config) -> tuple[np.ndarray, int]:
     intensities are ``levels[labels]``.
     """
     bits = _bit_array(bits)
-    labels = np.empty((len(bits) + 1) // 2, dtype=np.uint8)
-    for b in _blocks(len(labels)):
-        labels[b] = _block_labels(bits, b)
-    return labels, len(bits) % 2
+    return _block_labels(bits, slice(0, (len(bits) + 1) // 2)), len(bits) % 2
 
 
 def _bit_array(bits) -> np.ndarray:
-    """``bits`` as a contiguous 1-D uint8 array (``_block_labels`` reads
-    its bit pairs as 16-bit words)."""
+    """``bits`` as a contiguous 1-D uint8 array of 0s and 1s
+    (``_block_labels`` reads its bit pairs as 16-bit words)."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1:
         raise ValueError("bits must be a 1-D array")
+    if bits.size and np.max(bits) > 1:
+        raise ValueError(f"bits must be 0 or 1, got {np.max(bits)}")
     return np.ascontiguousarray(bits)
 
 
@@ -176,7 +174,6 @@ def apply_channel(
     noise_std: float,
     seed: int,
     symbol_rate_hz: float,
-    workers: int = 1,
     levels: tuple[float, ...] | None = None,
     samples_per_symbol: int = 1,
 ) -> np.ndarray:
@@ -185,35 +182,14 @@ def apply_channel(
     ``symbols`` are the transmitted intensities, or indices into ``levels``
     when those are given. Each is held for ``samples_per_symbol`` samples,
     which the matched filter averages back to one. The trace is sampled at
-    each sample's start time and must cover the run. The blocks of
-    ``_blocks`` run on ``workers`` threads (as every stage of ``transmit``
-    does); a block's noise comes from the seeded chunks of its samples, so
-    the output never depends on the worker count.
+    each sample's start time and must cover the run. The whole array goes
+    through ``transmit``'s channel in one call; its noise comes from the
+    same seeded chunks, so each sample equals the one ``transmit`` makes.
     """
     symbols = np.asarray(symbols)
-    channel = _channel(
-        len(symbols), trace, noise_std, seed, symbol_rate_hz, samples_per_symbol
-    )
-    received = np.empty(len(symbols))
-
-    def block(b: slice) -> None:
-        tx = symbols[b] if levels is None else np.take(levels, symbols[b])
-        received[b] = channel(tx, b.start)
-
-    blocks = _blocks(len(symbols))
-    with _pool(workers, blocks) as pool:
-        list(pool.map(block, blocks))
-    return received
-
-
-def _pool(workers: int, blocks: list[slice]):
-    """An executor of ``workers`` threads, never more than there are blocks.
-    One thread's work runs in the calling thread: a started thread would
-    add its own malloc arena to the peak RSS."""
-    threads = min(workers, len(blocks))
-    if threads == 1:
-        return contextlib.nullcontext(SimpleNamespace(map=map))
-    return ThreadPoolExecutor(max_workers=threads)
+    tx = symbols if levels is None else np.take(levels, symbols)
+    channel = _channel(len(tx), trace, noise_std, seed, symbol_rate_hz, samples_per_symbol)
+    return channel(tx, 0)
 
 
 def _channel(
@@ -263,7 +239,7 @@ def _unit_noise(lo: int, hi: int, seed: int) -> np.ndarray:
 
 
 def _blocks(n: int) -> list[slice]:
-    """The blocks every stage of an n-symbol pass runs over:
+    """The blocks of an n-symbol pass and of its statistics:
     ``_CHUNK_SYMBOLS`` symbols each, the last one taking the shorter tail."""
     edges = [k * _CHUNK_SYMBOLS for k in range(max(n // _CHUNK_SYMBOLS, 1))] + [n]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
@@ -373,19 +349,15 @@ def gaussian_tail(q) -> np.ndarray | float:
     return 0.5 * erfc(np.asarray(q, dtype=float) / math.sqrt(2.0))
 
 
-def estimate_ber_from_stats(stats: LevelStats) -> float:
-    """Q-factor BER estimate (1/4) * sum_i Q(q_i) over the three eyes.
+def _ber_from_q(q) -> np.ndarray:
+    """Q-factor BER estimate (1/4) * sum_i Q(q_i) over the three eyes (the
+    last axis), clipped to [0, 1/2].
 
     Adjacent-level errors dominate under Gray coding: symbol error rate
     (1/2) * sum Q(q_i), one wrong bit per two transmitted per symbol error.
     Open noiseless eyes (Q = +inf) contribute zero; a closed noiseless
     eye (Q = -inf, see ``_eye_q``) has no estimate.
     """
-    return float(_ber_from_q(stats.q_factors))
-
-
-def _ber_from_q(q) -> np.ndarray:
-    """(1/4) * sum of Q(q) over the last axis, clipped to [0, 1/2]."""
     q = np.asarray(q, dtype=float)
     if np.any(q == -np.inf):
         raise ValueError(
@@ -442,7 +414,7 @@ def calibrate_noise_std(
     """
     if target_q <= 0:
         raise ValueError(f"target_q must be > 0, got {target_q}")
-    labels, _ = modulate(bits[: 2 * _CALIBRATION_SYMBOLS], config)
+    labels, _ = modulate(bits[: 2 * _CALIBRATION_SYMBOLS])
     sps = config.samples_per_symbol
     u = apply_channel(
         labels, trace, 0.0, seed, config.symbol_rate_hz,
@@ -514,15 +486,15 @@ def transmit(
     Each block of ``_blocks`` runs one kernel: bits to level indices, the
     channel of ``apply_channel``, per-level moments, the cut at the
     midpoints of its own level means and its bit-error count. A block that
-    lacks a level is decided after the merge, at that level's whole-run
-    mean, from its samples made again from the same seeded noise.
-    ``workers`` threads run every stage of the pass; the blocks are merged
-    in block order with ``eye_stats``' arithmetic, so the worker count
-    never changes a result.
+    lacks a level runs again after the merge, from the same seeded noise,
+    cut at that level's whole-run mean. At most ``workers`` threads run the
+    kernels, one per block at most (one thread is the calling one: a started
+    thread would add its malloc arena to the peak RSS); the blocks merge in
+    block order with ``eye_stats``' arithmetic, so the worker count never
+    changes a result.
     """
     bits = _bit_array(bits)
     n = (len(bits) + 1) // 2
-    levels = np.asarray(config.levels)
     channel = _channel(
         n, trace, noise_std, seed, config.symbol_rate_hz, config.samples_per_symbol
     )
@@ -530,28 +502,24 @@ def transmit(
     pairs = np.empty(n, dtype=np.uint16)
     rx_bits = pairs.view(np.uint8)[: len(bits)]
 
-    def received(b: slice) -> tuple[np.ndarray, np.ndarray]:
+    def kernel(b: slice, means: np.ndarray | None = None):
+        """Block b's moments, and its bit errors once it is decided: at
+        ``means``, or at its own means if it has every level."""
         labels = _block_labels(bits, b)
-        return labels, channel(np.take(levels, labels), b.start)
-
-    def decide(b: slice, samples: np.ndarray, means: np.ndarray) -> int:
-        """Write block b's decided bits; return its bit errors."""
-        pairs[b] = _decide_pairs(samples, means)
-        tx = bits[2 * b.start : 2 * b.stop]
-        return int(np.count_nonzero(tx != rx_bits[2 * b.start : 2 * b.stop]))
-
-    def kernel(b: slice):
-        labels, samples = received(b)
+        samples = channel(np.take(config.levels, labels), b.start)
         row = _block_moments(samples, labels)
-        return row, decide(b, samples, row[1]) if np.all(row[0]) else None
+        if means is None and not np.all(row[0]):
+            return row, None
+        pairs[b] = _decide_pairs(samples, row[1] if means is None else means)
+        span = slice(2 * b.start, 2 * b.stop)
+        return row, count_ber(bits[span], rx_bits[span])[0]
 
-    def deferred(k: int) -> int:
-        """Decide block k at its row of the merged ``eye``."""
-        return decide(blocks[k], received(blocks[k])[1], eye.means[k])
-
-    with _pool(workers, blocks) as pool:
-        rows, errors = zip(*pool.map(kernel, blocks))
+    threads = min(workers, len(blocks))
+    with contextlib.ExitStack() as stack:
+        run = map if threads == 1 else stack.enter_context(ThreadPoolExecutor(threads)).map
+        rows, errors = zip(*run(kernel, blocks))
         eye = _eye(rows)
         late = [k for k, e in enumerate(errors) if e is None]
-        bit_errors = sum(e for e in errors if e is not None) + sum(pool.map(deferred, late))
+        redone = run(kernel, [blocks[k] for k in late], eye.means[late])
+        bit_errors = sum(e for e in errors if e is not None) + sum(e for _, e in redone)
     return rx_bits, ber_report(bit_errors, len(bits), eye)

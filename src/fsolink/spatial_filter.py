@@ -69,8 +69,9 @@ class ApertureGrid:
                 f"signal_power must have shape ({self.n}, {self.n}), "
                 f"got {cells.shape}"
             )
-        if np.min(cells) < 0:
-            raise ValueError("cell powers must be >= 0")
+        # NaN fails the first test; neither makes an n x n mask.
+        if not (np.min(cells) >= 0 and np.max(cells) < np.inf):
+            raise ValueError("cell powers must be finite and >= 0")
         if self.noise_power_total <= 0:
             raise ValueError(
                 f"noise_power_total must be > 0, got {self.noise_power_total}"

@@ -183,7 +183,7 @@ def test_criterion_07_estimator_vs_counting():
         sigma = (1.0 / 3.0) / (2.0 * q)
         n_bits = int(min(max(300 / target, 4e5), 4e7))
         bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        labels, _ = modulate(bits, config)
+        labels, _ = modulate(bits)
         symbols = np.asarray(config.levels)[labels]
         trace = constant_trace(len(symbols) / config.symbol_rate_hz)
         received = apply_channel(

@@ -456,6 +456,13 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err == f"error: n must be in [1, 23170] (n x n cells in 4 GiB), got {n}\n"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_filter_sim_rejects_non_finite_grid_cell(self, cell, tmp_path, capsys):
+        grid = tmp_path / "grid.csv"
+        grid.write_text(f"0.9,0.04\n0.03,{cell}\n")
+        assert run_cli("filter-sim", "--grid", str(grid), "--symbols", "10000") == 1
+        assert capsys.readouterr().err == "error: cell powers must be finite and >= 0\n"
+
     def test_integer_beyond_float_range_rejected(self, capsys):
         override = "scenario.visibility_km=1" + "0" * 400
         assert run_cli("budget", "--set", override) == 1

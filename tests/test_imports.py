@@ -1,12 +1,14 @@
 """Static checks on ``src/fsolink``: no module imports a name it never
-uses, and no module-level private name goes unread by every module.
+uses, no module-level private name goes unread by every module, and no
+function takes a parameter its body never reads.
 
 A name counts as used when the module reads it anywhere, including inside
 a string annotation such as ``"LinkGeometry"``. ``__init__.py`` is checked
 like every other module; ``__future__`` imports are directives. A private
 name is a ``_``-prefixed (not dunder) function, class or constant defined
 at module level; it is read when some module loads it by name or as an
-attribute (``modem._decide``).
+attribute (``modem._decide``). A parameter (``self`` and ``cls`` aside) is
+read when its function's body, nested functions included, loads its name.
 """
 
 from __future__ import annotations
@@ -157,3 +159,48 @@ def test_checker_sees_string_annotations_and_unused_names():
         "    return erfc(1.0)\n"
     )
     assert _unused_imports(source) == ["line 1: csv", "line 5: erf"]
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """``line N: function(parameter)`` for each parameter its body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set().union(*(_used_names(statement) for statement in body))
+        name = getattr(node, "name", "lambda")
+        unread += [
+            f"line {node.lineno}: {name}({param.arg})"
+            for param in params
+            if param.arg not in ("self", "cls", *read)
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path.read_text()) == []
+
+
+def test_checker_finds_an_unread_parameter():
+    source = (
+        "def modulate(bits, config, *rest, flag=False, **extra):\n"
+        "    def inner(x):\n"
+        "        return bits[x] if flag else rest\n"
+        "    return inner\n"
+        "class A:\n"
+        "    def method(self, value):\n"
+        "        self.value = 1\n"
+        "    @classmethod\n"
+        "    def make(cls, data):\n"
+        "        return cls(data)\n"
+        "key = lambda item, unused: item[0]\n"
+    )
+    assert _unread_parameters(source) == [
+        "line 1: modulate(config)", "line 1: modulate(extra)",
+        "line 6: method(value)", "line 11: lambda(unused)",
+    ]

@@ -19,7 +19,6 @@ from fsolink.modem import (
     calibrate_noise_std,
     count_ber,
     demodulate,
-    estimate_ber_from_stats,
     eye_stats,
     gaussian_tail,
     matched_filter,
@@ -34,39 +33,49 @@ LEVELS = np.asarray(CONFIG.levels)
 
 class TestModulate:
     def test_all_zero_bits(self):
-        labels, pad = modulate(np.zeros(6, dtype=np.uint8), CONFIG)
+        labels, pad = modulate(np.zeros(6, dtype=np.uint8))
         assert np.array_equal(labels, [0, 0, 0])
         assert pad == 0
 
     def test_gray_map_order(self):
         bits = np.array([0, 0, 0, 1, 1, 1, 1, 0], dtype=np.uint8)
-        labels, _ = modulate(bits, CONFIG)
+        labels, _ = modulate(bits)
         assert np.array_equal(labels, [0, 1, 2, 3])
 
     def test_odd_length_pads_one_bit(self):
-        labels, pad = modulate(np.array([1], dtype=np.uint8), CONFIG)
+        labels, pad = modulate(np.array([1], dtype=np.uint8))
         assert pad == 1
         # 1 then padded 0 -> pair "10" -> top level under Gray.
         assert np.array_equal(labels, [3])
 
     def test_strided_bits(self):
         bits = np.random.default_rng(3).integers(0, 2, 4002, dtype=np.uint8)
-        labels, _ = modulate(bits[::2], CONFIG)
-        assert np.array_equal(labels, modulate(bits[::2].copy(), CONFIG)[0])
+        labels, _ = modulate(bits[::2])
+        assert np.array_equal(labels, modulate(bits[::2].copy())[0])
 
     @settings(max_examples=40, deadline=None)
     @given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=300))
     def test_round_trip_identity(self, bits):
         bits = np.array(bits, dtype=np.uint8)
-        labels, pad = modulate(bits, CONFIG)
+        labels, pad = modulate(bits)
         recovered = demodulate(LEVELS[labels], [LEVELS])
         assert np.array_equal(recovered[: len(bits)], bits)
         assert len(recovered) == len(bits) + pad
 
+    def test_rejects_bits_other_than_0_and_1(self):
+        # A byte of 2 would otherwise be sent as its low bit.
+        bits = np.zeros(2000, dtype=np.uint8)
+        bits[5] = 2
+        trace = constant_trace(1000 / CONFIG.symbol_rate_hz)
+        with pytest.raises(ValueError, match="bits must be 0 or 1, got 2$"):
+            modulate(bits)
+        with pytest.raises(ValueError, match="bits must be 0 or 1, got 2$"):
+            transmit(bits, trace, 0.0, 1, CONFIG)
+
 
 class TestApplyChannel:
     def test_identity_channel(self):
-        labels, _ = modulate(np.random.default_rng(0).integers(0, 2, 2000, dtype=np.uint8), CONFIG)
+        labels, _ = modulate(np.random.default_rng(0).integers(0, 2, 2000, dtype=np.uint8))
         symbols = LEVELS[labels]
         trace = constant_trace(len(symbols) / CONFIG.symbol_rate_hz)
         out = apply_channel(symbols, trace, 0.0, seed=1, symbol_rate_hz=CONFIG.symbol_rate_hz)
@@ -86,14 +95,6 @@ class TestApplyChannel:
         out = apply_channel(symbols, trace, 0.1, seed=7, symbol_rate_hz=1e9)
         assert float(np.std(out)) == pytest.approx(0.1, rel=0.02)
         assert float(np.mean(out)) == pytest.approx(1.0, abs=0.001)
-
-    def test_worker_count_does_not_change_result(self):
-        n = 300_000
-        symbols = np.ones(n)
-        trace = constant_trace(n / 1e9)
-        one = apply_channel(symbols, trace, 0.05, seed=9, symbol_rate_hz=1e9, workers=1)
-        four = apply_channel(symbols, trace, 0.05, seed=9, symbol_rate_hz=1e9, workers=4)
-        assert np.array_equal(one, four)
 
     def test_trace_too_short(self):
         symbols = np.ones(1000)
@@ -117,14 +118,14 @@ class TestDemodulate:
     def test_noiseless_ramp_exact(self):
         rng = np.random.default_rng(3)
         bits = rng.integers(0, 2, 20_000, dtype=np.uint8)
-        labels, _ = modulate(bits, CONFIG)
+        labels, _ = modulate(bits)
         assert np.array_equal(demodulate(LEVELS[labels], [LEVELS])[: len(bits)], bits)
 
     def test_adaptive_is_scale_invariant(self):
         # Cuts at each block's own level means follow any received scale.
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, 300_000, dtype=np.uint8)
-        labels, _ = modulate(bits, CONFIG)
+        labels, _ = modulate(bits)
         received = 0.5 * LEVELS[labels] + rng.normal(0, 0.01, len(labels))
         recovered = demodulate(received, eye_stats(received, labels).means)
         assert np.array_equal(recovered[: len(bits)], bits)
@@ -137,7 +138,7 @@ class TestDemodulate:
         rng = np.random.default_rng(5)
         n_bits = 2_000_000
         bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        labels, _ = modulate(bits, CONFIG)
+        labels, _ = modulate(bits)
         symbols = LEVELS[labels]
         sigma = 0.055  # eye q = (1/3) / (2 sigma) ~ 3.03
         trace = constant_trace(len(symbols) / CONFIG.symbol_rate_hz)
@@ -185,7 +186,7 @@ class TestDemodulate:
         ])
         if cuts is None:
             every_block = np.tile(LEVELS, (len(modem._blocks(len(samples))), 1))
-            decided, _ = modulate(demodulate(samples, every_block), CONFIG)
+            decided, _ = modulate(demodulate(samples, every_block))
         else:
             decided = modem._decide(samples, edges)
         assert np.array_equal(decided, np.digitize(samples, edges, right=True))
@@ -211,7 +212,7 @@ class TestEyeStats:
         # off by one ulp; anything at machine-epsilon scale counts as zero.
         assert np.all(stats.stds < 1e-12)
         assert np.all(stats.q_factors > 1e10)
-        assert estimate_ber_from_stats(stats) == 0.0
+        assert modem._ber_from_q(stats.q_factors) == 0.0
 
     def test_noiseless_exact_levels(self):
         exact = Pam4Config(symbol_rate_hz=1e6, levels=(0.0, 0.25, 0.5, 1.0))
@@ -276,7 +277,7 @@ class TestEstimateBer:
     def test_noiseless_gives_zero(self):
         labels = np.repeat(np.arange(4), 100)
         eye = eye_stats(LEVELS[labels], labels)
-        assert estimate_ber_from_stats(eye.run) == 0.0
+        assert modem._ber_from_q(eye.run.q_factors) == 0.0
         assert eye.ber_estimated == 0.0
 
     def test_equal_gap_collapse(self):
@@ -289,13 +290,13 @@ class TestEstimateBer:
             q_factors=np.full(3, d / (2 * sigma)),
         )
         expected = 0.75 * float(gaussian_tail(d / (2 * sigma)))
-        assert estimate_ber_from_stats(stats) == pytest.approx(expected, rel=1e-12)
+        assert modem._ber_from_q(stats.q_factors) == pytest.approx(expected, rel=1e-12)
 
     def test_estimator_tracks_counting_at_q37(self):
         rng = np.random.default_rng(8)
         n_bits = 10_000_000
         bits = rng.integers(0, 2, n_bits, dtype=np.uint8)
-        labels, _ = modulate(bits, CONFIG)
+        labels, _ = modulate(bits)
         symbols = LEVELS[labels]
         sigma = (1 / 3) / (2 * 3.7)
         trace = constant_trace(len(symbols) / CONFIG.symbol_rate_hz)
@@ -325,7 +326,7 @@ class TestEstimateBer:
             sizes.append(len(x))
         expected = np.dot(per_block, sizes) / len(labels)
         assert eye.ber_estimated == pytest.approx(expected, rel=1e-9)
-        assert estimate_ber_from_stats(eye.run) != pytest.approx(expected, rel=0.01)
+        assert modem._ber_from_q(eye.run.q_factors) != pytest.approx(expected, rel=0.01)
 
     def test_zero_denominator_with_bad_gap(self):
         stats = LevelStats(
@@ -335,7 +336,7 @@ class TestEstimateBer:
             q_factors=np.array([-np.inf, np.inf, np.inf]),
         )
         with pytest.raises(ValueError):
-            estimate_ber_from_stats(stats)
+            modem._ber_from_q(stats.q_factors)
 
 
 class TestCountBer:
@@ -384,9 +385,8 @@ class TestTransmit:
                                    (3 << 16, 1)):
             bits = np.random.default_rng(n_symbols).integers(0, 2, 2 * n_symbols, dtype=np.uint8)
             transmit(bits, trace, 0.05, 1, CONFIG, workers)
-            apply_channel(np.ones(n_symbols), trace, 0.05, 1, CONFIG.symbol_rate_hz, workers)
         # One block, or one worker, runs in the calling thread.
-        assert sizes == [3, 3]
+        assert sizes == [3]
 
 
 class TestTransmitMatchesReference:
@@ -406,10 +406,9 @@ class TestTransmitMatchesReference:
         config = Pam4Config(symbol_rate_hz=1e6, samples_per_symbol=sps)
         rx_bits, report = transmit(bits, trace, noise_std, 11, config, workers)
 
-        labels, _ = modulate(bits, config)
+        labels, _ = modulate(bits)
         received = apply_channel(
-            labels, trace, noise_std, 11, config.symbol_rate_hz, workers,
-            config.levels, sps,
+            labels, trace, noise_std, 11, config.symbol_rate_hz, config.levels, sps,
         )
         eye = eye_stats(received, labels)
         ref_bits = demodulate(received, eye.means)[: len(bits)]
@@ -537,7 +536,7 @@ class TestCalibrationMatchesReference:
 
     @staticmethod
     def reference(bits, trace, config):
-        labels, _ = modulate(bits, config)
+        labels, _ = modulate(bits)
         return reference_calibrate_noise_std(
             LEVELS[labels], labels, trace, 3.7, 9,
             symbol_rate_hz=config.symbol_rate_hz,

@@ -95,7 +95,7 @@ class TestRunEndToEnd:
         bits = np.random.default_rng(bits_seed).integers(
             0, 2, 2 * config.n_symbols, dtype=np.uint8
         )
-        labels, _ = modulate(bits, config.modem)
+        labels, _ = modulate(bits)
         symbols = np.asarray(config.modem.levels)[labels]
         duration = len(symbols) / config.modem.symbol_rate_hz
         n_trace = pipeline._auto_trace_samples(len(symbols), duration, tau0)

@@ -221,5 +221,12 @@ class TestApertureGridType:
             ApertureGrid(n=2, signal_power=-np.ones((2, 2)))
         with pytest.raises(ValueError, match="cell powers"):
             ApertureGrid(n=2, signal_power=np.array([[1.0, 1.0], [1.0, -1e-300]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected(self, bad):
+        cells = np.ones((3, 3))
+        cells[1, 2] = bad
+        with pytest.raises(ValueError, match="^cell powers must be finite and >= 0$"):
+            ApertureGrid(n=3, signal_power=cells)
         with pytest.raises(ValueError):
             ApertureGrid(n=2, signal_power=np.ones((2, 2)), noise_power_total=0.0)
