@@ -36,6 +36,10 @@ CASES: dict[str, tuple[list[str], int]] = {
     "budget_hazy_json": (["budget", "--scenario", "hazy", "--format", "json"], 0),
     "transmit_clear": ([*_TRANSMIT, "--scenario", "clear"], 0),
     "transmit_hazy": ([*_TRANSMIT, "--scenario", "hazy"], 0),
+    "transmit_pointing": (
+        [*_TRANSMIT, "--scenario", "clear", "--set", "optics.pointing_error_rad=1e-6"],
+        0,
+    ),
     "transmit_sps2_pointing": (
         [*_TRANSMIT, "--scenario", "clear", "--set", "modem.samples_per_symbol=2",
          "--set", "optics.pointing_error_rad=1e-6"],

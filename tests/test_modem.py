@@ -636,40 +636,33 @@ class TestTransmitPinned:
             (dict(n_bits=SEVERAL + 1),
                 "6394f215d0e85ebaef3385c189f561b5687c1fa350d06508f34d16bf190c2c0d",
             ),
-            (dict(n_bits=SEVERAL, sps=2),
-                "5ff1dd2559b040b6dc974ecec4e7999854a861007eed8a5e9fcc867ae102f145",
-            ),
-            (dict(n_bits=SEVERAL, sps=3, workers=3),
-                "59548b3ef58c2fb8b513a8ed0259181c1d6021ba35b70c91a0394eecddbfa692",
+            (dict(n_bits=SEVERAL),
+                "c2e09d3c6ca0802e589488e3ccd20318ca06d0338fe708dfd7271edbf277136d",
             ),
             (dict(n_bits=SEVERAL, workers=3),
                 "c2e09d3c6ca0802e589488e3ccd20318ca06d0338fe708dfd7271edbf277136d",
             ),
-            (dict(n_bits=2 * BLOCK, sps=3),
-                "c3828e8c9c50e75469908f0c36f62847ead533e7f5f50bc6db6bb22d26188eba",
+            (dict(n_bits=2 * BLOCK + 1, workers=3),
+                "6f0d7c6d44f48a328ec28d08dc125e0d659dc36f5845042cb9e187f3db957d12",
             ),
-            (dict(n_bits=2 * BLOCK + 1, sps=2, workers=3),
-                "3bb799239007bb50fba07c068f76a594e4c915e359cb66c9727ebc46ee6ca75e",
+            (dict(n_bits=3001, workers=3),
+                "e452e6bde7a33fe095ee3c820b1c3395a5812d6117c2536b2c5bcad851b3f17e",
             ),
-            (dict(n_bits=3001, sps=2, workers=3),
-                "c5dd606801e26a2cd1493a75010eea2ecdcd5cb43660c295b61a1319c0622033",
-            ),
-            (dict(n_bits=SEVERAL, sps=2, noise_std=0.0),
+            (dict(n_bits=SEVERAL, noise_std=0.0),
                 "b0f41054c6889539c3a72e0702b1cdb7c6db25aa0cb17efa43a780fe3cdffe02",
             ),
             (dict(n_bits=SEVERAL + 1, workers=3, trace_rate_hz=None),
                 "ead1b108be317a54f86c7828858c018717997ed403c5d821450d8a433ce816b3",
             ),
-            (dict(n_bits=SEVERAL, sps=3, trace_rate_hz=None),
-                "7a345301e06cb840e378f6f6c745b02389d4da123c32598f46ccf6c6457e5408",
+            (dict(n_bits=SEVERAL, trace_rate_hz=None),
+                "639eadd202ce1773bb016804e26c593bf9a774d9a608ce62cc66ecd2227c0323",
             ),
         ],
         ids=[
-            "below-block-odd", "one-block", "several-adaptive-odd", "several-sps2",
-            "several-sps3-w3", "several-w3-adaptive",
-            "one-block-sps3-adaptive", "one-block-odd-sps2-w3-adaptive",
-            "below-block-sps2-w3", "several-sps2-noiseless",
-            "several-odd-w3-at-sample-rate", "several-sps3-adaptive-at-sample-rate",
+            "below-block-odd", "one-block", "several-adaptive-odd", "several",
+            "several-w3-adaptive", "one-block-odd-w3-adaptive",
+            "below-block-w3", "several-noiseless",
+            "several-odd-w3-at-sample-rate", "several-adaptive-at-sample-rate",
         ],
     )
     def test_transmit_pinned(self, case, expected):
