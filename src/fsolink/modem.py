@@ -4,8 +4,8 @@ Bits are numpy uint8 arrays of 0/1. Intensity levels are nonnegative
 (direct detection); the Gray map is 00/01/11/10 onto ascending levels,
 and modulation returns uint8 level indices (the intensities are
 ``levels[labels]``). ``transmit`` is the one link pass and the only code
-run in blocks and threads: modulate, fade and add noise, matched-filter,
-reduce, decide and count errors, fused into one kernel per block of
+run in blocks and threads: modulate, fade and add noise at one sample per
+symbol, reduce, decide and count errors, fused into one kernel per block of
 ``_blocks`` (2^16 symbols, the last taking the tail) on worker threads; the
 stage functions are its whole-array references. It holds only the bits in
 and out, 2 B/symbol each. Noise comes in 2^16-sample chunks seeded by (seed,
@@ -70,7 +70,6 @@ class Pam4Config:
 
     symbol_rate_hz: float = 2e9
     levels: tuple[float, float, float, float] = (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
-    samples_per_symbol: int = 1
 
     def __post_init__(self):
         if self.symbol_rate_hz <= 0:
@@ -82,10 +81,6 @@ class Pam4Config:
             raise ValueError(f"levels must be strictly increasing, got {lv}")
         if lv[0] < 0:
             raise ValueError(f"intensity levels must be nonnegative, got {lv}")
-        if self.samples_per_symbol < 1:
-            raise ValueError(
-                f"samples_per_symbol must be >= 1, got {self.samples_per_symbol}"
-            )
         object.__setattr__(self, "levels", lv)
 
 
@@ -175,50 +170,43 @@ def apply_channel(
     seed: int,
     symbol_rate_hz: float,
     levels: tuple[float, ...] | None = None,
-    samples_per_symbol: int = 1,
 ) -> np.ndarray:
-    """r_k = H(t_k) * x_k + n_k with zero-order-hold gains and AWGN.
+    """r_k = H(t_k) * x_k + n_k with zero-order-hold gains and AWGN, one
+    sample per symbol.
 
     ``symbols`` are the transmitted intensities, or indices into ``levels``
-    when those are given. Each is held for ``samples_per_symbol`` samples,
-    which the matched filter averages back to one. The trace is sampled at
-    each sample's start time and must cover the run. The whole array goes
-    through ``transmit``'s channel in one call; its noise comes from the
-    same seeded chunks, so each sample equals the one ``transmit`` makes.
+    when those are given. The trace is sampled at each symbol's start time
+    and must cover the run. The whole array goes through ``transmit``'s
+    channel in one call; its noise comes from the same seeded chunks, so
+    each sample equals the one ``transmit`` makes.
     """
     symbols = np.asarray(symbols)
     tx = symbols if levels is None else np.take(levels, symbols)
-    channel = _channel(len(tx), trace, noise_std, seed, symbol_rate_hz, samples_per_symbol)
-    return channel(tx, 0)
+    return _channel(len(tx), trace, noise_std, seed, symbol_rate_hz)(tx, 0)
 
 
-def _channel(
-    n: int, trace: ChannelTrace, noise_std: float, seed: int, symbol_rate_hz: float, sps: int
-):
+def _channel(n: int, trace: ChannelTrace, noise_std: float, seed: int, symbol_rate_hz: float):
     """Check an n-symbol channel and return its block function: (the
-    intensities of the symbols from index lo on, lo) -> their matched-filter
-    outputs."""
+    intensities of the symbols from index lo on, lo) -> their received
+    samples."""
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    rate = symbol_rate_hz * sps
-    if int((n * sps - 1) / rate * trace.sample_rate_hz) >= len(trace.gains):
+    if int((n - 1) / symbol_rate_hz * trace.sample_rate_hz) >= len(trace.gains):
         raise TraceTooShortError(
             f"trace covers {trace.duration_s:g} s but {n} symbols at "
             f"{symbol_rate_hz:g} Baud need {n / symbol_rate_hz:g} s"
         )
-    step = trace.sample_rate_hz / rate
+    step = trace.sample_rate_hz / symbol_rate_hz
 
     def block(tx: np.ndarray, lo: int) -> np.ndarray:
-        if sps > 1:
-            tx = np.repeat(tx, sps)
-        lo, hi = lo * sps, lo * sps + len(tx)
+        hi = lo + len(tx)
         idx = (np.arange(lo, hi) * step).astype(np.intp)
         r = trace.gains[idx] * tx
         if noise_std > 0:
             noise = _unit_noise(lo, hi, seed)
             noise *= noise_std
             r += noise
-        return matched_filter(r, sps)
+        return r
 
     return block
 
@@ -385,13 +373,6 @@ def q_for_target_ber(target_ber: float) -> float:
     return float(-ndtri(4.0 * target_ber / 3.0))
 
 
-def matched_filter(received: np.ndarray, samples_per_symbol: int) -> np.ndarray:
-    """Average each symbol's samples (rectangular-pulse matched filter)."""
-    if samples_per_symbol == 1:
-        return received
-    return received.reshape(-1, samples_per_symbol).mean(axis=1)
-
-
 def calibrate_noise_std(
     bits: np.ndarray,
     trace: ChannelTrace,
@@ -402,11 +383,11 @@ def calibrate_noise_std(
     """Solve for the noise level that hits a target mean eye Q-factor.
 
     Bisection on noise_std against the mean of the three eye Q-factors
-    over the first ``_CALIBRATION_SYMBOLS`` symbols of ``bits``, after the
-    matched filter. Every trial level reuses the same noise draws z (those
-    ``apply_channel`` makes for ``seed``), so the received samples are
-    u + noise_std * z with u = H * x. The per-level means and variances of
-    u + s z at s = 0, 1 and -1 (``eye_stats``' reduction) give the means of
+    over the first ``_CALIBRATION_SYMBOLS`` symbols of ``bits``. Every
+    trial level reuses the same noise draws z (those ``apply_channel``
+    makes for ``seed``), so the received samples are u + noise_std * z
+    with u = H * x. The per-level means and variances of u + s z at
+    s = 0, 1 and -1 (``eye_stats``' reduction) give the means of
     u and z and A = Var(u), B = Var(z), C = Cov(u, z); a trial level s then
     has means u_mean + s * z_mean and variances A + 2 s C + s^2 B. The
     bracketed function is deterministic and strictly decreasing; the
@@ -415,12 +396,8 @@ def calibrate_noise_std(
     if target_q <= 0:
         raise ValueError(f"target_q must be > 0, got {target_q}")
     labels, _ = modulate(bits[: 2 * _CALIBRATION_SYMBOLS])
-    sps = config.samples_per_symbol
-    u = apply_channel(
-        labels, trace, 0.0, seed, config.symbol_rate_hz,
-        levels=config.levels, samples_per_symbol=sps,
-    )
-    z = matched_filter(_unit_noise(0, len(labels) * sps, seed), sps)
+    u = apply_channel(labels, trace, 0.0, seed, config.symbol_rate_hz, levels=config.levels)
+    z = _unit_noise(0, len(labels), seed)
     at_0, at_1, at_minus_1 = (_merge(_level_moments(x, labels)) for x in (u, u + z, u - z))
     z_mean = at_1.means - at_0.means
     var_u, var_plus, var_minus = (s.stds**2 for s in (at_0, at_1, at_minus_1))
@@ -484,20 +461,18 @@ def transmit(
 
     Returns the decided bits, cut to ``len(bits)``, and their BER report.
     Each block of ``_blocks`` runs one kernel: bits to level indices, the
-    channel of ``apply_channel``, per-level moments, the cut at the
-    midpoints of its own level means and its bit-error count. A block that
-    lacks a level runs again after the merge, from the same seeded noise,
-    cut at that level's whole-run mean. At most ``workers`` threads run the
-    kernels, one per block at most (one thread is the calling one: a started
-    thread would add its malloc arena to the peak RSS); the blocks merge in
-    block order with ``eye_stats``' arithmetic, so the worker count never
-    changes a result.
+    channel of ``apply_channel`` (one sample per symbol), per-level
+    moments, the cut at the midpoints of its own level means and its
+    bit-error count. A block that lacks a level runs again after the merge,
+    from the same seeded noise, cut at that level's whole-run mean. At most
+    ``workers`` threads run the kernels, one per block at most (one thread
+    is the calling one: a started thread would add its malloc arena to the
+    peak RSS); the blocks merge in block order with ``eye_stats``'
+    arithmetic, so the worker count never changes a result.
     """
     bits = _bit_array(bits)
     n = (len(bits) + 1) // 2
-    channel = _channel(
-        n, trace, noise_std, seed, config.symbol_rate_hz, config.samples_per_symbol
-    )
+    channel = _channel(n, trace, noise_std, seed, config.symbol_rate_hz)
     blocks = _blocks(n)
     pairs = np.empty(n, dtype=np.uint16)
     rx_bits = pairs.view(np.uint8)[: len(bits)]

@@ -45,9 +45,10 @@ class TestDispatch:
             ("scenario.visibility_km.x=1", "scenario.visibility_km.x"),
             ("scenario.cloud={}", "scenario.cloud.thickness_m"),
             ("modem.gray_mapping=false", "modem.gray_mapping"),
+            ("modem.samples_per_symbol=2", "modem.samples_per_symbol"),
         ],
         ids=["unknown", "cloud-typo", "solar-typo", "below-leaf", "cloud-missing",
-             "retired-gray-mapping"],
+             "retired-gray-mapping", "retired-samples-per-symbol"],
     )
     def test_unknown_override_key_is_usage_error(self, override, key, capsys):
         assert run_cli("budget", "--scenario", "clear", "--set", override) == 2
@@ -78,7 +79,6 @@ class TestDispatch:
             ("seed=true", "seed"),
             ("scenario.visibility_km=false", "scenario.visibility_km"),
             ("seed=1.5", "seed"),
-            ("modem.samples_per_symbol=2.5", "modem.samples_per_symbol"),
             ("modem.levels=[0, 1]", "modem.levels"),
             ("scenario.visibility_km=abc", "scenario.visibility_km"),
             ("scenario=5", "scenario"),
@@ -87,7 +87,7 @@ class TestDispatch:
             ("optics.tx_power_dbm=-Infinity", "optics.tx_power_dbm"),
             ("scenario.visibility_km=1" + "0" * 5000, "scenario.visibility_km"),
         ],
-        ids=["seed-bool", "visibility-bool", "seed-fraction", "sps-fraction",
+        ids=["seed-bool", "visibility-bool", "seed-fraction",
              "levels-length", "visibility-string", "section-number",
              "visibility-nan", "distance-inf", "power-minus-inf",
              "visibility-5001-digits"],

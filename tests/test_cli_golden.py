@@ -40,11 +40,6 @@ CASES: dict[str, tuple[list[str], int]] = {
         [*_TRANSMIT, "--scenario", "clear", "--set", "optics.pointing_error_rad=1e-6"],
         0,
     ),
-    "transmit_sps2_pointing": (
-        [*_TRANSMIT, "--scenario", "clear", "--set", "modem.samples_per_symbol=2",
-         "--set", "optics.pointing_error_rad=1e-6"],
-        0,
-    ),
     "trace_hazy_csv": (
         ["trace", "--scenario", "hazy", "--rate", "1e4", "--duration", "0.05",
          "--out", "{out}/trace.csv"],

@@ -21,7 +21,6 @@ from fsolink.modem import (
     demodulate,
     eye_stats,
     gaussian_tail,
-    matched_filter,
     modulate,
     q_for_target_ber,
     transmit,
@@ -361,12 +360,10 @@ class TestCountBer:
 
 
 class TestTransmit:
-    @pytest.mark.parametrize("samples_per_symbol", [1, 2])
-    def test_clean_link_returns_the_bits(self, samples_per_symbol):
-        config = dataclasses.replace(CONFIG, samples_per_symbol=samples_per_symbol)
+    def test_clean_link_returns_the_bits(self):
         bits = np.random.default_rng(21).integers(0, 2, 2001, dtype=np.uint8)
         trace = constant_trace(1001 / CONFIG.symbol_rate_hz)
-        rx_bits, report = transmit(bits, trace, 0.0, 1, config)
+        rx_bits, report = transmit(bits, trace, 0.0, 1, CONFIG)
         assert np.array_equal(rx_bits, bits)
         assert (report.bits_tx, report.bit_errors) == (2001, 0)
         assert report.level_stats.counts.sum() == 1001
@@ -402,13 +399,12 @@ class TestTransmitMatchesReference:
         return generate_trace(FadingModel.log_normal(0.05), 2e-3, 1e5, duration, seed=4)
 
     @staticmethod
-    def check(bits, trace, noise_std, sps, workers):
-        config = Pam4Config(symbol_rate_hz=1e6, samples_per_symbol=sps)
-        rx_bits, report = transmit(bits, trace, noise_std, 11, config, workers)
+    def check(bits, trace, noise_std, workers):
+        rx_bits, report = transmit(bits, trace, noise_std, 11, CONFIG, workers)
 
         labels, _ = modulate(bits)
         received = apply_channel(
-            labels, trace, noise_std, 11, config.symbol_rate_hz, config.levels, sps,
+            labels, trace, noise_std, 11, CONFIG.symbol_rate_hz, CONFIG.levels
         )
         eye = eye_stats(received, labels)
         ref_bits = demodulate(received, eye.means)[: len(bits)]
@@ -431,28 +427,28 @@ class TestTransmitMatchesReference:
         return labels
 
     @pytest.mark.parametrize(
-        "n_bits, sps, workers, noise_std",
+        "n_bits, workers, noise_std",
         [
-            (1001, 1, 1, 0.08),
-            (3001, 2, 3, 0.08),
-            (2 * (3 * BLOCK + 1234) + 1, 1, 2, 0.08),
-            (2 * (3 * BLOCK + 1234), 2, 3, 0.08),
-            (2 * (2 * BLOCK), 1, 3, 0.08),
-            (2 * (2 * BLOCK + 77), 2, 2, 0.0),
-            (2 * (2 * BLOCK + 77) + 1, 1, 1, 0.0),
+            (1001, 1, 0.08),
+            (3001, 3, 0.08),
+            (2 * (3 * BLOCK + 1234) + 1, 2, 0.08),
+            (2 * (3 * BLOCK + 1234), 3, 0.08),
+            (2 * (2 * BLOCK), 3, 0.08),
+            (2 * (2 * BLOCK + 77), 2, 0.0),
+            (2 * (2 * BLOCK + 77) + 1, 1, 0.0),
         ],
         ids=[
-            "below-block-odd-w1", "below-block-odd-sps2-w3", "several-odd-w2",
-            "several-sps2-w3", "two-blocks-w3", "several-sps2-w2-noiseless",
+            "below-block-odd-w1", "below-block-odd-w3", "several-odd-w2",
+            "several-w3", "two-blocks-w3", "several-w2-noiseless",
             "several-odd-w1-noiseless",
         ],
     )
-    def test_matches_the_chain(self, n_bits, sps, workers, noise_std):
+    def test_matches_the_chain(self, n_bits, workers, noise_std):
         bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
-        self.check(bits, self.trace(n_bits), noise_std, sps, workers)
+        self.check(bits, self.trace(n_bits), noise_std, workers)
 
-    @pytest.mark.parametrize("sps, workers", [(1, 1), (1, 2), (2, 3)])
-    def test_block_without_a_level_is_decided_after_the_merge(self, sps, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_block_without_a_level_is_decided_after_the_merge(self, workers):
         # 20 KiB random, a 64 KiB zero run, 20 KiB + 3 B random: the zero run
         # holds whole blocks of level 0 only, cut at the whole-run means.
         rng = np.random.default_rng(5)
@@ -461,7 +457,7 @@ class TestTransmitMatchesReference:
             rng.integers(0, 256, (20 << 10) + 3),
         ]).astype(np.uint8)
         bits = np.unpackbits(data)
-        labels = self.check(bits, self.trace(len(bits)), 0.08, sps, workers)
+        labels = self.check(bits, self.trace(len(bits)), 0.08, workers)
         level_0_only = [b for b in modem._blocks(len(labels)) if not np.any(labels[b])]
         assert len(level_0_only) == 3
 
@@ -482,20 +478,14 @@ class TestCalibration:
 
 
 def reference_calibrate_noise_std(
-    symbols, labels, trace, target_q, seed, symbol_rate_hz=None,
-    rel_tol=1e-4, samples_per_symbol=1,
+    symbols, labels, trace, target_q, seed, symbol_rate_hz, rel_tol=1e-4,
 ):
     """The direct method: bisection that reruns the channel at every trial."""
     if target_q <= 0:
         raise ValueError(f"target_q must be > 0, got {target_q}")
-    tx = np.repeat(symbols, samples_per_symbol) if samples_per_symbol > 1 else symbols
-    rate = None if symbol_rate_hz is None else symbol_rate_hz * samples_per_symbol
 
     def mean_q(noise_std):
-        received = matched_filter(
-            apply_channel(tx, trace, noise_std, seed, symbol_rate_hz=rate),
-            samples_per_symbol,
-        )
+        received = apply_channel(symbols, trace, noise_std, seed, symbol_rate_hz)
         return float(np.mean(eye_stats(received, labels).run.q_factors))
 
     span = float(np.max(symbols) - np.min(symbols)) or 1.0
@@ -540,25 +530,21 @@ class TestCalibrationMatchesReference:
         return reference_calibrate_noise_std(
             LEVELS[labels], labels, trace, 3.7, 9,
             symbol_rate_hz=config.symbol_rate_hz,
-            samples_per_symbol=config.samples_per_symbol,
         )
 
     @pytest.mark.parametrize(
-        "fading, tau_blocks, samples_per_symbol",
+        "fading, tau_blocks",
         [
-            (FadingModel.gamma_gamma_from_rytov(0.6), 10.0, 1),
-            (FadingModel.log_normal(0.1), 1.0, 1),
-            (FadingModel.gamma_gamma_from_rytov(0.6), 10.0, 2),
-            (FadingModel.log_normal(0.1), 1.0, 2),
-            (None, None, 1),
+            (FadingModel.gamma_gamma_from_rytov(0.6), 10.0),
+            (FadingModel.log_normal(0.1), 1.0),
+            (None, None),
         ],
-        ids=["hazy", "clear", "hazy-sps2", "clear-sps2", "constant"],
+        ids=["hazy", "clear", "constant"],
     )
-    def test_same_noise_std(self, fading, tau_blocks, samples_per_symbol):
+    def test_same_noise_std(self, fading, tau_blocks):
         bits, trace = self.block(fading, tau_blocks)
-        config = dataclasses.replace(CONFIG, samples_per_symbol=samples_per_symbol)
-        new = calibrate_noise_std(bits, trace, 3.7, 9, config)
-        assert new == pytest.approx(self.reference(bits, trace, config), rel=1e-4)
+        new = calibrate_noise_std(bits, trace, 3.7, 9, CONFIG)
+        assert new == pytest.approx(self.reference(bits, trace, CONFIG), rel=1e-4)
 
     def test_calibrates_on_the_first_200k_symbols(self):
         bits, trace = self.block(FadingModel.log_normal(0.1), 1.0, n=250_000)
@@ -614,15 +600,14 @@ class TestTransmitPinned:
         h.update(np.asarray(stats.counts, dtype=np.int64).tobytes())
         return h.hexdigest()
 
-    def run(self, n_bits, sps=1, workers=1, noise_std=0.08, trace_rate_hz=1e5):
-        config = Pam4Config(symbol_rate_hz=1e6, samples_per_symbol=sps)
+    def run(self, n_bits, workers=1, noise_std=0.08, trace_rate_hz=1e5):
         bits = np.random.default_rng(n_bits).integers(0, 2, n_bits, dtype=np.uint8)
-        duration = 1.01 * ((n_bits + 1) // 2) / config.symbol_rate_hz
-        rate = trace_rate_hz or config.symbol_rate_hz * sps
+        duration = 1.01 * ((n_bits + 1) // 2) / CONFIG.symbol_rate_hz
+        rate = trace_rate_hz or CONFIG.symbol_rate_hz
         trace = generate_trace(
             FadingModel.log_normal(0.05), 2e-3, rate, duration, seed=4
         )
-        return transmit(bits, trace, noise_std, 11, config, workers)
+        return transmit(bits, trace, noise_std, 11, CONFIG, workers)
 
     @pytest.mark.parametrize(
         "case, expected",

@@ -67,16 +67,12 @@ class TestRunEndToEnd:
         assert report.fading_kind == "gamma_gamma"
         assert report.rytov_var >= pipeline.LOG_NORMAL_RYTOV_LIMIT
 
-    @pytest.mark.parametrize("sps", [1, 2])
-    def test_stage_composition_matches_manual(self, sps):
+    def test_stage_composition_matches_manual(self):
         config = make_config(
             "clear",
             n_symbols=30_000,
             seed=11,
             noise={"mode": "fixed_std", "noise_std": 0.04},
-        )
-        config = dataclasses.replace(
-            config, modem=dataclasses.replace(config.modem, samples_per_symbol=sps)
         )
         report = pipeline.run_endtoend(config)
 
@@ -101,13 +97,8 @@ class TestRunEndToEnd:
         n_trace = pipeline._auto_trace_samples(len(symbols), duration, tau0)
         trace = generate_trace(model, tau0, n_trace / duration, duration, trace_seed)
         received = apply_channel(
-            np.repeat(symbols, sps),
-            trace,
-            0.04,
-            noise_seed,
-            symbol_rate_hz=config.modem.symbol_rate_hz * sps,
+            symbols, trace, 0.04, noise_seed, symbol_rate_hz=config.modem.symbol_rate_hz
         )
-        received = received.reshape(-1, sps).mean(axis=1)
         means = eye_stats(received, labels).means
         rx_bits = demodulate(received, means)[: len(bits)]
         errors, _, manual_ber = count_ber(bits, rx_bits)
@@ -203,34 +194,6 @@ class TestRunEndToEnd:
         with pytest.raises(ValueError):
             make_config("clear", n_symbols=5000)
 
-    def test_oversampling_matched_filter_gains(self):
-        # Four samples per symbol halve the decision noise, so at a fixed
-        # channel noise the oversampled run must see fewer errors.
-        noise = {"mode": "fixed_std", "noise_std": 0.07}
-        base = make_config("clear", n_symbols=80_000, seed=3, noise=noise)
-        over = make_config(
-            "clear",
-            n_symbols=80_000,
-            seed=3,
-            noise=noise,
-            modem={"symbol_rate_hz": 2e9, "samples_per_symbol": 4},
-        )
-        r1 = pipeline.run_endtoend(base)
-        r4 = pipeline.run_endtoend(over)
-        assert r1.ber.bit_errors > 0
-        assert r4.ber.bit_errors < r1.ber.bit_errors / 3
-
-    def test_oversampled_clean_channel_stays_exact(self):
-        cfg = scenarios.resolve_config(preset="clear")
-        cfg["scenario"]["ground_cn2"] = 1e-30
-        cfg["geometry"]["distance_m"] = 100.0
-        cfg["geometry"]["rx_altitude_m"] = 0.0
-        cfg["n_symbols"] = 20_000
-        cfg["noise"] = {"mode": "fixed_std", "noise_std": 0.0}
-        cfg["modem"] = {"symbol_rate_hz": 2e9, "samples_per_symbol": 2}
-        report = pipeline.run_endtoend(RunConfig.from_dict(cfg))
-        assert report.ber.bit_errors == 0
-
 
 class TestPayloadRoundtrip:
     def test_clean_channel_bit_exact(self, tmp_path):
@@ -322,7 +285,7 @@ class TestScenarioSweep:
     def test_axes_are_numeric_non_bool_leaves(self):
         axes = pipeline.sweep_axes(make_config("clear", n_symbols=20_000))
         assert pipeline._numeric_leaves({"flag": True, "n": 2}) == ["n"]
-        assert "modem.samples_per_symbol" in axes
+        assert "n_symbols" in axes
         assert "workers" not in axes and "noise.noise_std" not in axes
 
     def test_swept_run_decodes_like_a_config_file(self):
