@@ -164,25 +164,24 @@ def derive_seeds(seed: int, n: int) -> list[int]:
 
 
 def apply_channel(
-    symbols: np.ndarray,
-    trace: ChannelTrace,
-    noise_std: float,
-    seed: int,
-    symbol_rate_hz: float,
-    levels: tuple[float, ...] | None = None,
+    symbols: np.ndarray, trace: ChannelTrace, noise_std: float, seed: int,
+    symbol_rate_hz: float, levels: tuple[float, ...] | None = None,
 ) -> np.ndarray:
-    """r_k = H(t_k) * x_k + n_k with zero-order-hold gains and AWGN, one
-    sample per symbol.
+    """r_k = H(t_k) * x_k + n_k with zero-order-hold gains and AWGN.
 
     ``symbols`` are the transmitted intensities, or indices into ``levels``
-    when those are given. The trace is sampled at each symbol's start time
-    and must cover the run. The whole array goes through ``transmit``'s
-    channel in one call; its noise comes from the same seeded chunks, so
-    each sample equals the one ``transmit`` makes.
+    when those are given, one sample each; the trace, sampled at each
+    symbol's start time, must cover the run. This is ``transmit``'s channel
+    on the whole array, with the same seeded noise, sample for sample.
     """
-    symbols = np.asarray(symbols)
-    tx = symbols if levels is None else np.take(levels, symbols)
+    tx = np.asarray(symbols) if levels is None else np.take(levels, symbols)
     return _channel(len(tx), trace, noise_std, seed, symbol_rate_hz)(tx, 0)
+
+
+def trace_samples_needed(n: int, symbol_rate_hz: float, trace_rate_hz: float) -> int:
+    """Trace samples an n-symbol run reads: symbol k takes the gain of sample
+    floor(k * trace_rate_hz / symbol_rate_hz), the sample its start lies in."""
+    return int((n - 1) * (trace_rate_hz / symbol_rate_hz)) + 1
 
 
 def _channel(n: int, trace: ChannelTrace, noise_std: float, seed: int, symbol_rate_hz: float):
@@ -191,7 +190,7 @@ def _channel(n: int, trace: ChannelTrace, noise_std: float, seed: int, symbol_ra
     samples."""
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    if int((n - 1) / symbol_rate_hz * trace.sample_rate_hz) >= len(trace.gains):
+    if trace_samples_needed(n, symbol_rate_hz, trace.sample_rate_hz) > len(trace.gains):
         raise TraceTooShortError(
             f"trace covers {trace.duration_s:g} s but {n} symbols at "
             f"{symbol_rate_hz:g} Baud need {n / symbol_rate_hz:g} s"
@@ -200,8 +199,7 @@ def _channel(n: int, trace: ChannelTrace, noise_std: float, seed: int, symbol_ra
 
     def block(tx: np.ndarray, lo: int) -> np.ndarray:
         hi = lo + len(tx)
-        idx = (np.arange(lo, hi) * step).astype(np.intp)
-        r = trace.gains[idx] * tx
+        r = trace.gains[(np.arange(lo, hi) * step).astype(np.intp)] * tx
         if noise_std > 0:
             noise = _unit_noise(lo, hi, seed)
             noise *= noise_std

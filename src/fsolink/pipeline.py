@@ -33,7 +33,8 @@ from .channel_trace import (
 from .errors import PipelineStageError, UnknownAxisError
 from .linkbudget import LinkBudget, TransceiverOptics, received_power_dbm
 from .modem import (
-    BerReport, calibrate_noise_std, check_n_symbols, derive_seeds, transmit,
+    BerReport, calibrate_noise_std, check_n_symbols, derive_seeds, trace_samples_needed,
+    transmit,
 )
 from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
 from .scenarios import NoiseSpec, RunConfig, dotted_overlay, merge_config
@@ -142,7 +143,10 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
             n_trace = _auto_trace_samples(n_symbols, duration, tau0)
             trace_rate = n_trace / duration
         else:
+            # Reach the last symbol's sample even if rate * duration rounds below it.
             trace_rate = config.trace_rate_hz
+            need = trace_samples_needed(n_symbols, config.modem.symbol_rate_hz, trace_rate)
+            duration = max(duration, need / trace_rate)
         trace = generate_trace(model, tau0, trace_rate, duration, trace_seed)
 
     with _stage("noise"):
@@ -243,6 +247,8 @@ def sweep_axes(config: RunConfig) -> list[str]:
 def _pat_sweep_row(axis: str, value: float, seed: int) -> dict:
     params = {"m": 1, **DEMO_LOOP}
     key = axis.split(".", 1)[1]
+    if key == "m" and not float(value).is_integer():
+        raise ValueError(f"sweep axis {axis!r} must be a whole number, got {value!r}")
     params[key] = int(value) if key == "m" else float(value)
     rms = params.pop("disturbance_rms")
     result = run_tracking_loop(

@@ -81,6 +81,8 @@ class RunConfig:
         check_n_symbols(self.n_symbols)
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {self.workers}")
+        if self.trace_rate_hz is not None and not self.trace_rate_hz > 0:
+            raise ValueError(f"trace_rate_hz must be > 0, got {self.trace_rate_hz}")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":

@@ -197,6 +197,14 @@ class TestTransmit:
         assert echo["scenario"]["visibility_km"] == 7.5
         assert echo["modem"]["symbol_rate_hz"] == 1e9
 
+    def test_explicit_trace_rate_covers_the_run(self):
+        # 10 000 symbols last 5 us: 100.4 samples at 20.08 MHz round down to
+        # 100, but the last symbol starts in sample 100.
+        assert run_cli(
+            "transmit", "--scenario", "clear", "--symbols", "10000",
+            "--set", "trace_rate_hz=20080000",
+        ) == 0
+
     def test_payload_round_trip(self, tmp_path, capsys):
         payload = tmp_path / "payload.bin"
         recovered = tmp_path / "recovered.bin"
@@ -409,6 +417,14 @@ class TestRejectedInputs:
         monkeypatch.setattr(modem, "MAX_SYMBOLS", 20_000)
         assert run_cli("budget", "--scenario", "clear", "--set", "n_symbols=10000") == 0
         assert run_cli("transmit", "--scenario", "clear", "--symbols", "10000") == 0
+
+    def test_sweep_rejects_a_fractional_pat_m(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli("sweep", "--axis", "pat.m", "--values", "1.5,2.9", "--out", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'pat.m'" in err and "1.5" in err
+        assert not out.exists()
 
     def test_transmit_over_symbol_budget(self, monkeypatch, capsys):
         def never(*args, **kwargs):

@@ -102,6 +102,35 @@ class TestApplyChannel:
             apply_channel(symbols, trace, 0.0, seed=0, symbol_rate_hz=1e6)
 
 
+    def test_trace_of_the_needed_length_covers_the_run(self):
+        # 10 000 symbols at 2 GBd last 5 us: 100.4 samples at 20.08 MHz, but
+        # the last symbol starts in sample 100.
+        n, rate = 10_000, 20.08e6
+        assert modem.trace_samples_needed(n, 2e9, rate) == 101
+
+        def trace(samples):
+            return generate_trace(FadingModel.log_normal(0.05), 1e-3, rate, samples / rate, 1)
+
+        apply_channel(np.ones(n), trace(101), 0.0, 0, 2e9)
+        with pytest.raises(TraceTooShortError):
+            apply_channel(np.ones(n), trace(100), 0.0, 0, 2e9)
+
+    def test_whole_array_peak_bytes_per_symbol(self):
+        # The intensities, the received samples and the noise, 8 B/symbol
+        # each; the gather index is freed before the noise is drawn.
+        n = 2_000_000
+        labels = np.random.default_rng(2).integers(0, 4, n).astype(np.uint8)
+        trace = generate_trace(
+            FadingModel.gamma_gamma_from_rytov(0.6), 2e-3, 1e5, n / 1e6, seed=4
+        )
+        tracemalloc.start()
+        try:
+            apply_channel(labels, trace, 0.05, 11, CONFIG.symbol_rate_hz, CONFIG.levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 25
+
     @pytest.mark.parametrize("noise_std", [math.nan, math.inf])
     def test_non_finite_noise_rejected(self, noise_std):
         # NaN must not pass as noiseless (nan > 0 is false).

@@ -175,8 +175,8 @@ class TestRunEndToEnd:
 
     def test_stage_attribution_on_failure(self):
         quiet = quiet_config()
-        # A trace rate this low rounds to zero samples: the trace stage
-        # must be named in the failure.
+        # A trace rate this high exceeds the trace sample budget: the trace
+        # stage must be named in the failure.
         bad = RunConfig(
             scenario=quiet.scenario,
             geometry=quiet.geometry,
@@ -184,7 +184,7 @@ class TestRunEndToEnd:
             modem=quiet.modem,
             noise=quiet.noise,
             n_symbols=20_000,
-            trace_rate_hz=1e-9,
+            trace_rate_hz=1e20,
         )
         with pytest.raises(PipelineStageError) as info:
             pipeline.run_endtoend(bad)
@@ -331,6 +331,17 @@ class TestRunConfig:
             NoiseSpec(mode="fixed_std", noise_std=None)
         with pytest.raises(ValueError):
             NoiseSpec(mode="of-course-not")
+        for rate in (0.0, -1.0):
+            with pytest.raises(ValueError, match="trace_rate_hz must be > 0"):
+                make_config("clear", trace_rate_hz=rate)
+
+    def test_settable_value_count(self):
+        # Each leaf of the encoded defaults is one settable value (a list or
+        # None counts once); adding a config key changes this on purpose.
+        def leaves(cfg: dict) -> int:
+            return sum(leaves(v) if isinstance(v, dict) else 1 for v in cfg.values())
+
+        assert leaves(scenarios.default_config()) == 32
 
     def test_integer_beyond_float_range_rejected(self):
         huge = {"scenario": {"visibility_km": 10**400}}
