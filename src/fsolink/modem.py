@@ -7,9 +7,11 @@ and modulation returns uint8 level indices (the intensities are
 run in blocks and threads: modulate, fade and add noise at one sample per
 symbol, reduce, decide and count errors, fused into one kernel per block of
 ``_blocks`` (2^16 symbols, the last taking the tail) on worker threads; the
-stage functions are its whole-array references. It holds only the bits in
-and out, 2 B/symbol each. Noise comes in 2^16-sample chunks seeded by (seed,
-chunk index) and blocks merge in order, so no worker count changes a result.
+stage functions are its whole-array references. A kernel reads its bits
+from a payload array, which with the decided bits takes 4 B/symbol, or
+draws them from a ``RandomBits`` source, which takes none. Random bits and
+noise come in 2^16-symbol chunks seeded by (seed, chunk index) and blocks
+merge in order, so no worker count changes a result.
 
 The received samples are reduced once, per block, to genie-aided per-level
 count, mean and M2. Each block is cut at the midpoints of its own level
@@ -45,9 +47,11 @@ _CALIBRATION_REL_TOL = 1e-4
 #: for the eye statistics and the level means that set the cuts.
 MIN_SYMBOLS = 10_000
 
-#: Largest run: a 4 GiB budget over 15 B/symbol. ``pipeline.run_endtoend``
-#: peaks at 4.5 B/symbol at 1e7 symbols (bits in and out, 2 B/symbol each,
-#: and about 5 MiB of calibration, trace and block temporaries).
+#: Largest run: a 4 GiB budget over 15 B/symbol. At 1e7 hazy symbols,
+#: ``pipeline.payload_roundtrip`` peaks at 4.75 B/symbol (its bits in and
+#: out, 2 B/symbol each, and about 8 MiB of calibration, trace and block
+#: temporaries); a random ``pipeline.run_endtoend`` holds no whole-run array
+#: and peaks at those 8 MiB, 0.83 B/symbol.
 MAX_SYMBOLS = (4 << 30) // 15
 
 #: Most worker threads a run may ask for; ``transmit`` starts one per block
@@ -124,6 +128,17 @@ class BerReport:
     snr_db: float
 
 
+@dataclass(frozen=True)
+class RandomBits:
+    """2 * ``n_symbols`` random payload bits, drawn by ``_unit_bits`` per block."""
+
+    n_symbols: int
+    seed: int
+
+    def __len__(self) -> int:
+        return 2 * self.n_symbols
+
+
 def modulate(bits: np.ndarray) -> tuple[np.ndarray, int]:
     """Map a bit stream onto Gray-coded PAM-4 level indices.
 
@@ -132,7 +147,7 @@ def modulate(bits: np.ndarray) -> tuple[np.ndarray, int]:
     intensities are ``levels[labels]``.
     """
     bits = _bit_array(bits)
-    return _block_labels(bits, slice(0, (len(bits) + 1) // 2)), len(bits) % 2
+    return _block_labels(bits), len(bits) % 2
 
 
 def _bit_array(bits) -> np.ndarray:
@@ -146,11 +161,32 @@ def _bit_array(bits) -> np.ndarray:
     return np.ascontiguousarray(bits)
 
 
-def _block_labels(bits: np.ndarray, b: slice) -> np.ndarray:
-    """Gray-mapped level indices of block b's symbols, 2 * msb + (msb ^ lsb)
-    for the bit pair (msb, lsb); an odd tail's last symbol takes a zero pad
-    bit."""
-    pairs = bits[2 * b.start : 2 * b.stop]
+def _bit_reader(bits: np.ndarray | RandomBits):
+    """The function (lo, hi) -> the bits of symbols lo..hi-1 (lo a chunk
+    boundary) of a payload array or a ``RandomBits`` source."""
+    if isinstance(bits, RandomBits):
+        return lambda lo, hi: _unit_bits(lo, hi, bits.seed)
+    bits = _bit_array(bits)
+    return lambda lo, hi: bits[2 * lo : 2 * hi]
+
+
+def _unit_bits(lo: int, hi: int, seed: int) -> np.ndarray:
+    """Random bits of symbols lo..hi-1 (lo a chunk boundary), two per symbol.
+
+    Chunk i, symbols [i, i + 1) * ``_CHUNK_SYMBOLS``, is the unpacked
+    ``rng.bytes(_CHUNK_SYMBOLS // 4)`` of an rng seeded by SeedSequence([seed, i]).
+    """
+    drawn = b"".join(
+        np.random.default_rng(np.random.SeedSequence([seed, i])).bytes(_CHUNK_SYMBOLS // 4)
+        for i in range(lo // _CHUNK_SYMBOLS, -(-hi // _CHUNK_SYMBOLS))
+    )
+    return np.unpackbits(np.frombuffer(drawn, dtype=np.uint8))[: 2 * (hi - lo)]
+
+
+def _block_labels(pairs: np.ndarray) -> np.ndarray:
+    """Gray-mapped level indices of a contiguous run of bit pairs,
+    2 * msb + (msb ^ lsb) for the pair (msb, lsb); an odd tail's last symbol
+    takes a zero pad bit."""
     if len(pairs) % 2:
         pairs = np.append(pairs, np.uint8(0))
     word = pairs.view("<u2")  # msb + 256 * lsb
@@ -372,7 +408,7 @@ def q_for_target_ber(target_ber: float) -> float:
 
 
 def calibrate_noise_std(
-    bits: np.ndarray,
+    bits: np.ndarray | RandomBits,
     trace: ChannelTrace,
     target_q: float,
     seed: int,
@@ -381,7 +417,8 @@ def calibrate_noise_std(
     """Solve for the noise level that hits a target mean eye Q-factor.
 
     Bisection on noise_std against the mean of the three eye Q-factors
-    over the first ``_CALIBRATION_SYMBOLS`` symbols of ``bits``. Every
+    over the first ``_CALIBRATION_SYMBOLS`` symbols of ``bits`` (a payload
+    array or a ``RandomBits`` source, read as ``transmit`` reads it). Every
     trial level reuses the same noise draws z (those ``apply_channel``
     makes for ``seed``), so the received samples are u + noise_std * z
     with u = H * x. The per-level means and variances of u + s z at
@@ -393,7 +430,8 @@ def calibrate_noise_std(
     """
     if target_q <= 0:
         raise ValueError(f"target_q must be > 0, got {target_q}")
-    labels, _ = modulate(bits[: 2 * _CALIBRATION_SYMBOLS])
+    n = min((len(bits) + 1) // 2, _CALIBRATION_SYMBOLS)
+    labels = _block_labels(_bit_reader(bits)(0, n))
     u = apply_channel(labels, trace, 0.0, seed, config.symbol_rate_hz, levels=config.levels)
     z = _unit_noise(0, len(labels), seed)
     at_0, at_1, at_minus_1 = (_merge(_level_moments(x, labels)) for x in (u, u + z, u - z))
@@ -448,44 +486,47 @@ def ber_report(bit_errors: int, bits_tx: int, eye: EyeStats) -> BerReport:
 
 
 def transmit(
-    bits: np.ndarray,
+    bits: np.ndarray | RandomBits,
     trace: ChannelTrace,
     noise_std: float,
     seed: int,
     config: Pam4Config,
     workers: int = 1,
-) -> tuple[np.ndarray, BerReport]:
+) -> tuple[np.ndarray | None, BerReport]:
     """The link pass: modulate, fade and add noise, decide, count errors.
 
-    Returns the decided bits, cut to ``len(bits)``, and their BER report.
-    Each block of ``_blocks`` runs one kernel: bits to level indices, the
-    channel of ``apply_channel`` (one sample per symbol), per-level
-    moments, the cut at the midpoints of its own level means and its
-    bit-error count. A block that lacks a level runs again after the merge,
-    from the same seeded noise, cut at that level's whole-run mean. At most
-    ``workers`` threads run the kernels, one per block at most (one thread
-    is the calling one: a started thread would add its malloc arena to the
-    peak RSS); the blocks merge in block order with ``eye_stats``'
-    arithmetic, so the worker count never changes a result.
+    ``bits`` is a payload array or a ``RandomBits`` source. Returns the
+    decided bits of a payload array, cut to ``len(bits)`` (None for a random
+    source, which holds no whole-run array), and the BER report. Each block
+    of ``_blocks`` runs one kernel: its bits to level indices, the channel
+    of ``apply_channel`` (one sample per symbol), per-level moments, the cut
+    at the midpoints of its own level means and its bit-error count. A block
+    that lacks a level runs again after the merge, from the same bits and
+    seeded noise, cut at that level's whole-run mean. At most ``workers``
+    threads run the kernels, one per block at most (one thread is the
+    calling one: a started thread would add its malloc arena to the peak
+    RSS); the blocks merge in block order with ``eye_stats``' arithmetic, so
+    the worker count never changes a result.
     """
-    bits = _bit_array(bits)
+    read = _bit_reader(bits)
     n = (len(bits) + 1) // 2
     channel = _channel(n, trace, noise_std, seed, config.symbol_rate_hz)
     blocks = _blocks(n)
-    pairs = np.empty(n, dtype=np.uint16)
-    rx_bits = pairs.view(np.uint8)[: len(bits)]
+    pairs = None if isinstance(bits, RandomBits) else np.empty(n, dtype=np.uint16)
 
     def kernel(b: slice, means: np.ndarray | None = None):
         """Block b's moments, and its bit errors once it is decided: at
         ``means``, or at its own means if it has every level."""
-        labels = _block_labels(bits, b)
+        tx_bits = read(b.start, b.stop)
+        labels = _block_labels(tx_bits)
         samples = channel(np.take(config.levels, labels), b.start)
         row = _block_moments(samples, labels)
         if means is None and not np.all(row[0]):
             return row, None
-        pairs[b] = _decide_pairs(samples, row[1] if means is None else means)
-        span = slice(2 * b.start, 2 * b.stop)
-        return row, count_ber(bits[span], rx_bits[span])[0]
+        decided = _decide_pairs(samples, row[1] if means is None else means)
+        if pairs is not None:
+            pairs[b] = decided
+        return row, count_ber(tx_bits, decided.view(np.uint8)[: len(tx_bits)])[0]
 
     threads = min(workers, len(blocks))
     with contextlib.ExitStack() as stack:
@@ -495,4 +536,5 @@ def transmit(
         late = [k for k, e in enumerate(errors) if e is None]
         redone = run(kernel, [blocks[k] for k in late], eye.means[late])
         bit_errors = sum(e for e in errors if e is not None) + sum(e for _, e in redone)
+    rx_bits = None if pairs is None else pairs.view(np.uint8)[: len(bits)]
     return rx_bits, ber_report(bit_errors, len(bits), eye)

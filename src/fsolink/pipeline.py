@@ -33,8 +33,8 @@ from .channel_trace import (
 from .errors import PipelineStageError, UnknownAxisError
 from .linkbudget import LinkBudget, TransceiverOptics, received_power_dbm
 from .modem import (
-    BerReport, calibrate_noise_std, check_n_symbols, derive_seeds, trace_samples_needed,
-    transmit,
+    BerReport, RandomBits, calibrate_noise_std, check_n_symbols, derive_seeds,
+    trace_samples_needed, transmit,
 )
 from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
 from .scenarios import NoiseSpec, RunConfig, dotted_overlay, merge_config
@@ -116,6 +116,8 @@ def _physical_noise_std(
 
 
 def _run(config: RunConfig, payload_bits: np.ndarray | None):
+    """Report of a run of a payload, or of random bits, and its decided bits
+    (None for random bits)."""
     started = time.monotonic()
 
     with _stage("turbulence"):
@@ -130,11 +132,7 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
         )
 
     bits_seed, trace_seed, cal_seed, noise_seed = derive_seeds(config.seed, 4)
-    if payload_bits is None:
-        rng = np.random.default_rng(bits_seed)
-        bits = rng.integers(0, 2, 2 * config.n_symbols, dtype=np.uint8)
-    else:
-        bits = np.asarray(payload_bits, dtype=np.uint8)
+    bits = RandomBits(config.n_symbols, bits_seed) if payload_bits is None else payload_bits
     n_symbols = (len(bits) + 1) // 2
     duration = n_symbols / config.modem.symbol_rate_hz
 

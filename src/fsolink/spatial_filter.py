@@ -19,6 +19,7 @@ from .errors import CalibrationError
 from .modem import (
     BerReport,
     Pam4Config,
+    RandomBits,
     calibrate_noise_std,
     check_n_symbols,
     derive_seeds,
@@ -205,8 +206,7 @@ def filtering_ber_demo(
     snr = filtered_snr(grid)
 
     bits_seed, cal_seed, run_seed = derive_seeds(seed, 3)
-    rng = np.random.default_rng(bits_seed)
-    bits = rng.integers(0, 2, 2 * scenario.n_symbols, dtype=np.uint8)
+    bits = RandomBits(scenario.n_symbols, bits_seed)
     trace = constant_trace(scenario.n_symbols / config.symbol_rate_hz)
     target_q = q_for_target_ber(scenario.target_unfiltered_ber)
     noise_std = calibrate_noise_std(bits, trace, target_q, cal_seed, config)

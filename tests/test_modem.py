@@ -415,6 +415,45 @@ class TestTransmit:
         assert sizes == [3]
 
 
+class TestRandomBits:
+    """The chunk-seeded random payload: any chunk-aligned range reads the
+    same bits, and ``transmit`` and calibration read it as they read the
+    same bits given as an array."""
+
+    BLOCK = 1 << 16
+    N = 3 * BLOCK + 1234
+
+    def test_chunk_aligned_range_is_a_slice_of_the_whole(self):
+        whole = modem._unit_bits(0, self.N, 5)
+        assert whole.dtype == np.uint8 and len(whole) == 2 * self.N
+        assert np.all(whole <= 1)
+        assert np.mean(whole) == pytest.approx(0.5, abs=0.01)
+        for lo, hi in ((0, 1000), (self.BLOCK, 2 * self.BLOCK), (self.BLOCK, self.N),
+                       (2 * self.BLOCK, 2 * self.BLOCK + 7), (3 * self.BLOCK, self.N)):
+            assert np.array_equal(modem._unit_bits(lo, hi, 5), whole[2 * lo : 2 * hi])
+        assert not np.array_equal(modem._unit_bits(0, self.N, 6), whole)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_transmit_and_calibration_read_it_as_the_array(self, workers):
+        source = modem.RandomBits(self.N, 5)
+        bits = modem._unit_bits(0, self.N, 5)
+        assert len(source) == len(bits)
+        duration = 1.01 * self.N / CONFIG.symbol_rate_hz
+        trace = generate_trace(FadingModel.log_normal(0.05), 2.0, 1e5, duration, seed=4)
+        assert calibrate_noise_std(source, trace, 3.7, 9, CONFIG) == calibrate_noise_std(
+            bits, trace, 3.7, 9, CONFIG
+        )
+        rx_none, report = transmit(source, trace, 0.08, 11, CONFIG, workers)
+        rx_bits, expected = transmit(bits, trace, 0.08, 11, CONFIG, workers)
+        assert rx_none is None and len(rx_bits) == len(bits)
+        assert report.bit_errors > 0
+        assert repr(report) == repr(expected)
+        for name in ("means", "stds", "counts", "q_factors"):
+            assert np.array_equal(
+                getattr(report.level_stats, name), getattr(expected.level_stats, name)
+            )
+
+
 class TestTransmitMatchesReference:
     """The fused ``transmit`` against the five-pass chain it replaced:
     ``modulate`` -> ``apply_channel`` -> ``eye_stats`` -> ``demodulate``
@@ -698,13 +737,15 @@ def _transmit_peak_per_symbol(n: int) -> float:
 
 
 class TestTransmitMemory:
-    """Traced allocation peak of one ``transmit`` call, beyond its input bits.
+    """Traced allocation peak of one ``transmit`` call on a payload array,
+    beyond its input bits.
 
-    The one whole-run array it makes is the decided bits (2 B/symbol); the
-    rest is one block's temporaries per worker thread, about 2.7 MiB, so the
-    peak per symbol falls as the run grows. Measured on one worker: 4.74
-    B/symbol at 1e6 symbols and 2.57 at 4e6; the bound leaves 0.76 B/symbol
-    (16%) of margin.
+    The decided bits (2 B/symbol) are a whole-run array only for an array
+    payload: a ``RandomBits`` source gets none back (the run-length bound
+    for random runs is in ``test_pipeline``). The rest is one block's
+    temporaries per worker thread, about 2.7 MiB, so the peak per symbol
+    falls as the run grows. Measured on one worker: 4.74 B/symbol at 1e6
+    symbols and 2.57 at 4e6; the bound leaves 0.76 B/symbol (16%) of margin.
     """
 
     def test_peak_bytes_per_symbol(self):

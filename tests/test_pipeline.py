@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fsolink.modem import (
     apply_channel, count_ber, demodulate, derive_seeds, eye_stats, modulate,
 )
 from fsolink.pipeline import NoiseSpec, RunConfig
-from fsolink.reporting import as_jsonable
+from fsolink.reporting import as_jsonable, report_to_json
 from fsolink.spatial_filter import SolarModel, solar_noise_power
 
 
@@ -88,9 +89,7 @@ class TestRunEndToEnd:
         tau0 = coherence_time(config.geometry, config.scenario.wind_speed_ground)
         model = pipeline.select_fading_model(config.fading, rytov)
         bits_seed, trace_seed, _, noise_seed = derive_seeds(config.seed, 4)
-        bits = np.random.default_rng(bits_seed).integers(
-            0, 2, 2 * config.n_symbols, dtype=np.uint8
-        )
+        bits = modem._unit_bits(0, config.n_symbols, bits_seed)
         labels, _ = modulate(bits)
         symbols = np.asarray(config.modem.levels)[labels]
         duration = len(symbols) / config.modem.symbol_rate_hz
@@ -138,6 +137,36 @@ class TestRunEndToEnd:
         a.pop("elapsed_s")
         b.pop("elapsed_s")
         assert a == b
+
+    def test_report_is_byte_identical_at_any_worker_count(self):
+        # Four whole blocks and a 1234-symbol tail: the last block draws a
+        # partial bit and noise chunk, and calibration's 200 000 symbols end
+        # inside a chunk the link pass draws whole.
+        config = make_config("hazy", n_symbols=4 * (1 << 16) + 1234, seed=4)
+        texts = {
+            report_to_json(
+                pipeline.run_endtoend(dataclasses.replace(config, workers=workers)),
+                no_timestamp=True,
+            )
+            for workers in (1, 2, 3)
+        }
+        assert len(texts) == 1
+
+    def test_random_run_memory_does_not_grow_with_the_run(self):
+        # Random bits are drawn per block inside the link pass, so the run
+        # holds no whole-run array: its traced peak (calibration's 200 000
+        # symbols and one block's temporaries, about 8 MiB) stays within one
+        # block's temporaries from 2e6 to 8e6 symbols.
+        def peak(n_symbols):
+            config = make_config("hazy", n_symbols=n_symbols)
+            tracemalloc.start()
+            try:
+                pipeline.run_endtoend(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8_000_000) <= peak(2_000_000) + (3 << 20)
 
     def test_physical_noise_mode(self):
         solar = SolarModel()
