@@ -226,10 +226,11 @@ def _channel(n: int, trace: ChannelTrace, noise_std: float, seed: int, symbol_ra
     samples."""
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    if trace_samples_needed(n, symbol_rate_hz, trace.sample_rate_hz) > len(trace.gains):
+    need = trace_samples_needed(n, symbol_rate_hz, trace.sample_rate_hz)
+    if need > len(trace.gains):
         raise TraceTooShortError(
-            f"trace covers {trace.duration_s:g} s but {n} symbols at "
-            f"{symbol_rate_hz:g} Baud need {n / symbol_rate_hz:g} s"
+            f"trace has {len(trace.gains)} samples at {trace.sample_rate_hz:g} Hz but "
+            f"{n} symbols at {symbol_rate_hz:g} Baud need {need} samples"
         )
     step = trace.sample_rate_hz / symbol_rate_hz
 

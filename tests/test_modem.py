@@ -112,8 +112,10 @@ class TestApplyChannel:
             return generate_trace(FadingModel.log_normal(0.05), 1e-3, rate, samples / rate, 1)
 
         apply_channel(np.ones(n), trace(101), 0.0, 0, 2e9)
-        with pytest.raises(TraceTooShortError):
-            apply_channel(np.ones(n), trace(100), 0.0, 0, 2e9)
+        short = trace(100)
+        assert len(short.gains) == 100
+        with pytest.raises(TraceTooShortError, match=r"has 100 samples .* need 101 samples$"):
+            apply_channel(np.ones(n), short, 0.0, 0, 2e9)
 
     def test_whole_array_peak_bytes_per_symbol(self):
         # The intensities, the received samples and the noise, 8 B/symbol
