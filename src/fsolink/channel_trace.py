@@ -173,27 +173,80 @@ def coherence_time(geometry: "LinkGeometry", wind_speed: float) -> float:
     return math.sqrt(geometry.wavelength_m * geometry.distance_m) / wind_speed
 
 
+#: FFT length of the overlap-save blocks that filter the node noise.
+_FIR_FFT = 1 << 15
+#: Output samples per interpolation and marginal-map chunk.
+_CHUNK = 1 << 16
+
+
+def _fir_taps(r: float) -> np.ndarray:
+    """Symmetric taps h_j, |j| <= floor(4r) + 4, sum h^2 = 1, whose
+    autocorrelation is exp(-(j/r)^2), r being tau0 in node spacings.
+
+    The taps are the square root of the sampled covariance's spectrum, over
+    a period of 4*floor(4r) + 80 nodes that keeps the wrapped covariance
+    below e^-64 (negative bins are rounding). From r = 5 up they are the
+    sampled exp(-2(j/r)^2) to 1.3e-8; below that the sampled Gaussian
+    misses the target (by 0.11 at lag 1 for r = 1) and the square root
+    decays slowly, hence the 4 nodes beyond 4 tau0. The autocorrelation is
+    within 4e-5 of the target at every r.
+    """
+    half = int(4.0 * r) + 4
+    m = 4 * half + 64
+    lag = np.minimum(np.arange(m), m - np.arange(m)) / r
+    spectrum = np.fft.rfft(np.exp(-(lag**2))).real
+    h = np.fft.irfft(np.sqrt(np.maximum(spectrum, 0.0)), m)
+    h = np.concatenate([h[m - half :], h[: half + 1]])
+    return h / math.sqrt(h @ h)
+
+
 def _gaussian_acf_series(
     n: int, dt: float, tau0: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Stationary standard-normal series with autocorrelation exp(-(t/tau0)^2).
 
-    Circulant embedding: the circular covariance c_j = rho(min(j, n-j) dt)
-    has a nonnegative DFT for a Gaussian correlation shape, so filtering
-    white noise with sqrt of that spectrum gives an exact (circularly
-    stationary) sample. Wrap-around correlation is part of the contract;
-    it matches the open-path ACF whenever tau0 << n*dt.
+    Nodes k*dt apart, k = max(1, floor(tau0 / (20 dt))) (20-40 nodes per
+    tau0), are white noise drawn in order from ``rng`` and filtered by
+    ``_fir_taps``, overlap-save in fixed FFT blocks. Each sample is the
+    cubic Lagrange interpolation of its four nearest nodes, node p sitting
+    at (p - 1)*k*dt; at k = 1 it is the node itself. The covariance is
+    within 1e-4 of the target at every lag (interpolation: 3.5e-6), with no
+    wrap-around, and time and memory are O(n) whatever tau0.
     """
-    if n == 1:
-        return rng.standard_normal(1)
-    lags = np.minimum(np.arange(n), n - np.arange(n)) * dt
-    cov = np.exp(-((lags / tau0) ** 2))
-    # cov is real and even, so its DFT is real; the half spectrum suffices.
-    spectrum = np.fft.rfft(cov).real
-    # Tiny negative eigenvalues can appear from truncation; clip them.
-    np.clip(spectrum, 0.0, None, out=spectrum)
-    white = rng.standard_normal(n)
-    return np.fft.irfft(np.sqrt(spectrum) * np.fft.rfft(white), n)
+    # Past 1e15 samples per tau0 the ACF is 1 to 1e-15 over any trace the
+    # sample budget allows; the cap keeps k an exact int64.
+    k = max(1, math.floor(min(tau0 / dt, 1e15) / 20.0))
+    h = _fir_taps(tau0 / (k * dt))
+    n_nodes = (n - 1) // k + 4
+    fft_len = min(_FIR_FFT, scipy.fft.next_fast_len(n_nodes + len(h) - 1, real=True))
+    h_spec = np.fft.rfft(h, fft_len)
+    out = np.empty(n)
+    noise = rng.standard_normal(len(h) - 1)
+    nodes = np.empty(0)
+    made = done = 0
+    while made < n_nodes:
+        count = min(fft_len - len(h) + 1, n_nodes - made)
+        noise = np.concatenate([noise[len(noise) - len(h) + 1 :], rng.standard_normal(count)])
+        fresh = np.fft.irfft(np.fft.rfft(noise, fft_len) * h_spec, fft_len)
+        nodes = np.concatenate([nodes[-3:], fresh[len(h) - 1 : len(h) - 1 + count]])
+        made += count
+        first = made - len(nodes)
+        # Interval q, between nodes q + 1 and q + 2, as a cubic in u = j/k.
+        a, b, c, d = nodes[:-3], nodes[1:-2], nodes[2:-1], nodes[3:]
+        cubic = ((d - a) / 6.0 + 0.5 * (b - c), 0.5 * (a + c) - b, c - a / 3.0 - b / 2.0 - d / 6.0)
+        stop = min(n, (made - 3) * k)
+        for start in range(done, stop, _CHUNK):
+            i = np.arange(start, min(start + _CHUNK, stop))
+            q = i // k
+            u = (i - q * k) / k
+            q -= first
+            y = cubic[0][q]
+            for coef in (*cubic[1:], b):
+                y *= u
+                y += coef[q]
+            out[start : start + len(y)] = y
+        done = stop
+    return out
 
 
 #: The quantile table spans |z| <= 8 (tail mass 6e-16) in steps of 1/256.
@@ -333,14 +386,16 @@ def generate_trace(
         gains = np.ones(n)
     else:
         (child_g,) = np.random.SeedSequence(seed).spawn(1)
-        g = _gaussian_acf_series(
+        gains = _gaussian_acf_series(
             n, 1.0 / sample_rate_hz, coherence_time_s, np.random.default_rng(child_g)
         )
-        if model.kind == "log_normal":
-            s2 = math.log1p(model.sigma_i2)
-            gains = np.exp(math.sqrt(s2) * g - 0.5 * s2)
-        else:
-            gains = _gamma_gamma_quantiles(g, model.alpha, model.beta)
+        s2 = math.log1p(model.sigma_i2)
+        for start in range(0, n, _CHUNK):
+            g = gains[start : start + _CHUNK]
+            if model.kind == "log_normal":
+                np.exp(math.sqrt(s2) * g - 0.5 * s2, out=g)
+            else:
+                g[:] = _gamma_gamma_quantiles(g, model.alpha, model.beta)
 
     return ChannelTrace(
         sample_rate_hz=sample_rate_hz,

@@ -134,6 +134,49 @@ class TestCoherenceTime:
             coherence_time(LinkGeometry(distance_m=1000.0), 0.0)
 
 
+def lagrange_weights(u):
+    """Cubic Lagrange weights of the nodes at -1, 0, 1 and 2, at 0 <= u < 1."""
+    return np.array([
+        -u * (u - 1) * (u - 2) / 6, (u + 1) * (u - 1) * (u - 2) / 2,
+        -(u + 1) * u * (u - 2) / 2, (u + 1) * u * (u - 1) / 6,
+    ])
+
+
+def model_covariance(ratio, i, lags):
+    """Covariance of samples i and i + lags of the series at tau0/dt = ratio,
+    from the filter taps and the interpolation weights alone.
+
+    Node spacing k = max(1, floor(ratio / 20)) samples; sample i = q*k + j
+    weights the nodes at q - 1 .. q + 2 by ``lagrange_weights(j / k)``, and
+    the node covariance at m nodes apart is the taps' autocorrelation.
+    """
+    k = max(1, math.floor(ratio / 20))
+    h = channel_trace._fir_taps(ratio / k)
+    node_cov = np.correlate(h, h, "full")
+    mid = len(h) - 1
+    q0, j0 = divmod(i, k)
+    q1, j1 = np.divmod(i + lags, k)
+    m = np.arange(4)
+    apart = np.abs(q1[None, None, :] + m[None, :, None] - q0 - m[:, None, None])
+    cov_nodes = np.where(apart <= mid, node_cov[mid + np.minimum(apart, mid)], 0.0)
+    return np.einsum("a,bl,abl->l", lagrange_weights(j0 / k), lagrange_weights(j1 / k), cov_nodes)
+
+
+class UnitNoise:
+    """Stand-in generator whose normal draws are zero but for a 1 at one
+    index of the stream; counts the draws."""
+
+    def __init__(self, index):
+        self.index, self.drawn = index, 0
+
+    def standard_normal(self, size):
+        out = np.zeros(size)
+        if 0 <= self.index - self.drawn < size:
+            out[self.index - self.drawn] = 1.0
+        self.drawn += size
+        return out
+
+
 class TestGaussianSeries:
     @pytest.mark.parametrize("n", [2, 1001, 4_000_001])
     def test_length_is_kept(self, n):
@@ -142,11 +185,100 @@ class TestGaussianSeries:
 
     @pytest.mark.parametrize("n", [1000, 1001])
     def test_white_noise_limit_is_the_seed_draw(self, n):
-        # tau0 << dt: every lag but 0 has covariance exp(-1e6) = 0, so the
-        # spectrum is all ones and the filter passes the draw through.
+        # tau0 << dt: the filter is a unit impulse between 4 zero taps a
+        # side and the nodes are the samples, the first node sitting one
+        # sample before the trace.
+        assert channel_trace._fir_taps(1e-3).tolist() == [0.0] * 4 + [1.0] + [0.0] * 4
         g = channel_trace._gaussian_acf_series(n, 1.0, 1e-3, np.random.default_rng(8))
-        white = np.random.default_rng(8).standard_normal(n)
-        np.testing.assert_allclose(g, white, rtol=0, atol=1e-12)
+        white = np.random.default_rng(8).standard_normal(n + 11)
+        np.testing.assert_allclose(g, white[5 : n + 5], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("ratio", [0.5, 5, 39, 40, 2934, 1e6])
+    def test_covariance_matches_the_model(self, ratio):
+        # Exact covariance, no Monte Carlo, at lags 0..4 tau0 from samples
+        # spread over one node interval.
+        k = max(1, math.floor(ratio / 20))
+        max_lag = int(4 * ratio)
+        lags = np.unique(np.linspace(0, max_lag, min(max_lag + 1, 500)).astype(np.int64))
+        target = np.exp(-((lags / ratio) ** 2))
+        for i in np.unique(np.linspace(0, k - 1, min(k, 9)).astype(np.int64)) + 3 * k:
+            cov = model_covariance(ratio, int(i), lags)
+            np.testing.assert_allclose(cov, target, rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("ratio", [0.5, 5, 100, 2934])
+    def test_series_is_the_interpolated_filter(self, ratio):
+        # The series is linear in its noise: feeding it one unit draw at a
+        # time gives its columns, and their outer product its covariance.
+        n = 300
+        drawn = UnitNoise(-1)
+        channel_trace._gaussian_acf_series(n, 1.0, ratio, drawn)
+        columns = []
+        for index in range(drawn.drawn):
+            columns.append(channel_trace._gaussian_acf_series(n, 1.0, ratio, UnitNoise(index)))
+        a = np.array(columns)
+        cov = a.T @ a
+        for i in (0, 1, 37, n - 1):
+            lags = np.arange(n - i)
+            np.testing.assert_allclose(cov[i, i:], model_covariance(ratio, i, lags), atol=1e-12)
+
+    def test_blocks_do_not_change_the_series(self, monkeypatch):
+        whole = channel_trace._gaussian_acf_series(5000, 1.0, 5.0, np.random.default_rng(3))
+        monkeypatch.setattr(channel_trace, "_FIR_FFT", 64)
+        monkeypatch.setattr(channel_trace, "_CHUNK", 7)
+        blocked = channel_trace._gaussian_acf_series(5000, 1.0, 5.0, np.random.default_rng(3))
+        np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tau_over_window", [0.05, 1.0, 29.0, 1e4])
+    def test_short_window_variances_match_the_model(self, tau_over_window):
+        # 100-sample windows, as a default run's trace: the mean squared
+        # increment and the variance within the window, over 2000 series,
+        # against the model's within 4 standard errors.
+        n, series = 100, 2000
+        ratio = tau_over_window * n
+        rng = np.random.default_rng(14)
+        g = np.array([channel_trace._gaussian_acf_series(n, 1.0, ratio, rng) for _ in range(series)])
+        rho = np.exp(-((np.arange(n) / ratio) ** 2))
+        increment = -2.0 * math.expm1(-((1.0 / ratio) ** 2))
+        pairs = n * rho[0] + 2.0 * np.sum((n - np.arange(1, n)) * rho[1:])
+        window = 1.0 - pairs / n**2
+        for stat, model in (
+            (np.mean(np.diff(g, axis=1) ** 2, axis=1), increment),
+            (np.var(g, axis=1), window),
+        ):
+            error = stat.std(ddof=1) / math.sqrt(series)
+            assert abs(stat.mean() - model) <= 4.0 * error, (stat.mean() / model, error / model)
+
+    def test_wind_floor_is_linear_in_the_samples(self):
+        # tau0 = 1.76e5 s, the coherence time at the 1e-6 m/s wind floor:
+        # the draws and the memory follow the 100 samples, not tau0/dt.
+        drawn = UnitNoise(0)
+        channel_trace._gaussian_acf_series(100, 5e-5, 1.76e5, drawn)
+        assert drawn.drawn <= 100 + 8 * 44
+        tracemalloc.start()
+        try:
+            trace = generate_trace(FadingModel.log_normal(0.3), 1.76e5, 2e4, 5e-3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 100 and peak < 1 << 16
+        assert np.ptp(trace.gains) < 1e-6 * np.mean(trace.gains)
+
+    @pytest.mark.parametrize("ratio", [5, 2934])
+    @pytest.mark.parametrize(
+        "model",
+        [FadingModel.log_normal(0.3), FadingModel.gamma_gamma_from_rytov(1.0)],
+        ids=["log_normal", "gamma_gamma"],
+    )
+    def test_generation_memory(self, model, ratio):
+        # The gains plus one chunk's temporaries: 8.9-9.2 B/sample measured.
+        n = 4_000_000
+        tracemalloc.start()
+        try:
+            generate_trace(model, ratio / 1e5, 1e5, n / 1e5, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 20
 
 
 class TestGenerateTrace:
@@ -349,8 +481,8 @@ class TestTraceStats:
         ids=["log_normal", "gamma_gamma"],
     )
     def test_trace_then_stats_memory(self, model):
-        # Real FFTs at the trace length, and the statistics padded to
-        # 1.5n rather than up to 4n: 48 B/sample measured.
+        # The statistics pad their real FFTs to 1.5n, rather than up to 4n,
+        # and set the peak: 46.4 B/sample measured.
         n = 1_000_000
         tracemalloc.start()
         try:

@@ -683,34 +683,34 @@ class TestTransmitPinned:
         "case, expected",
         [
             (dict(n_bits=1001),
-                "ce8a5845123e6e6d12ab9a2309e57f36e4170624f3af8f08fcc238cb33976622",
+                "319f267b7b2e247a05c6b06f45c3e6753aca51c0fb81da5f59144a06060b8e14",
             ),
             (dict(n_bits=2 * BLOCK),
-                "98e71c30c770578b680bcb185a19b1a8d91b892d67be9791296bd99eb45373a3",
+                "a454f2b1c14413173500c9f90974dc5af8ab351c5fe62ddc5f08b60dc583e2d2",
             ),
             (dict(n_bits=SEVERAL + 1),
-                "6394f215d0e85ebaef3385c189f561b5687c1fa350d06508f34d16bf190c2c0d",
+                "9ed71bc603779190bd2bc1e4064c61cd6d73314e847c53c1905eacb8f23dd2e7",
             ),
             (dict(n_bits=SEVERAL),
-                "c2e09d3c6ca0802e589488e3ccd20318ca06d0338fe708dfd7271edbf277136d",
+                "b1426b26948d3e98801a2530b6f317f118d01f7d03883e0230696c5fe7d2786c",
             ),
             (dict(n_bits=SEVERAL, workers=3),
-                "c2e09d3c6ca0802e589488e3ccd20318ca06d0338fe708dfd7271edbf277136d",
+                "b1426b26948d3e98801a2530b6f317f118d01f7d03883e0230696c5fe7d2786c",
             ),
             (dict(n_bits=2 * BLOCK + 1, workers=3),
-                "6f0d7c6d44f48a328ec28d08dc125e0d659dc36f5845042cb9e187f3db957d12",
+                "513f1dbad945a6887eada55d84a1fd98d93cd6de33a0f7a7945c14c841d17230",
             ),
             (dict(n_bits=3001, workers=3),
-                "e452e6bde7a33fe095ee3c820b1c3395a5812d6117c2536b2c5bcad851b3f17e",
+                "a491c8f2fc8afaac9a6bdca07a3c9b5a90213c554bdc500effa07051eb62b105",
             ),
             (dict(n_bits=SEVERAL, noise_std=0.0),
-                "b0f41054c6889539c3a72e0702b1cdb7c6db25aa0cb17efa43a780fe3cdffe02",
+                "1976c4335503ce579176820f4969db064946e507c051a6ac68f2fffe228a0273",
             ),
             (dict(n_bits=SEVERAL + 1, workers=3, trace_rate_hz=None),
-                "ead1b108be317a54f86c7828858c018717997ed403c5d821450d8a433ce816b3",
+                "4764c1191e08ce1e4b0baa4c687537e66eeb981b7634f310a6521062ca4bec0b",
             ),
             (dict(n_bits=SEVERAL, trace_rate_hz=None),
-                "639eadd202ce1773bb016804e26c593bf9a774d9a608ce62cc66ecd2227c0323",
+                "9a523a4d5755a375c4d8f480cb7f18ff1c00ff0ba131e47af66b5de6793ef0fd",
             ),
         ],
         ids=[

@@ -358,7 +358,7 @@ class TestTrackingLoopPinned:
     """
 
     GEOM_WIDE_GAP = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=1e-4)
-    NOISELESS = "47560f2181edbaa79250dbba836b3592f2d8cbef51c47e838d2dcea681e1bc05"
+    NOISELESS = "bc5c2b70e254fed8493b33cf578ce99a77e3e3b5d759b536aa184cf21f85119f"
 
     @staticmethod
     def digest(result):
@@ -383,12 +383,12 @@ class TestTrackingLoopPinned:
         (1, 0.0): NOISELESS,
         (4, 0.0): NOISELESS,
         (10, 0.0): NOISELESS,
-        (1, 0.25): "ff21cbbb4acb1dc84862149396f1f17d4409922f7625014f21187b4d8c895d61",
-        (4, 0.25): "7d50dd7448ba0c5ce8aa01a4d76eb5f52126c454498caa525858e37155fd9dc0",
-        (10, 0.25): "a84776b17bf6d2891365c68c6620b40c1330f1fe17eeb4b5830cde14a7aab0e5",
-        (1, 1.5): "9ea70fd571a3954e1a78f74d62bbfea80b806cfd971f0320b9843f808da07795",
-        (4, 1.5): "8faa3739dc5facbbbc79809ab259e321059263290445586efa10d08e00863d7b",
-        (10, 1.5): "d01c809be01cd47efcc8b857a659e66f1ba8f82c2710b3abf637bcf63303cd30",
+        (1, 0.25): "4a59516674dc65c2a22e49539f389140363713fe19740f1068c24e1d28a210e9",
+        (4, 0.25): "135fbba191a815cb884618831d1094037913ec15be882e3892be5a12db6bca71",
+        (10, 0.25): "726f443f02fbcc232e6bda96952f653ca67261785b670e5fbed37a3846da0d79",
+        (1, 1.5): "29c189235bca8e567f7099b89a28173b3e470a2797d1d02097734fa35f8bda14",
+        (4, 1.5): "f4f7d6501ab99e692a3e87405a9b3b4d7907cdad5357378162a4cec2d244c6ea",
+        (10, 1.5): "f04de6392d1f24bfa219d1b492555dc7b8a81b4aa8a4415261ccc916e4857e72",
     }
 
     @pytest.mark.parametrize("m, noise_std", list(PINNED))
@@ -411,7 +411,7 @@ class TestTrackingLoopPinned:
     def test_offsets_pinned_across_noise_blocks(self):
         # 1000 steps of m = 40 span several noise blocks, the last one partial.
         result = self.run(40, 1.5, duration_s=1.0, seed=3)
-        expected = "565ab7feefc3ca402771022d3880cd890a243922bcda1794143caf7996aa50d9"
+        expected = "a7a787875ed14e3cb8f1981166bb364e7ec3fe33a57850e0b350abcb9bf6cd10"
         assert self.digest(result) == expected
 
     @pytest.mark.parametrize("m", [1, 3])

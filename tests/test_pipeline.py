@@ -108,18 +108,31 @@ class TestRunEndToEnd:
         assert report.ber.ber_counted == pytest.approx(manual_ber, rel=1e-12)
 
     def test_estimate_tracks_count_under_drift(self):
-        # A 200 m/s-scale wind moves the fade within the run; per-block
-        # cuts and per-block eye statistics follow it together.
+        # A 100 m/s wind moves the fade within the 1 ms run (tau0 1.76 ms);
+        # per-block cuts and per-block eye statistics follow it together.
+        # Each seed draws its own fade, and only a deep one counts enough
+        # errors to compare: every run of seeds 0-9 counting 100 or more
+        # is checked (seeds 0, 7, 8 and 9, from 648 to 551 591 errors).
         cfg = scenarios.resolve_config(preset="hazy")
         cfg["scenario"]["wind_speed_ground"] = 100.0
         cfg["n_symbols"] = 2_000_000
-        cfg["seed"] = 2
         cfg["noise"] = {"mode": "fixed_std", "noise_std": 0.03}
-        ber = pipeline.run_endtoend(RunConfig.from_dict(cfg)).ber
-        assert ber.bit_errors >= 100
-        assert abs(math.log10(ber.ber_estimated / ber.ber_counted)) <= 0.1
+        counted = []
+        for seed in range(10):
+            ber = pipeline.run_endtoend(RunConfig.from_dict({**cfg, "seed": seed})).ber
+            if ber.bit_errors >= 100:
+                counted.append(seed)
+                assert abs(math.log10(ber.ber_estimated / ber.ber_counted)) <= 0.1, seed
+        assert len(counted) >= 3
 
-    def test_seed_changes_errors_within_binomial_dispersion(self):
+    def test_seed_changes_errors_within_binomial_dispersion(self, monkeypatch):
+        # A clear run's fade is frozen, so a new seed's new fade moves the
+        # BER far beyond binomial dispersion; the fade is held here (one
+        # trace seed) and the seed redraws the bits and the noise.
+        def held_fade(model, tau0, rate, duration, seed):
+            return generate_trace(model, tau0, rate, duration, 0)
+
+        monkeypatch.setattr(pipeline, "generate_trace", held_fade)
         base = dict(n_symbols=100_000, noise={"mode": "fixed_std", "noise_std": 0.05})
         r1 = pipeline.run_endtoend(make_config("clear", seed=1, **base))
         r2 = pipeline.run_endtoend(make_config("clear", seed=2, **base))
