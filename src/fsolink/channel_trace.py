@@ -518,7 +518,7 @@ def trace_to_binary(trace: ChannelTrace, path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(trace.gains, dtype="<f8").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(trace.gains, dtype="<f8")))
 
 
 def trace_from_binary(path) -> ChannelTrace:
@@ -527,8 +527,7 @@ def trace_from_binary(path) -> ChannelTrace:
         magic, *values, n = struct.unpack(_BINARY_HEADER, header)
         if magic != _BINARY_MAGIC:
             raise ValueError(f"not a trace file: bad magic {magic!r}")
-        payload = fh.read(8 * n)
-    if len(payload) != 8 * n:
+        gains = np.fromfile(fh, "<f8", count=n)
+    if len(gains) != n:
         raise ValueError("trace file truncated")
-    gains = np.frombuffer(payload, dtype="<f8").copy()
     return ChannelTrace(gains=gains, **dict(zip(_TRACE_FIELDS, values)))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -538,6 +539,33 @@ class TestTraceSerialization:
         back = trace_from_binary(path)
         assert np.array_equal(back.gains, trace.gains)
         assert back.sample_rate_hz == trace.sample_rate_hz
+
+    def test_binary_io_holds_one_copy(self, tmp_path):
+        # The writer hands the gains' buffer to the file and the reader fills
+        # one array from it: 8.0 B/sample measured. The layout is the header
+        # and the raw little-endian gains.
+        n = 2_000_000
+        trace = generate_trace(FadingModel.log_normal(0.1), 1e-3, 1e6, n / 1e6, seed=5)
+        path = tmp_path / "trace.ftr"
+        tracemalloc.start()
+        try:
+            trace_to_binary(trace, path)
+            back = trace_from_binary(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 8.5
+        assert np.array_equal(back.gains, trace.gains)
+        header = struct.pack("<8sddd q q", b"FSOTRC01", 1e6, 2.0, 1e-3, 5, n)
+        assert path.read_bytes() == header + trace.gains.astype("<f8").tobytes()
+
+    def test_binary_rejects_truncated_file(self, tmp_path):
+        trace = generate_trace(FadingModel.log_normal(0.1), 1e-3, 1e4, 0.05, seed=5)
+        path = tmp_path / "trace.ftr"
+        trace_to_binary(trace, path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="^trace file truncated$"):
+            trace_from_binary(path)
 
     def test_binary_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
