@@ -182,12 +182,13 @@ class TestFilteringDemo:
             result.report_off.ber_counted, rel=1e-12
         )
 
-    def test_out_of_band_operating_point_rejected(self):
-        # At target 1e-4, 10 000 symbols (20 000 bits) expect 2 bit errors;
-        # seed 11 counts none (P = e^-2, 14%), below the [5e-5, 5e-4] band.
-        scenario = FilterDemoScenario(target_unfiltered_ber=1e-4, n_symbols=10_000)
-        with pytest.raises(CalibrationError, match=r"BER 0 is outside the \[5e-05, 0.0005\]"):
-            filtering_ber_demo(scenario, 2, self.CONFIG, seed=11)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_out_of_band_operating_point_rejected(self, seed):
+        # At target 1e-9, 10 000 symbols (20 000 bits) expect 2e-5 bit
+        # errors, so any seed counts none: below the [5e-10, 5e-9] band.
+        scenario = FilterDemoScenario(target_unfiltered_ber=1e-9, n_symbols=10_000)
+        with pytest.raises(CalibrationError, match=r"BER 0 is outside the \[5e-10, 5e-09\]"):
+            filtering_ber_demo(scenario, 2, self.CONFIG, seed=seed)
 
 
 class TestFilterDemoScenario:
