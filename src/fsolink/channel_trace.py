@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
@@ -25,9 +26,10 @@ from .errors import TraceLengthError
 if TYPE_CHECKING:
     from .atmosphere import LinkGeometry
 
-#: Longest trace: a 4 GiB budget over 128 B/sample. ``generate_trace``
-#: followed by ``trace_stats`` peaks at 48 B/sample (tracemalloc, 1e6-4.2e6
-#: samples, both marginals); the budget moves only with its own re-measurement.
+#: Longest trace: a 4 GiB budget over 128 B/sample. ``generate_trace`` peaks
+#: at 9-12.5 B/sample, and followed by ``trace_stats`` at 46.4 (tracemalloc,
+#: 1e6-4.2e6 samples, both marginals); the budget moves only with its own
+#: re-measurement.
 MAX_TRACE_SAMPLES = (4 << 30) // 128
 
 _BINARY_MAGIC = b"FSOTRC01"
@@ -527,7 +529,8 @@ def trace_from_binary(path) -> ChannelTrace:
         magic, *values, n = struct.unpack(_BINARY_HEADER, header)
         if magic != _BINARY_MAGIC:
             raise ValueError(f"not a trace file: bad magic {magic!r}")
+        # Checked against the file's size before numpy allocates n samples.
+        if not 0 <= 8 * n <= os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ValueError("trace file truncated")
         gains = np.fromfile(fh, "<f8", count=n)
-    if len(gains) != n:
-        raise ValueError("trace file truncated")
     return ChannelTrace(gains=gains, **dict(zip(_TRACE_FIELDS, values)))

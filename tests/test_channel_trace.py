@@ -567,6 +567,21 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match="^trace file truncated$"):
             trace_from_binary(path)
 
+    @pytest.mark.parametrize("n", [1 << 40, -1])
+    def test_binary_header_length_checked_before_reading(self, tmp_path, n):
+        # A header claiming 2^40 samples (8 TiB) on a short file is refused
+        # before anything is allocated, not by a MemoryError.
+        path = tmp_path / "trace.ftr"
+        path.write_bytes(struct.pack("<8sddd q q", b"FSOTRC01", 1e3, 1.0, 1e-3, 0, n) + bytes(80))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^trace file truncated$"):
+                trace_from_binary(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
     def test_binary_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTATRACE" + b"\0" * 64)
