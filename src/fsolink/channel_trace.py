@@ -212,7 +212,7 @@ def _gaussian_acf_series(
     ``_fir_taps``, overlap-save in fixed FFT blocks. Each sample is the
     cubic Lagrange interpolation of its four nearest nodes, node p sitting
     at (p - 1)*k*dt; at k = 1 it is the node itself. The covariance is
-    within 1e-4 of the target at every lag (interpolation: 3.5e-6), with no
+    within 4e-5 of the target at every lag (interpolation: 3.5e-6), with no
     wrap-around, and time and memory are O(n) whatever tau0.
     """
     # Past 1e15 samples per tau0 the ACF is 1 to 1e-15 over any trace the
