@@ -141,7 +141,13 @@ class ChannelTrace:
     coherence_time_s: float
 
     def __post_init__(self):
-        expected = int(round(self.sample_rate_hz * self.duration_s))
+        rate, duration = self.sample_rate_hz, self.duration_s
+        if not (rate > 0 and duration > 0 and rate * duration < math.inf):
+            raise ValueError(
+                "trace sample rate and duration must be > 0 with a finite "
+                f"product, got {rate} Hz and {duration} s"
+            )
+        expected = int(round(rate * duration))
         if len(self.gains) != expected:
             raise ValueError(
                 f"trace length {len(self.gains)} does not match "
@@ -462,12 +468,9 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
     below = np.nonzero(acf < 0.5)[0]
     if len(below) == 0:
         return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.inf)
-    j = int(below[0])
-    if j == 0:
-        t_half = 0.0
-    else:
-        frac = (acf[j - 1] - 0.5) / (acf[j - 1] - acf[j])
-        t_half = (j - 1 + frac) / trace.sample_rate_hz
+    j = int(below[0])  # >= 1: acf[0] is 1
+    frac = (acf[j - 1] - 0.5) / (acf[j - 1] - acf[j])
+    t_half = (j - 1 + frac) / trace.sample_rate_hz
     return TraceStats(
         mean=mean,
         sigma_i2=sigma_i2,
@@ -500,7 +503,10 @@ def trace_from_csv(path) -> ChannelTrace:
             meta[key.strip()] = value.strip()
     if start < len(lines) and lines[start].lstrip().startswith("time_s"):
         start += 1
-    gains = [float(row.split(",")[1]) for row in lines[start:] if not row.isspace()]
+    try:
+        gains = [float(row.split(",")[1]) for row in lines[start:] if not row.isspace()]
+    except IndexError:
+        raise ValueError("trace CSV row without a gain column") from None
     missing = [key for key in _TRACE_FIELDS if key not in meta]
     if missing:
         raise ValueError(f"trace CSV missing metadata keys: {missing}")
@@ -526,6 +532,8 @@ def trace_to_binary(trace: ChannelTrace, path) -> None:
 def trace_from_binary(path) -> ChannelTrace:
     with open(path, "rb") as fh:
         header = fh.read(struct.calcsize(_BINARY_HEADER))
+        if len(header) < struct.calcsize(_BINARY_HEADER):
+            raise ValueError("trace file truncated")
         magic, *values, n = struct.unpack(_BINARY_HEADER, header)
         if magic != _BINARY_MAGIC:
             raise ValueError(f"not a trace file: bad magic {magic!r}")

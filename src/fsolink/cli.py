@@ -215,12 +215,10 @@ def _cmd_transmit(args) -> int:
         cfg["n_symbols"] = args.symbols
     if args.workers is not None:
         cfg["workers"] = args.workers
-    if args.payload is not None:
-        cfg["payload"] = args.payload
     run_cfg = pipeline.RunConfig.from_dict(cfg)
-    if run_cfg.payload:
-        payload_out = args.payload_out or str(run_cfg.payload) + ".out"
-        report = pipeline.payload_roundtrip(run_cfg.payload, run_cfg, payload_out)
+    if args.payload is not None:
+        payload_out = args.payload_out or args.payload + ".out"
+        report = pipeline.payload_roundtrip(args.payload, run_cfg, payload_out)
     else:
         report = pipeline.run_endtoend(run_cfg)
     if args.report:

@@ -33,8 +33,7 @@ from .channel_trace import (
 from .errors import PipelineStageError, UnknownAxisError
 from .linkbudget import LinkBudget, TransceiverOptics, received_power_dbm
 from .modem import (
-    BerReport, RandomBits, calibrate_noise_std, check_n_symbols, derive_seeds,
-    trace_samples_needed, transmit,
+    BerReport, RandomBits, calibrate_noise_std, check_n_symbols, derive_seeds, transmit,
 )
 from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
 from .scenarios import NoiseSpec, RunConfig, dotted_overlay, merge_config
@@ -100,9 +99,8 @@ def turbulence(config: RunConfig) -> tuple[float, FadingModel, float]:
 
 
 def _auto_trace_samples(n_symbols: int, duration_s: float, tau0: float) -> int:
-    """Enough samples to resolve the coherence time, at most one per symbol."""
-    want = int(math.ceil(20.0 * duration_s / tau0)) if math.isfinite(tau0) else 0
-    return max(min(n_symbols, max(100, want)), 1)
+    """20 samples per coherence time, at least 100, at most one per symbol."""
+    return min(n_symbols, max(100, math.ceil(20.0 * duration_s / tau0)))
 
 
 def _physical_noise_std(
@@ -137,15 +135,8 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
     duration = n_symbols / config.modem.symbol_rate_hz
 
     with _stage("trace"):
-        if config.trace_rate_hz is None:
-            n_trace = _auto_trace_samples(n_symbols, duration, tau0)
-            trace_rate = n_trace / duration
-        else:
-            # Reach the last symbol's sample even if rate * duration rounds below it.
-            trace_rate = config.trace_rate_hz
-            need = trace_samples_needed(n_symbols, config.modem.symbol_rate_hz, trace_rate)
-            duration = max(duration, need / trace_rate)
-        trace = generate_trace(model, tau0, trace_rate, duration, trace_seed)
+        n_trace = _auto_trace_samples(n_symbols, duration, tau0)
+        trace = generate_trace(model, tau0, n_trace / duration, duration, trace_seed)
 
     with _stage("noise"):
         if config.noise.mode == "fixed_std":

@@ -71,9 +71,7 @@ class RunConfig:
     seed: int = 0
     n_symbols: int = 10_000_000
     outage_prob: float = 1e-3
-    trace_rate_hz: float | None = None
     workers: int = 1
-    payload: str | None = None  # file path, "-" for stdin, None for random bits
 
     def __post_init__(self):
         if self.fading not in ("auto", "log_normal", "gamma_gamma"):
@@ -81,8 +79,6 @@ class RunConfig:
         check_n_symbols(self.n_symbols)
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must be in [1, {MAX_WORKERS}], got {self.workers}")
-        if self.trace_rate_hz is not None and not self.trace_rate_hz > 0:
-            raise ValueError(f"trace_rate_hz must be > 0, got {self.trace_rate_hz}")
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":

@@ -204,6 +204,8 @@ def filtering_ber_demo(
     if grid is None:
         grid = beam_on_grid(n, scenario.spot_center, scenario.spot_radius)
     snr = filtered_snr(grid)
+    if snr.snr_unfiltered == 0.0:
+        raise ValueError("aperture grid has no signal: every cell power is 0")
 
     bits_seed, cal_seed, run_seed = derive_seeds(seed, 3)
     bits = RandomBits(scenario.n_symbols, bits_seed)

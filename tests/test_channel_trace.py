@@ -511,7 +511,7 @@ class TestTraceStats:
         )
         assert math.isinf(trace_stats(flat).coherence_time_s)
         empty = ChannelTrace(
-            sample_rate_hz=1.0, duration_s=0.0, seed=0, gains=np.array([]),
+            sample_rate_hz=1.0, duration_s=0.1, seed=0, gains=np.array([]),
             coherence_time_s=1.0,
         )
         with pytest.raises(ValueError):
@@ -593,6 +593,42 @@ class TestTraceSerialization:
         path.write_text("time_s,gain\n0.0,1.0\n")
         with pytest.raises(ValueError):
             trace_from_csv(path)
+
+    def test_binary_shorter_than_header_rejected(self, tmp_path):
+        path = tmp_path / "stub.ftr"
+        path.write_bytes(b"FSOTRC01" + bytes(20))
+        with pytest.raises(ValueError, match="^trace file truncated$"):
+            trace_from_binary(path)
+
+    def test_csv_row_without_gain_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        trace_to_csv(constant_trace(1.0), path)
+        with open(path, "a") as fh:
+            fh.write("1.0\r\n")
+        with pytest.raises(ValueError, match="without a gain column"):
+            trace_from_csv(path)
+
+    @pytest.mark.parametrize(
+        "rate, duration",
+        [(-100.0, -0.01), (math.inf, 1.0), (1.0, math.nan), (1e200, 1e200)],
+        ids=["negative", "infinite-rate", "nan-duration", "overflowing-product"],
+    )
+    def test_impossible_rate_or_duration_rejected(self, rate, duration, tmp_path):
+        # A 1-sample trace whose header claims an impossible timing: both
+        # readers refuse it where they build the trace.
+        binary = tmp_path / "trace.ftr"
+        binary.write_bytes(
+            struct.pack("<8sddd q q", b"FSOTRC01", rate, duration, 1e-3, 0, 1)
+            + np.ones(1).tobytes()
+        )
+        csv = tmp_path / "trace.csv"
+        csv.write_text(
+            f"# sample_rate_hz={rate}\n# duration_s={duration}\n"
+            "# coherence_time_s=0.001\n# seed=0\ntime_s,gain\r\n0.0,1.0\r\n"
+        )
+        for read, path in ((trace_from_binary, binary), (trace_from_csv, csv)):
+            with pytest.raises(ValueError, match="must be > 0 with a finite product"):
+                read(path)
 
 
 class TestTraceType:

@@ -46,9 +46,12 @@ class TestDispatch:
             ("scenario.cloud={}", "scenario.cloud.thickness_m"),
             ("modem.gray_mapping=false", "modem.gray_mapping"),
             ("modem.samples_per_symbol=2", "modem.samples_per_symbol"),
+            ("trace_rate_hz=20080000", "trace_rate_hz"),
+            ("payload=f.bin", "payload"),
         ],
         ids=["unknown", "cloud-typo", "solar-typo", "below-leaf", "cloud-missing",
-             "retired-gray-mapping", "retired-samples-per-symbol"],
+             "retired-gray-mapping", "retired-samples-per-symbol",
+             "retired-trace-rate", "retired-payload"],
     )
     def test_unknown_override_key_is_usage_error(self, override, key, capsys):
         assert run_cli("budget", "--scenario", "clear", "--set", override) == 2
@@ -62,8 +65,11 @@ class TestDispatch:
             ({"scenario": {"visibilty_km": 4}}, "scenario.visibilty_km"),
             ({"scenario": {"cloud": {"thikness_m": 100}}}, "scenario.cloud.thikness_m"),
             ({"noise": {"solar": {"fov": 1e-6}}}, "noise.solar.fov"),
+            ({"trace_rate_hz": 1e6}, "trace_rate_hz"),
+            ({"payload": "f.bin"}, "payload"),
         ],
-        ids=["scenario-typo", "cloud-typo", "solar-typo"],
+        ids=["scenario-typo", "cloud-typo", "solar-typo", "retired-trace-rate",
+             "retired-payload"],
     )
     def test_misspelled_config_file_key_is_usage_error(
         self, config, key, tmp_path, capsys
@@ -196,14 +202,6 @@ class TestTransmit:
         echo = json.loads(report_path.read_text())["config"]
         assert echo["scenario"]["visibility_km"] == 7.5
         assert echo["modem"]["symbol_rate_hz"] == 1e9
-
-    def test_explicit_trace_rate_covers_the_run(self):
-        # 10 000 symbols last 5 us: 100.4 samples at 20.08 MHz round down to
-        # 100, but the last symbol starts in sample 100.
-        assert run_cli(
-            "transmit", "--scenario", "clear", "--symbols", "10000",
-            "--set", "trace_rate_hz=20080000",
-        ) == 0
 
     def test_payload_round_trip(self, tmp_path, capsys):
         payload = tmp_path / "payload.bin"
@@ -478,6 +476,14 @@ class TestRejectedInputs:
         grid.write_text(f"0.9,0.04\n0.03,{cell}\n")
         assert run_cli("filter-sim", "--grid", str(grid), "--symbols", "10000") == 1
         assert capsys.readouterr().err == "error: cell powers must be finite and >= 0\n"
+
+    def test_filter_sim_rejects_grid_without_signal(self, tmp_path, capsys):
+        grid = tmp_path / "zeros.csv"
+        grid.write_text("0,0\n0,0\n")
+        assert run_cli("filter-sim", "--grid", str(grid), "--symbols", "10000") == 1
+        assert capsys.readouterr().err == (
+            "error: aperture grid has no signal: every cell power is 0\n"
+        )
 
     def test_integer_beyond_float_range_rejected(self, capsys):
         override = "scenario.visibility_km=1" + "0" * 400
