@@ -27,8 +27,9 @@ if TYPE_CHECKING:
     from .atmosphere import LinkGeometry
 
 #: Longest trace: a 4 GiB budget over 128 B/sample. ``generate_trace`` peaks
-#: at 9-12.5 B/sample, and followed by ``trace_stats`` at 46.4 (tracemalloc,
-#: 1e6-4.2e6 samples, both marginals); the budget moves only with its own
+#: at 9-12.5 B/sample, and followed by ``trace_stats`` at 16.0, or 38.7 when
+#: tau0 >> T widens the ACF window to n/2 lags (tracemalloc, 1e6-4.2e6
+#: samples, both marginals); the budget moves only with its own
 #: re-measurement.
 MAX_TRACE_SAMPLES = (4 << 30) // 128
 
@@ -147,6 +148,8 @@ class ChannelTrace:
                 "trace sample rate and duration must be > 0 with a finite "
                 f"product, got {rate} Hz and {duration} s"
             )
+        if not self.coherence_time_s > 0:  # inf stands for a frozen channel
+            raise ValueError(f"trace coherence time must be > 0, got {self.coherence_time_s}")
         expected = int(round(rate * duration))
         if len(self.gains) != expected:
             raise ValueError(
@@ -428,19 +431,43 @@ def constant_trace(duration_s: float) -> ChannelTrace:
     )
 
 
-def _autocovariance(x: np.ndarray) -> np.ndarray:
-    """Sums sum_i x[i] * x[i + k] for lags k = 0..len(x)//2, by real FFT.
+#: Lags of ``trace_stats``' first autocovariance window.
+_FIRST_LAGS = 4096
 
-    The circular correlation over m points adds lag k - m to lag k; with
-    m >= n + n//2 + 1, |k - m| > n for every k <= n//2, so no wrap-around
-    enters.
+
+def _autocovariance(x: np.ndarray, mean: float, lags: int) -> np.ndarray:
+    """Sums sum_i (x[i] - mean) * (x[i + k] - mean) for lags k < ``lags``.
+
+    The trace is cut into blocks of 8*lags samples, each with the mean
+    removed on its own. A block's real FFT is correlated with that of the
+    same block extended by the next lags - 1 samples, and the cross-spectra
+    are summed before one inverse FFT. Over m >= block + lags
+    points no circular wrap reaches a lag below ``lags``. From n/8 lags on
+    the block is the whole trace, transformed once. The cross-spectrum is
+    formed from explicit real and imaginary parts, so for one block it is
+    bit for bit the power spectrum re^2 + im^2.
     """
     n = len(x)
-    m = scipy.fft.next_fast_len(n + n // 2 + 1, real=True)
-    spec = np.fft.rfft(x, m)
-    power = spec.real**2 + spec.imag**2
-    del spec  # the inverse needs only the power
-    return np.fft.irfft(power, m)[: n // 2 + 1]
+    block = min(n, 8 * lags)
+    m = scipy.fft.next_fast_len(block + lags, real=True)
+    acc = None
+    for start in range(0, n, block):
+        ext = x[start : start + block + lags - 1] - mean
+        head = np.fft.rfft(ext[:block], m)
+        tail = np.fft.rfft(ext, m) if len(ext) > block else head
+        del ext  # each temporary goes as soon as it is used
+        re = head.real * tail.real
+        re += head.imag * tail.imag
+        im = head.real * tail.imag
+        im -= head.imag * tail.real
+        if acc is None:  # the first cross-spectrum reuses its tail's storage
+            acc = tail
+            acc.real, acc.imag = re, im
+        else:
+            acc.real += re
+            acc.imag += im
+        del head, tail, re, im
+    return np.fft.irfft(acc, m)[:lags]
 
 
 def trace_stats(trace: ChannelTrace) -> TraceStats:
@@ -450,22 +477,51 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
     where the biased autocovariance, normalized to 1 at lag 0, first drops
     below 1/2 (linearly interpolated) divided by sqrt(ln 2). Infinite for a
     constant trace; nan below 100 samples, too few to estimate it.
+
+    The autocovariance is computed over a window of the first 4096 lags
+    (all n//2 + 1 of a shorter trace). While the ACF stays at or above 1/2
+    across it, the window widens and the sums restart from lag 0, so the
+    crossing found is the first one up to lag n//2. The next window is
+    twice the lag where 1 - ACF, extrapolated from the window's middle and
+    last lags as a power of the lag, would reach 1/2, and at least 8 times
+    the last window; past n/4 it is all n//2 + 1 lags, in one real FFT.
+
+    A window T of at most a few tau0 does not resolve tau0: the ACF is that
+    of a near-linear drift across the trace and the estimate reads about
+    0.2*T whatever the true tau0. The default ``transmit`` run is such a
+    case: its 100-sample trace spans 5 ms against tau0 = 29-176 ms and
+    reports 1.02 ms.
     """
     g = trace.gains
-    if len(g) == 0:
+    n = len(g)
+    if n == 0:
         raise ValueError("trace has no samples")
     mean = float(np.mean(g))
     var = float(np.var(g))
     sigma_i2 = var / mean**2 if mean != 0 else 0.0
     if var == 0.0:
         return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.inf)
-    if len(g) < 100:
+    if n < 100:
         return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.nan)
 
-    acov = _autocovariance(g - mean)
-    acf = acov / acov[0]
-
-    below = np.nonzero(acf < 0.5)[0]
+    all_lags = n // 2 + 1
+    lags = min(_FIRST_LAGS, all_lags)
+    while True:
+        acov = _autocovariance(g, mean, lags)
+        acf = acov / acov[0]
+        below = np.nonzero(acf < 0.5)[0]
+        if len(below) or lags == all_lags:
+            break
+        # 1 - ACF taken as c*k^p through lags half and 2*half, p clipped to
+        # [1, 2] (a drift to a Gaussian ACF), reaches 1/2 at ``reach``; an
+        # ACF still at 1 sends the window to all lags.
+        half = (lags - 1) // 2
+        near, far = 1.0 - acf[half], 1.0 - acf[2 * half]
+        p = min(2.0, max(1.0, math.log2(far / near))) if far > near > 0 else 1.0
+        reach = 2 * half * (0.5 / far) ** (1.0 / p) if far > 0 else n
+        lags = max(8 * lags, math.ceil(2.0 * reach))
+        if 4 * lags > n:
+            lags = all_lags
     if len(below) == 0:
         return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.inf)
     j = int(below[0])  # >= 1: acf[0] is 1

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import integrate, stats
 from scipy.special import ndtr
 
@@ -471,10 +472,82 @@ class TestTraceStats:
     @pytest.mark.parametrize("n", [1000, 1001])
     def test_autocovariance_has_no_wrap(self, n):
         x = np.random.default_rng(n).standard_normal(n)
-        acov = channel_trace._autocovariance(x)
+        mean = float(np.mean(x))
+        acov = channel_trace._autocovariance(x, mean, n // 2 + 1)
         assert len(acov) == n // 2 + 1
         k = n // 2
-        assert acov[k] == pytest.approx(np.dot(x[: n - k], x[k:]), rel=0, abs=1e-10)
+        d = x - mean
+        assert acov[k] == pytest.approx(np.dot(d[: n - k], d[k:]), rel=0, abs=1e-10)
+
+    def test_autocovariance_over_blocks(self):
+        # 2048 lags cut the trace into blocks of 8 * 2048 samples; the last
+        # one holds 1500, fewer than the lags, so from lag 1500 on only the
+        # previous block's extension reaches it. The mean is removed block
+        # by block, so the trace keeps an offset of 3.
+        lags, last = 2048, 1500
+        n = 4 * 8 * lags + last
+        x = 3.0 + np.random.default_rng(7).standard_normal(n)
+        mean = float(np.mean(x))
+        acov = channel_trace._autocovariance(x, mean, lags)
+        assert len(acov) == lags
+        d = x - mean
+        for k in (0, 1, last - 1, last, lags - 1):
+            assert acov[k] == pytest.approx(np.dot(d[: n - k], d[k:]), rel=0, abs=1e-9)
+
+    @staticmethod
+    def _whole_length_coherence(trace):
+        # Every lag up to n//2 from one real FFT padded to n + n//2 + 1.
+        g = trace.gains
+        n = len(g)
+        m = scipy.fft.next_fast_len(n + n // 2 + 1, real=True)
+        spec = np.fft.rfft(g - np.mean(g), m)
+        acov = np.fft.irfft(spec.real**2 + spec.imag**2, m)[: n // 2 + 1]
+        acf = acov / acov[0]
+        j = int(np.argmax(acf < 0.5))
+        frac = (acf[j - 1] - 0.5) / (acf[j - 1] - acf[j])
+        return (j - 1 + frac) / trace.sample_rate_hz / math.sqrt(math.log(2.0))
+
+    @pytest.mark.parametrize(
+        "tau0, windows",
+        [(0.0293, [4096]), (0.176, [4096, 32768]), (1e3, [4096, 2**19 + 1])],
+        ids=["first-window", "wider-window", "whole-length"],
+    )
+    def test_window_growth_finds_the_first_crossing(self, tau0, windows, monkeypatch):
+        # 2^20 samples at 1e5 Hz: the hazy tau0 crosses 1/2 inside the first
+        # 4096 lags; the clear tau0 near lag 17 600, inside a second window
+        # still taken in blocks; tau0 >> T near 0.2*T, past n/4, so its
+        # second window is all n//2 + 1 lags in one block.
+        trace = generate_trace(FadingModel.log_normal(0.3), tau0, 1e5, 2**20 / 1e5, seed=5)
+        seen = []
+        real = channel_trace._autocovariance
+
+        def spy(x, mean, lags):
+            seen.append(lags)
+            return real(x, mean, lags)
+
+        monkeypatch.setattr(channel_trace, "_autocovariance", spy)
+        est = trace_stats(trace).coherence_time_s
+        assert seen == windows
+        assert est == pytest.approx(self._whole_length_coherence(trace), rel=1e-12)
+
+    @pytest.mark.parametrize("slope", [0.5, 0.0], ids=["slow-decay", "flat"])
+    def test_no_crossing_is_infinite_after_two_windows(self, slope, monkeypatch):
+        # The biased ACF of any real trace falls below 1/2 by lag n//2, so a
+        # stand-in autocovariance 1 - slope*k/n, at or above 3/4, stands in.
+        n = 2**20
+        trace = ChannelTrace(
+            sample_rate_hz=1e5, duration_s=n / 1e5, seed=0,
+            gains=np.linspace(0.5, 1.5, n), coherence_time_s=1.0,
+        )
+        seen = []
+
+        def stand_in(x, mean, lags):
+            seen.append(lags)
+            return 1.0 - slope * np.arange(lags) / len(x)
+
+        monkeypatch.setattr(channel_trace, "_autocovariance", stand_in)
+        assert math.isinf(trace_stats(trace).coherence_time_s)
+        assert seen == [4096, n // 2 + 1]
 
     @pytest.mark.parametrize(
         "model",
@@ -482,8 +555,9 @@ class TestTraceStats:
         ids=["log_normal", "gamma_gamma"],
     )
     def test_trace_then_stats_memory(self, model):
-        # The statistics pad their real FFTs to 1.5n, rather than up to 4n,
-        # and set the peak: 46.4 B/sample measured.
+        # The statistics take the autocovariance in blocks over the lags
+        # they need (tau0/dt = 500 here) and peak below the trace plus
+        # np.var's deviations: 16.0 B/sample measured.
         n = 1_000_000
         tracemalloc.start()
         try:
@@ -491,7 +565,7 @@ class TestTraceStats:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n <= 64
+        assert peak / n <= 24
 
     def test_too_short(self):
         # Below 100 samples the moments are reported but the coherence time
@@ -629,6 +703,27 @@ class TestTraceSerialization:
         for read, path in ((trace_from_binary, binary), (trace_from_csv, csv)):
             with pytest.raises(ValueError, match="must be > 0 with a finite product"):
                 read(path)
+
+    @pytest.mark.parametrize("tau0", [math.nan, 0.0, -1.0, math.inf])
+    def test_coherence_time_checked_on_load(self, tau0, tmp_path):
+        # A 1-sample trace whose header holds tau0: NaN and values <= 0 are
+        # refused by both readers; inf, a frozen channel's, loads.
+        binary = tmp_path / "trace.ftr"
+        binary.write_bytes(
+            struct.pack("<8sddd q q", b"FSOTRC01", 1.0, 1.0, tau0, 0, 1)
+            + np.ones(1).tobytes()
+        )
+        csv = tmp_path / "trace.csv"
+        csv.write_text(
+            "# sample_rate_hz=1.0\n# duration_s=1.0\n"
+            f"# coherence_time_s={tau0}\n# seed=0\ntime_s,gain\r\n0.0,1.0\r\n"
+        )
+        for read, path in ((trace_from_binary, binary), (trace_from_csv, csv)):
+            if tau0 == math.inf:
+                assert read(path).coherence_time_s == math.inf
+            else:
+                with pytest.raises(ValueError, match="coherence time must be > 0"):
+                    read(path)
 
 
 class TestTraceType:
