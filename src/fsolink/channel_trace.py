@@ -11,6 +11,7 @@ independently. Everything is deterministic given the seed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -535,39 +536,46 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
 
 
 def trace_to_csv(trace: ChannelTrace, path) -> None:
-    """Write ``time_s,gain`` rows plus metadata comments; bit-exact round trip."""
-    times = (np.arange(len(trace.gains)) / trace.sample_rate_hz).tolist()
+    """Write ``time_s,gain`` rows plus metadata comments, ``_CHUNK`` rows at
+    a time; bit-exact round trip."""
+    n = len(trace.gains)
     with open(path, "w", newline="") as fh:
         fh.write("# fsolink-trace-v1\n")
         fh.writelines(f"# {key}={getattr(trace, key)}\n" for key in _TRACE_FIELDS)
         fh.write("time_s,gain\r\n")
-        fh.writelines(
-            f"{t!r},{gain!r}\r\n" for t, gain in zip(times, trace.gains.tolist())
-        )
+        for start in range(0, n, _CHUNK):
+            times = np.arange(start, min(start + _CHUNK, n)) / trace.sample_rate_hz
+            gains = trace.gains[start : start + _CHUNK]
+            fh.writelines(f"{t!r},{g!r}\r\n" for t, g in zip(times.tolist(), gains.tolist()))
 
 
 def trace_from_csv(path) -> ChannelTrace:
     """Read ``trace_to_csv``'s layout: "#" metadata comments, an optional
-    ``time_s,gain`` header, then the rows (blank ones skipped)."""
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
-    start = next((i for i, line in enumerate(lines) if line[0] != "#"), len(lines))
+    ``time_s,gain`` header, then the rows (blank ones skipped), parsed
+    ``_CHUNK`` rows at a time."""
     meta = {}
-    for line in lines[:start]:
-        key, sep, value = line[1:].partition("=")
-        if sep:
-            meta[key.strip()] = value.strip()
-    if start < len(lines) and lines[start].lstrip().startswith("time_s"):
-        start += 1
-    try:
-        gains = [float(row.split(",")[1]) for row in lines[start:] if not row.isspace()]
-    except IndexError:
-        raise ValueError("trace CSV row without a gain column") from None
+    with open(path, newline="") as fh:
+        rows = fh
+        for line in fh:
+            if line[0] != "#":
+                if not line.lstrip().startswith("time_s"):
+                    rows = itertools.chain([line], fh)
+                break
+            key, sep, value = line[1:].partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
+        gains = (float(row.split(",")[1]) for row in rows if not row.isspace())
+        chunks = [np.empty(0)]
+        try:
+            while len(chunk := np.fromiter(itertools.islice(gains, _CHUNK), float)):
+                chunks.append(chunk)
+        except IndexError:
+            raise ValueError("trace CSV row without a gain column") from None
     missing = [key for key in _TRACE_FIELDS if key not in meta]
     if missing:
         raise ValueError(f"trace CSV missing metadata keys: {missing}")
     return ChannelTrace(
-        gains=np.array(gains),
+        gains=np.concatenate(chunks),
         **{key: kind(meta[key]) for key, kind in _TRACE_FIELDS.items()},
     )
 

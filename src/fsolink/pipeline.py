@@ -2,10 +2,12 @@
 
 Composes the other modules in a fixed stage order (turbulence,
 atmosphere, linkbudget, trace, noise, transmit, report) and reports
-everything measured along the way; the transmit stage is the modem's one
-link pass, ``modem.transmit``. Runs are deterministic functions of the
-configuration (seed included); worker counts only change execution, never
-results. Stage failures are re-raised with the stage name attached.
+everything measured along the way; the trace, noise calibration, the
+modem's one link pass ``modem.transmit`` and the trace statistics form
+``_link_pass``, a function of the values it reads, which a sweep runs once
+per distinct set. Runs are deterministic functions of the configuration
+(seed included); worker counts only change execution, never results.
+Stage failures are re-raised with the stage name attached.
 ``RunConfig`` and ``NoiseSpec`` are defined with their codec in
 ``scenarios`` and re-exported here.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import time
@@ -33,7 +36,8 @@ from .channel_trace import (
 from .errors import PipelineStageError, UnknownAxisError
 from .linkbudget import LinkBudget, TransceiverOptics, received_power_dbm
 from .modem import (
-    BerReport, RandomBits, calibrate_noise_std, check_n_symbols, derive_seeds, transmit,
+    BerReport, Pam4Config, RandomBits, calibrate_noise_std, check_n_symbols, derive_seeds,
+    transmit,
 )
 from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
 from .scenarios import NoiseSpec, RunConfig, dotted_overlay, merge_config
@@ -113,9 +117,40 @@ def _physical_noise_std(
     return (solar_w + floor_w) / signal_w
 
 
-def _run(config: RunConfig, payload_bits: np.ndarray | None):
+def _link_pass(
+    model: FadingModel, tau0: float, bits: np.ndarray | RandomBits, seed: int,
+    target_q: float | None, noise_std: float | None, modem_config: Pam4Config, workers: int,
+):
+    """A run's trace, noise level, transmission and trace statistics:
+    (noise_std, decided bits or None, BER report, trace statistics).
+
+    A deterministic function of its arguments, the noise input being
+    ``target_q`` to calibrate to or else ``noise_std``; ``workers`` never
+    changes a result.
+    """
+    _, trace_seed, cal_seed, noise_seed = derive_seeds(seed, 4)
+    n_symbols = (len(bits) + 1) // 2
+    duration = n_symbols / modem_config.symbol_rate_hz
+
+    with _stage("trace"):
+        n_trace = _auto_trace_samples(n_symbols, duration, tau0)
+        trace = generate_trace(model, tau0, n_trace / duration, duration, trace_seed)
+
+    if target_q is not None:
+        with _stage("noise"):
+            noise_std = calibrate_noise_std(bits, trace, target_q, cal_seed, modem_config)
+
+    with _stage("transmit"):
+        rx_bits, ber = transmit(bits, trace, noise_std, noise_seed, modem_config, workers)
+
+    with _stage("report"):
+        stats = trace_stats(trace)
+    return noise_std, rx_bits, ber, stats
+
+
+def _run(config: RunConfig, payload_bits: np.ndarray | None, link_pass=_link_pass):
     """Report of a run of a payload, or of random bits, and its decided bits
-    (None for random bits)."""
+    (None for random bits); ``link_pass`` runs ``_link_pass``."""
     started = time.monotonic()
 
     with _stage("turbulence"):
@@ -129,29 +164,21 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
             config.optics, losses, config.geometry.beam_divergence_rad
         )
 
-    bits_seed, trace_seed, cal_seed, noise_seed = derive_seeds(config.seed, 4)
+    bits_seed = derive_seeds(config.seed, 4)[0]
     bits = RandomBits(config.n_symbols, bits_seed) if payload_bits is None else payload_bits
-    n_symbols = (len(bits) + 1) // 2
-    duration = n_symbols / config.modem.symbol_rate_hz
 
-    with _stage("trace"):
-        n_trace = _auto_trace_samples(n_symbols, duration, tau0)
-        trace = generate_trace(model, tau0, n_trace / duration, duration, trace_seed)
-
+    target_q = noise_std = None
     with _stage("noise"):
         if config.noise.mode == "fixed_std":
             noise_std = float(config.noise.noise_std)
         elif config.noise.mode == "physical":
             noise_std = _physical_noise_std(config.noise, config.optics, budget)
         else:
-            noise_std = calibrate_noise_std(
-                bits, trace, config.noise.target_q, cal_seed, config.modem
-            )
+            target_q = config.noise.target_q
 
-    with _stage("transmit"):
-        rx_bits, ber = transmit(
-            bits, trace, noise_std, noise_seed, config.modem, workers=config.workers
-        )
+    noise_std, rx_bits, ber, stats = link_pass(
+        model, tau0, bits, config.seed, target_q, noise_std, config.modem, config.workers
+    )
 
     with _stage("report"):
         report = RunReport(
@@ -161,10 +188,10 @@ def _run(config: RunConfig, payload_bits: np.ndarray | None):
             sigma_i2=model.sigma_i2,
             fading_kind=model.kind,
             coherence_time_s=tau0,
-            trace_stats=trace_stats(trace),
+            trace_stats=stats,
             noise_std=noise_std,
             ber=ber,
-            n_symbols=n_symbols,
+            n_symbols=(len(bits) + 1) // 2,
             pad_bits=len(bits) % 2,
             seed=config.seed,
             elapsed_s=time.monotonic() - started,
@@ -254,9 +281,12 @@ def _pat_sweep_row(axis: str, value: float, seed: int) -> dict:
 def scenario_sweep(config: RunConfig, axis: str, values) -> list[dict]:
     """One run per axis value; returns flat summary rows for CSV export.
 
-    Transmission axes rerun the full pipeline with only the axis value
-    changed (same seed, so noise draws are shared and monotonicity in the
-    swept parameter is visible). ``pat.*`` axes run the tracking loop.
+    Transmission axes rerun the pipeline with only the axis value changed
+    and the same seed. Points whose link-pass inputs (``_link_pass``'s
+    arguments) are equal share one pass, run once per call: a loss or
+    optics axis in ``target_q`` or ``fixed_std`` mode runs it once, so its
+    BER columns are identical by construction. ``pat.*`` axes run the
+    tracking loop.
     """
     values = list(values)
     if axis in _PAT_AXES:
@@ -265,10 +295,11 @@ def scenario_sweep(config: RunConfig, axis: str, values) -> list[dict]:
     if axis not in _numeric_leaves(encoded):
         raise UnknownAxisError(axis, sweep_axes(config))
     encoded["workers"] = config.workers
+    link_pass = functools.cache(_link_pass)
     rows = []
     for value in values:
         swept = merge_config(encoded, dotted_overlay(axis, value))
-        report = run_endtoend(RunConfig.from_dict(swept))
+        report, _ = _run(RunConfig.from_dict(swept), None, link_pass)
         rows.append(
             {
                 "axis": axis,

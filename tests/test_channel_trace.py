@@ -604,6 +604,42 @@ class TestTraceSerialization:
         assert back.seed == trace.seed
         assert back.coherence_time_s == trace.coherence_time_s
 
+    def test_csv_io_streams_in_chunks(self, tmp_path):
+        # Rows are formatted and parsed _CHUNK at a time: 4.8 B/sample
+        # written and 16.0 read (the parsed chunks and their concatenation)
+        # measured at 1e6 samples.
+        n = 1_000_000
+        gains = np.random.default_rng(4).gamma(2.0, 0.5, n)
+        trace = ChannelTrace(
+            sample_rate_hz=1e5, duration_s=10.0, seed=4, gains=gains, coherence_time_s=0.01
+        )
+        path = tmp_path / "trace.csv"
+        peaks = []
+        tracemalloc.start()
+        try:
+            trace_to_csv(trace, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            back = trace_from_csv(path)
+            peaks.append(tracemalloc.get_traced_memory()[1] - back.gains.nbytes)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] / n <= 16
+        assert peaks[1] / n <= 24
+        assert np.array_equal(back.gains, gains)
+
+    def test_csv_blank_rows_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(channel_trace, "_CHUNK", 3)
+        trace = generate_trace(FadingModel.log_normal(0.15), 1e-3, 1e4, 1e-3, seed=7)
+        path = tmp_path / "trace.csv"
+        trace_to_csv(trace, path)
+        lines = path.read_text().splitlines(keepends=True)
+        head, rows = lines[:6], lines[6:]
+        assert head[-1] == "time_s,gain\n" and len(rows) == 10
+        path.write_text("".join(head[:-1] + rows[:4] + ["\n", " \n"] * 4 + rows[4:] + ["\n"]))
+        back = trace_from_csv(path)
+        assert np.array_equal(back.gains, trace.gains)
+
     def test_binary_round_trip_bit_exact(self, tmp_path):
         trace = generate_trace(
             FadingModel.gamma_gamma_from_rytov(0.8), 1e-3, 1e4, 0.05, seed=55

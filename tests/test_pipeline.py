@@ -13,7 +13,7 @@ from fsolink.channel_trace import coherence_time, generate_trace
 from fsolink.errors import PipelineStageError, UnknownAxisError
 from fsolink.linkbudget import received_power_dbm
 from fsolink.modem import (
-    apply_channel, count_ber, demodulate, derive_seeds, eye_stats, modulate,
+    apply_channel, count_ber, demodulate, derive_seeds, eye_stats, modulate, transmit,
 )
 from fsolink.pipeline import NoiseSpec, RunConfig
 from fsolink.reporting import as_jsonable, report_to_json
@@ -331,6 +331,93 @@ class TestScenarioSweep:
         assert rows[0]["ber_counted"] == direct.ber.ber_counted
         with pytest.raises(ValueError, match="'seed'"):
             pipeline.scenario_sweep(config, "seed", [1.5])
+
+
+def count_link_passes(monkeypatch) -> list:
+    """Record one entry per ``modem.transmit`` call the pipeline makes."""
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return transmit(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "transmit", counted)
+    return passes
+
+
+def point_rows(config: RunConfig, axis: str, values) -> list[dict]:
+    """The sweep's rows, each from its own ``run_endtoend``."""
+    section, key = axis.split(".")
+    rows = []
+    for value in values:
+        part = dataclasses.replace(getattr(config, section), **{key: value})
+        report = pipeline.run_endtoend(dataclasses.replace(config, **{section: part}))
+        rows.append({
+            "axis": axis,
+            "value": value,
+            "l_total_db": report.losses.l_total_db,
+            "l_sci_db": report.losses.l_sci_db,
+            "p_r_dbm": report.budget.p_r_dbm,
+            "rytov_var": report.rytov_var,
+            "fading_kind": report.fading_kind,
+            "noise_std": report.noise_std,
+            "ber_counted": report.ber.ber_counted,
+            "ber_estimated": report.ber.ber_estimated,
+        })
+    return rows
+
+
+class TestSweepSharesLinkPasses:
+    @pytest.mark.parametrize("noise, axis, values", [
+        ({}, "scenario.visibility_km", [1.0, 3.0, 10.0]),
+        ({"mode": "fixed_std", "noise_std": 0.05}, "optics.tx_power_dbm", [20.0, 30.0, 40.0]),
+    ])
+    def test_loss_axis_runs_one_pass(self, monkeypatch, noise, axis, values):
+        config = make_config("hazy", n_symbols=20_000, seed=3, noise=noise)
+        passes = count_link_passes(monkeypatch)
+        rows = pipeline.scenario_sweep(config, axis, values)
+        assert len(passes) == 1
+        assert len({row["p_r_dbm"] for row in rows}) == len(values)
+        assert repr(rows) == repr(point_rows(config, axis, values))
+
+    @pytest.mark.parametrize("noise, axis, values", [
+        ({}, "scenario.ground_cn2", [1e-14, 1e-13, 2e-13]),
+        ({}, "scenario.wind_speed_ground", [2.0, 6.0]),
+        ({"mode": "physical"}, "scenario.visibility_km", [1.0, 3.0, 10.0]),
+    ])
+    def test_link_axis_runs_one_pass_per_point(self, monkeypatch, noise, axis, values):
+        config = make_config("hazy", n_symbols=20_000, seed=3, noise=noise)
+        passes = count_link_passes(monkeypatch)
+        rows = pipeline.scenario_sweep(config, axis, values)
+        assert len(passes) == len(values)
+        assert repr(rows) == repr(point_rows(config, axis, values))
+
+    def test_no_pass_outlives_its_sweep(self, monkeypatch):
+        config = make_config("hazy", n_symbols=20_000)
+        passes = count_link_passes(monkeypatch)
+        first = pipeline.scenario_sweep(config, "scenario.visibility_km", [2.0, 4.0])
+        second = pipeline.scenario_sweep(config, "scenario.visibility_km", [2.0, 4.0])
+        assert len(passes) == 2
+        assert repr(first) == repr(second)
+        pipeline.run_endtoend(config)
+        pipeline.run_endtoend(config)
+        assert len(passes) == 4
+
+    def test_unreachable_target_names_noise_stage(self):
+        config = make_config("hazy", n_symbols=20_000, noise={"target_q": 1e9})
+        with pytest.raises(PipelineStageError) as info:
+            pipeline.scenario_sweep(config, "scenario.visibility_km", [2.0, 4.0])
+        assert info.value.stage == "noise"
+
+    def test_transmit_failure_names_transmit_stage(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("link down")
+
+        monkeypatch.setattr(pipeline, "transmit", broken)
+        config = make_config("hazy", n_symbols=20_000)
+        with pytest.raises(PipelineStageError, match="link down") as info:
+            pipeline.scenario_sweep(config, "scenario.visibility_km", [2.0, 4.0])
+        assert info.value.stage == "transmit"
 
 
 class TestRunConfig:
