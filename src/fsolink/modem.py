@@ -19,7 +19,8 @@ means (ideal level tracking over 33 us at 2 GBd; the fade's coherence time
 is milliseconds); a sample's level is the number of cuts strictly below
 it. The BER estimate averages the blocks' Q-factor estimates, the reported
 statistics merge the blocks by Chan's update, and noise calibration
-evaluates the same merge in closed form at every trial noise level.
+reduces one received pass per (trace sample, level) cell and evaluates
+the per-level statistics in closed form at every trial noise level.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ MIN_SYMBOLS = 10_000
 
 #: Largest run: a 4 GiB budget over 15 B/symbol. At 1e7 hazy symbols,
 #: ``pipeline.payload_roundtrip`` peaks at 4.75 B/symbol (its bits in and
-#: out, 2 B/symbol each, and about 8 MiB of calibration, trace and block
-#: temporaries); a random ``pipeline.run_endtoend`` holds no whole-run array
-#: and peaks at those 8 MiB, 0.83 B/symbol.
+#: out, 2 B/symbol each, and about 7 MiB of temporaries); a random
+#: ``pipeline.run_endtoend`` holds no whole-run array and peaks at about
+#: 5 MiB, 0.51 B/symbol.
 MAX_SYMBOLS = (4 << 30) // 15
 
 #: Most worker threads a run may ask for; ``transmit`` starts one per block
@@ -210,7 +211,7 @@ def apply_channel(
     symbol's start time, must cover the run. This is ``transmit``'s channel
     on the whole array, with the same seeded noise, sample for sample.
     """
-    tx = np.asarray(symbols) if levels is None else np.take(levels, symbols)
+    tx = np.asarray(symbols) if levels is None else np.asarray(levels)[symbols]
     return _channel(len(tx), trace, noise_std, seed, symbol_rate_hz)(tx, 0)
 
 
@@ -422,10 +423,12 @@ def calibrate_noise_std(
     array or a ``RandomBits`` source, read as ``transmit`` reads it). Every
     trial level reuses the same noise draws z (those ``apply_channel``
     makes for ``seed``), so the received samples are u + noise_std * z
-    with u = H * x. The per-level means and variances of u + s z at
-    s = 0, 1 and -1 (``eye_stats``' reduction) give the means of
-    u and z and A = Var(u), B = Var(z), C = Cov(u, z); a trial level s then
-    has means u_mean + s * z_mean and variances A + 2 s C + s^2 B. The
+    with u = H * x. One ``apply_channel`` pass at noise_std 1 gives
+    r = u + z. The fade is piecewise constant, so u is one number in each
+    (trace sample, level) cell, whose count, sum of z = r - u and sum of
+    z^2 give each level's means of u and z and A = Var(u), B = Var(z),
+    C = Cov(u, z) by the law of total variance. A trial level s then has
+    means u_mean + s * z_mean and variances A + 2 s C + s^2 B. The
     bracketed function is deterministic and strictly decreasing; the
     interval is shrunk to 1e-4 relative width.
     """
@@ -433,16 +436,38 @@ def calibrate_noise_std(
         raise ValueError(f"target_q must be > 0, got {target_q}")
     n = min((len(bits) + 1) // 2, _CALIBRATION_SYMBOLS)
     labels = _block_labels(_bit_reader(bits)(0, n))
-    u = apply_channel(labels, trace, 0.0, seed, config.symbol_rate_hz, levels=config.levels)
-    z = _unit_noise(0, len(labels), seed)
-    at_0, at_1, at_minus_1 = (_merge(_level_moments(x, labels)) for x in (u, u + z, u - z))
-    z_mean = at_1.means - at_0.means
-    var_u, var_plus, var_minus = (s.stds**2 for s in (at_0, at_1, at_minus_1))
-    var_z = 0.5 * (var_plus + var_minus) - var_u
-    cov_uz = 0.25 * (var_plus - var_minus)
+    r = apply_channel(labels, trace, 1.0, seed, config.symbol_rate_hz, levels=config.levels)
+    counts = np.bincount(labels, minlength=4)
+    if not np.all(counts):
+        raise MissingLevelError(f"every level needs samples, got counts {counts.tolist()}")
+    step = trace.sample_rate_hz / config.symbol_rate_hz
+
+    def cell_sums(b: slice):
+        """Count, u, sum of z and sum of z^2 of block b's non-empty cells, and
+        their levels; keyed over the block's trace samples, 4 per symbol at
+        most while the trace has no more samples than the symbols."""
+        sample = (np.arange(b.start, b.stop) * step).astype(np.intp)
+        key = (sample - sample[0]) * 4 + labels[b]
+        u = np.multiply.outer(trace.gains[sample[0] : sample[-1] + 1], config.levels).ravel()
+        z = r[b] - u[key]
+        count = np.bincount(key, minlength=len(u))
+        cells = np.flatnonzero(count)
+        z_sum, z_sq = (np.bincount(key, weights=w, minlength=len(u))[cells] for w in (z, z * z))
+        return count[cells], u[cells], z_sum, z_sq, cells % 4
+
+    per_block = (cell_sums(b) for b in _blocks(n))
+    count, u, z_sum, z_sq, level = (np.concatenate(c) for c in zip(*per_block))
+    u_mean = np.bincount(level, weights=count * u) / counts
+    z_mean = np.bincount(level, weights=z_sum) / counts
+    du = u - u_mean[level]
+    dz = z_sum / count - z_mean[level]
+    var_u = np.bincount(level, weights=count * du * du) / counts
+    cov_uz = np.bincount(level, weights=count * du * dz) / counts
+    # Within-cell M2 plus the between-cell term.
+    var_z = np.bincount(level, weights=z_sq - z_sum * z_sum / count + count * dz * dz) / counts
 
     def mean_q(noise_std: float) -> float:
-        means = at_0.means + noise_std * z_mean
+        means = u_mean + noise_std * z_mean
         variances = var_u + 2.0 * noise_std * cov_uz + noise_std**2 * var_z
         # Rounding can push a near-noiseless variance just below zero.
         stds = np.sqrt(np.maximum(variances, 0.0))

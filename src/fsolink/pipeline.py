@@ -40,7 +40,7 @@ from .modem import (
     transmit,
 )
 from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
-from .scenarios import NoiseSpec, RunConfig, dotted_overlay, merge_config
+from .scenarios import NoiseSpec, RunConfig, replace_value
 from .spatial_filter import solar_noise_power
 
 #: Rytov variance below which the marginal is modeled as log-normal.
@@ -291,15 +291,12 @@ def scenario_sweep(config: RunConfig, axis: str, values) -> list[dict]:
     values = list(values)
     if axis in _PAT_AXES:
         return [_pat_sweep_row(axis, v, config.seed) for v in values]
-    encoded = config.to_dict()
-    if axis not in _numeric_leaves(encoded):
+    if axis not in _numeric_leaves(config.to_dict()):
         raise UnknownAxisError(axis, sweep_axes(config))
-    encoded["workers"] = config.workers
     link_pass = functools.cache(_link_pass)
     rows = []
     for value in values:
-        swept = merge_config(encoded, dotted_overlay(axis, value))
-        report, _ = _run(RunConfig.from_dict(swept), None, link_pass)
+        report, _ = _run(replace_value(config, axis, value), None, link_pass)
         rows.append(
             {
                 "axis": axis,

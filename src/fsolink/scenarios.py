@@ -153,6 +153,18 @@ def _decode_value(hint, value, key: str):
     raise ValueError(f"config key {key!r} must be {hint.__name__}, got {value!r}")
 
 
+def replace_value(config, key: str, value, prefix: str = ""):
+    """``config`` with the field at dotted ``key`` set to ``value``, the value
+    checked as ``decode`` checks it and every dataclass along the path
+    rebuilt, so each one's own checks run again."""
+    name, _, rest = key.partition(".")
+    if rest:
+        value = replace_value(getattr(config, name), rest, value, f"{prefix}{name}.")
+    else:
+        value = _decode_value(_type_hints(type(config))[name], value, prefix + name)
+    return dataclasses.replace(config, **{name: value})
+
+
 PRESETS: dict[str, dict[str, Any]] = {
     "clear": {
         "note": (

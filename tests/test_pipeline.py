@@ -168,7 +168,7 @@ class TestRunEndToEnd:
     def test_random_run_memory_does_not_grow_with_the_run(self):
         # Random bits are drawn per block inside the link pass, so the run
         # holds no whole-run array: its traced peak (calibration's 200 000
-        # symbols and one block's temporaries, about 8 MiB) stays within one
+        # symbols and one block's temporaries, about 5 MiB) stays within one
         # block's temporaries from 2e6 to 8e6 symbols.
         def peak(n_symbols):
             config = make_config("hazy", n_symbols=n_symbols)
@@ -331,6 +331,25 @@ class TestScenarioSweep:
         assert rows[0]["ber_counted"] == direct.ber.ber_counted
         with pytest.raises(ValueError, match="'seed'"):
             pipeline.scenario_sweep(config, "seed", [1.5])
+
+    @pytest.mark.parametrize("axis, value", [
+        ("scenario.visibility_km", 4.5), ("noise.target_q", 5), ("seed", 3.0),
+        ("optics.tx_power_dbm", 12.25), ("modem.symbol_rate_hz", 1e9),
+    ])
+    def test_swept_value_replaces_the_decoded_field(self, axis, value):
+        config = make_config("hazy", n_symbols=20_000, workers=2)
+        swept = scenarios.replace_value(config, axis, value)
+        encoded = scenarios.merge_config(config.to_dict(), scenarios.dotted_overlay(axis, value))
+        assert swept == dataclasses.replace(RunConfig.from_dict(encoded), workers=2)
+
+    def test_swept_value_is_checked_like_a_config_file(self):
+        config = make_config("clear", n_symbols=20_000)
+        with pytest.raises(ValueError, match="config key 'seed' must be int, got 1.5"):
+            scenarios.replace_value(config, "seed", 1.5)
+        with pytest.raises(ValueError, match="'scenario.visibility_km' must be finite"):
+            pipeline.scenario_sweep(config, "scenario.visibility_km", [math.inf])
+        with pytest.raises(ValueError, match="visibility"):
+            pipeline.scenario_sweep(config, "scenario.visibility_km", [-1.0])
 
 
 def count_link_passes(monkeypatch) -> list:
