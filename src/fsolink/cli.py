@@ -20,7 +20,7 @@ from .channel_trace import generate_trace, trace_to_binary, trace_to_csv
 from .errors import ConfigKeyError, FsoLinkError
 from .linkbudget import received_power_dbm
 from .modem import Pam4Config
-from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
+from .pat import run_loop
 from .spatial_filter import FilterDemoScenario, filtering_ber_demo, grid_from_csv
 
 
@@ -105,29 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_pat = sub.add_parser("pat-sim", help="closed-loop quadrant-detector tracking")
-    p_pat.add_argument("--m", type=int, default=10, help="samples per correction")
-    p_pat.add_argument(
-        "--gain", type=float, default=DEMO_LOOP["controller_gain"],
-        help="proportional gain",
-    )
-    p_pat.add_argument("--noise-std", type=float, default=DEMO_LOOP["noise_std"])
-    p_pat.add_argument(
-        "--disturbance-rms", type=float, default=DEMO_LOOP["disturbance_rms"],
-        metavar="M",
-    )
-    p_pat.add_argument(
-        "--disturbance-bw", type=float, default=JitterParams.bandwidth_hz, metavar="HZ"
-    )
-    p_pat.add_argument(
-        "--loop-rate", type=float, default=DEMO_LOOP["loop_rate_hz"], metavar="HZ"
-    )
-    p_pat.add_argument(
-        "--duration", type=float, default=DEMO_LOOP["duration_s"], metavar="S"
-    )
-    initial_x, initial_y = DEMO_LOOP["initial_offset_m"]
-    p_pat.add_argument("--initial-x", type=float, default=initial_x, metavar="M")
-    p_pat.add_argument("--initial-y", type=float, default=initial_y, metavar="M")
-    p_pat.add_argument("--seed", type=int, default=0)
+    _add_config_args(p_pat)
     p_pat.add_argument("--out", metavar="PATH", help="residual trace CSV")
     p_pat.add_argument("--summary", metavar="PATH", help="JSON summary")
     p_pat.add_argument("--no-timestamp", action="store_true")
@@ -240,19 +218,8 @@ def _cmd_transmit(args) -> int:
 
 
 def _cmd_pat_sim(args) -> int:
-    result = run_tracking_loop(
-        initial_offset_m=(args.initial_x, args.initial_y),
-        disturbance=JitterParams(
-            rms_m=args.disturbance_rms, bandwidth_hz=args.disturbance_bw
-        ),
-        geometry=QdGeometry(),
-        m=args.m,
-        loop_rate_hz=args.loop_rate,
-        controller_gain=args.gain,
-        duration_s=args.duration,
-        seed=args.seed,
-        noise_std=args.noise_std,
-    )
+    run_cfg = pipeline.RunConfig.from_dict(_resolve(args))
+    result = run_loop(run_cfg.pat, run_cfg.seed)
     if args.out:
         reporting.tracking_csv(result, args.out)
     summary = {

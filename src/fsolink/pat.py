@@ -7,8 +7,10 @@ invariant to uniform power scaling and odd under offset negation.
 
 The closed-loop simulation takes m detector samples per correction window
 (the channel is held static within a window), averages them, and applies a
-proportional correction. Multi-sampling trades acquisition time for an
-amplitude-SNR gain of sqrt(m).
+proportional correction. The loop rate does not depend on m, so the m
+readings cost no loop time: the detector is assumed to take all m within one
+loop period, and multi-sampling buys an amplitude-SNR gain of sqrt(m) at a
+fixed correction rate.
 
 Noise contract: the loop's detector noise comes from the first child of
 the run seed's SeedSequence. Step k's m readings add the k-th (m, 4) block
@@ -43,20 +45,6 @@ _READING_BYTES = 162
 #: Most noise values ``run_tracking_loop`` draws at once. As nested lists a
 #: full block of m = 1 steps takes about 0.5 MiB.
 _NOISE_BLOCK_VALUES = 1 << 12
-
-#: Closed-loop demo settings shared by ``fsolink pat-sim``, the ``pat.*``
-#: sweep axes and the loop rate, gain and duration defaults of
-#: ``run_tracking_loop``: its arguments plus the jitter RMS in meters (its
-#: bandwidth is the JitterParams default).
-DEMO_LOOP = {
-    "noise_std": 0.05,
-    "disturbance_rms": 50e-6,
-    "initial_offset_m": (2e-4, -1e-4),
-    "loop_rate_hz": 1000.0,
-    "controller_gain": 0.8,
-    "duration_s": 0.5,
-}
-
 
 @dataclass(frozen=True)
 class QdReading:
@@ -122,6 +110,25 @@ class JitterParams:
         # Gaussian ACF exp(-(t/tau)^2) has its half-power spectral point at
         # bandwidth_hz when tau = sqrt(ln 2) / (pi * bandwidth_hz).
         return math.sqrt(math.log(2.0)) / (math.pi * self.bandwidth_hz)
+
+
+@dataclass(frozen=True)
+class LoopConfig:
+    """Closed-loop tracking settings, the ``pat`` section of a run config,
+    which ``run_loop`` runs: m readings per correction, the loop rate, the
+    proportional gain, the run duration, the starting offset, the
+    per-quadrant detector noise (relative to the unit beam power) and the
+    platform jitter's RMS and bandwidth. Values are checked when the loop
+    runs."""
+
+    m: int = 10
+    loop_rate_hz: float = 1000.0
+    controller_gain: float = 0.8
+    duration_s: float = 0.5
+    initial_offset_m: tuple[float, float] = (2e-4, -1e-4)
+    noise_std: float = 0.05
+    disturbance_rms: float = 50e-6
+    disturbance_bw_hz: float = JitterParams.bandwidth_hz
 
 
 @dataclass(frozen=True)
@@ -304,9 +311,9 @@ def run_tracking_loop(
     disturbance: JitterParams,
     geometry: QdGeometry,
     m: int = 1,
-    loop_rate_hz: float = DEMO_LOOP["loop_rate_hz"],
-    controller_gain: float = DEMO_LOOP["controller_gain"],
-    duration_s: float = DEMO_LOOP["duration_s"],
+    loop_rate_hz: float = LoopConfig.loop_rate_hz,
+    controller_gain: float = LoopConfig.controller_gain,
+    duration_s: float = LoopConfig.duration_s,
     seed: int = 0,
     noise_std: float = 0.0,
 ) -> TrackingResult:
@@ -319,9 +326,9 @@ def run_tracking_loop(
     is computed after the first 20 steps to skip the acquisition
     transient; the max covers the whole run. Raises
     ``TrackingDivergedError`` after 10 consecutive off-detector steps, and
-    ``ValueError``, before allocating, for a run over 4 GiB. The beam has
-    unit power; ``noise_std`` is each reading's per-quadrant detector noise
-    relative to it.
+    ``ValueError``, before allocating, for a duration that is not finite
+    and > 0 or a run over 4 GiB. The beam has unit power; ``noise_std`` is
+    each reading's per-quadrant detector noise relative to it.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -333,6 +340,8 @@ def run_tracking_loop(
         raise ValueError("controller_gain must be finite")
     if not 0 < loop_rate_hz <= 1000.0:
         raise ValueError(f"loop rate must be in (0, 1000] Hz, got {loop_rate_hz}")
+    if not 0.0 < duration_s < math.inf:
+        raise ValueError(f"duration_s must be finite and > 0, got {duration_s}")
     steps = duration_s * loop_rate_hz
     if not _STEP_BYTES * steps + _READING_BYTES * m <= 4 << 30:
         raise ValueError(f"duration covers {steps:g} steps of m = {m} readings: over 4 GiB")
@@ -396,4 +405,20 @@ def run_tracking_loop(
         loop_rate_hz=loop_rate_hz,
         controller_gain=controller_gain,
         seed=seed,
+    )
+
+
+def run_loop(config: LoopConfig, seed: int) -> TrackingResult:
+    """``run_tracking_loop`` with ``config``'s settings on the default
+    detector geometry."""
+    return run_tracking_loop(
+        initial_offset_m=config.initial_offset_m,
+        disturbance=JitterParams(config.disturbance_rms, config.disturbance_bw_hz),
+        geometry=QdGeometry(),
+        m=config.m,
+        loop_rate_hz=config.loop_rate_hz,
+        controller_gain=config.controller_gain,
+        duration_s=config.duration_s,
+        seed=seed,
+        noise_std=config.noise_std,
     )

@@ -39,7 +39,7 @@ from .modem import (
     BerReport, Pam4Config, RandomBits, calibrate_noise_std, check_n_symbols, derive_seeds,
     transmit,
 )
-from .pat import DEMO_LOOP, JitterParams, QdGeometry, run_tracking_loop
+from .pat import run_loop
 from .scenarios import NoiseSpec, RunConfig, replace_value
 from .spatial_filter import solar_noise_power
 
@@ -241,10 +241,6 @@ def payload_roundtrip(path_in, config: RunConfig, path_out) -> RunReport:
 
 # --- parameter sweeps -------------------------------------------------------
 
-#: PAT-mode sweep axes run the tracking loop instead of a transmission.
-_PAT_AXES = ("pat.m", "pat.noise_std", "pat.disturbance_rms", "pat.controller_gain")
-
-
 def _numeric_leaves(cfg: dict, prefix: str = "") -> list[str]:
     """Dotted names of the numeric, non-bool leaves of an encoded config."""
     names = []
@@ -257,25 +253,7 @@ def _numeric_leaves(cfg: dict, prefix: str = "") -> list[str]:
 
 
 def sweep_axes(config: RunConfig) -> list[str]:
-    return sorted(_numeric_leaves(config.to_dict())) + list(_PAT_AXES)
-
-
-def _pat_sweep_row(axis: str, value: float, seed: int) -> dict:
-    params = {"m": 1, **DEMO_LOOP}
-    key = axis.split(".", 1)[1]
-    if key == "m" and not float(value).is_integer():
-        raise ValueError(f"sweep axis {axis!r} must be a whole number, got {value!r}")
-    params[key] = int(value) if key == "m" else float(value)
-    rms = params.pop("disturbance_rms")
-    result = run_tracking_loop(
-        disturbance=JitterParams(rms_m=rms), geometry=QdGeometry(), seed=seed, **params
-    )
-    return {
-        "axis": axis,
-        "value": value,
-        "residual_rms_m": result.residual_rms_m,
-        "residual_max_m": result.residual_max_m,
-    }
+    return sorted(_numeric_leaves(config.to_dict()))
 
 
 def scenario_sweep(config: RunConfig, axis: str, values) -> list[dict]:
@@ -286,21 +264,24 @@ def scenario_sweep(config: RunConfig, axis: str, values) -> list[dict]:
     arguments) are equal share one pass, run once per call: a loss or
     optics axis in ``target_q`` or ``fixed_std`` mode runs it once, so its
     BER columns are identical by construction. ``pat.*`` axes run the
-    tracking loop.
+    tracking loop of the point's ``pat`` section at the point's seed.
     """
-    values = list(values)
-    if axis in _PAT_AXES:
-        return [_pat_sweep_row(axis, v, config.seed) for v in values]
-    if axis not in _numeric_leaves(config.to_dict()):
-        raise UnknownAxisError(axis, sweep_axes(config))
+    axes = sweep_axes(config)
+    if axis not in axes:
+        raise UnknownAxisError(axis, axes)
     link_pass = functools.cache(_link_pass)
     rows = []
     for value in values:
-        report, _ = _run(replace_value(config, axis, value), None, link_pass)
-        rows.append(
-            {
-                "axis": axis,
-                "value": value,
+        point = replace_value(config, axis, value)
+        if axis.startswith("pat."):
+            result = run_loop(point.pat, point.seed)
+            row = {
+                "residual_rms_m": result.residual_rms_m,
+                "residual_max_m": result.residual_max_m,
+            }
+        else:
+            report, _ = _run(point, None, link_pass)
+            row = {
                 "l_total_db": report.losses.l_total_db,
                 "l_sci_db": report.losses.l_sci_db,
                 "p_r_dbm": report.budget.p_r_dbm,
@@ -310,5 +291,5 @@ def scenario_sweep(config: RunConfig, axis: str, values) -> list[dict]:
                 "ber_counted": report.ber.ber_counted,
                 "ber_estimated": report.ber.ber_estimated,
             }
-        )
+        rows.append({"axis": axis, "value": value, **row})
     return rows

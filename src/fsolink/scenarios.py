@@ -24,6 +24,7 @@ from .atmosphere import LinkGeometry, WeatherScenario
 from .errors import ConfigKeyError
 from .linkbudget import TransceiverOptics
 from .modem import MAX_WORKERS, Pam4Config, check_n_symbols
+from .pat import LoopConfig
 from .reporting import as_jsonable
 from .spatial_filter import SolarModel
 
@@ -60,13 +61,15 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one end-to-end run (clear weather, 20 km
-    ground-to-platform uplink by default)."""
+    ground-to-platform uplink by default) and of its tracking loop
+    (``pat``)."""
 
     scenario: WeatherScenario = WeatherScenario(visibility_km=10.0)
     geometry: LinkGeometry = LinkGeometry(distance_m=20000.0, rx_altitude_m=10000.0)
     optics: TransceiverOptics = TransceiverOptics()
     modem: Pam4Config = Pam4Config()
     noise: NoiseSpec = NoiseSpec()
+    pat: LoopConfig = LoopConfig()
     fading: str = "auto"
     seed: int = 0
     n_symbols: int = 10_000_000

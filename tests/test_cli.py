@@ -1,10 +1,13 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsolink import cli, modem, pipeline, reporting, scenarios
 from fsolink.cli import main
+from fsolink.pat import LoopConfig, run_loop
 from fsolink.reporting import as_jsonable
 
 
@@ -48,10 +51,11 @@ class TestDispatch:
             ("modem.samples_per_symbol=2", "modem.samples_per_symbol"),
             ("trace_rate_hz=20080000", "trace_rate_hz"),
             ("payload=f.bin", "payload"),
+            ("pat.mm=1", "pat.mm"),
         ],
         ids=["unknown", "cloud-typo", "solar-typo", "below-leaf", "cloud-missing",
              "retired-gray-mapping", "retired-samples-per-symbol",
-             "retired-trace-rate", "retired-payload"],
+             "retired-trace-rate", "retired-payload", "pat-typo"],
     )
     def test_unknown_override_key_is_usage_error(self, override, key, capsys):
         assert run_cli("budget", "--scenario", "clear", "--set", override) == 2
@@ -289,7 +293,7 @@ class TestOtherCommands:
         out = tmp_path / "residual.csv"
         summary = tmp_path / "summary.json"
         code = run_cli(
-            "pat-sim", "--m", "4", "--duration", "0.2", "--seed", "1",
+            "pat-sim", "--set", "pat.m=4", "--set", "pat.duration_s=0.2", "--seed", "1",
             "--out", str(out), "--summary", str(summary), "--no-timestamp",
         )
         assert code == 0
@@ -299,6 +303,33 @@ class TestOtherCommands:
         data = json.loads(summary.read_text())
         assert data["m"] == 4
         assert data["residual_rms_m"] < 1e-3
+
+    def test_pat_sim_reads_the_config_file_pat_section(self, tmp_path, capsys):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(
+            {"seed": 2, "pat": {"m": 4, "duration_s": 0.2, "controller_gain": 0.5}}
+        ))
+        out, summary = tmp_path / "residual.csv", tmp_path / "summary.json"
+        code = run_cli(
+            "pat-sim", "--config", str(path), "--set", "pat.m=2",
+            "--out", str(out), "--summary", str(summary), "--no-timestamp",
+        )
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 201
+        data = json.loads(summary.read_text())
+        expected = run_loop(LoopConfig(m=2, duration_s=0.2, controller_gain=0.5), 2)
+        assert (data["m"], data["controller_gain"], data["seed"]) == (2, 0.5, 2)
+        assert data["residual_rms_m"] == expected.residual_rms_m
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line, comments=True) for line in lines]
+        assert commands and all(argv[0] == "fsolink" for argv in commands)
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
     def test_filter_sim(self, tmp_path, capsys):
         out = tmp_path / "filter.csv"
@@ -376,11 +407,13 @@ class TestOtherCommands:
 
 class TestRejectedInputs:
     @pytest.mark.parametrize(
-        "flag",
-        ["--initial-x", "--initial-y", "--noise-std", "--disturbance-rms", "--disturbance-bw"],
+        "override",
+        ["pat.initial_offset_m=[NaN,0]", "pat.initial_offset_m=[0,NaN]", "pat.noise_std=NaN",
+         "pat.disturbance_rms=NaN", "pat.disturbance_bw_hz=NaN"],
+        ids=["--initial-x", "--initial-y", "--noise-std", "--disturbance-rms", "--disturbance-bw"],
     )
-    def test_pat_sim_rejects_nan(self, flag, capsys):
-        assert run_cli("pat-sim", "--m", "1", flag, "nan") == 1
+    def test_pat_sim_rejects_nan(self, override, capsys):
+        assert run_cli("pat-sim", "--set", "pat.m=1", "--set", override) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
         assert len(err.splitlines()) == 1
@@ -439,16 +472,17 @@ class TestRejectedInputs:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (("--disturbance-rms=-1e-6",), "jitter RMS"),
-            (("--disturbance-rms=0", "--disturbance-bw", "0"), "jitter bandwidth"),
-            (("--duration", "1e12"), "duration covers 1e+15 steps"),
-            (("--m", "30000000"), "500 steps of m = 30000000 readings: over 4 GiB"),
+            (("pat.disturbance_rms=-1e-6",), "jitter RMS"),
+            (("pat.disturbance_rms=0", "pat.disturbance_bw_hz=0"), "jitter bandwidth"),
+            (("pat.duration_s=1e12",), "duration covers 1e+15 steps"),
+            (("pat.m=30000000",), "500 steps of m = 30000000 readings: over 4 GiB"),
         ],
         ids=["negative-jitter", "zero-bandwidth", "over-step-budget",
              "over-reading-budget"],
     )
     def test_pat_sim_rejects_bad_loop(self, args, message, capsys):
-        assert run_cli("pat-sim", "--m", "1", *args) == 1
+        overrides = [arg for override in args for arg in ("--set", override)]
+        assert run_cli("pat-sim", "--set", "pat.m=1", *overrides) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert len(err.splitlines()) == 1
@@ -522,11 +556,14 @@ class TestRejectedInputs:
         assert err == f"error: {field} must be finite and > 0\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("gain", ["nan", "inf"])
-    def test_pat_sim_rejects_non_finite_gain(self, gain, capsys):
-        assert run_cli("pat-sim", "--gain", gain) == 1
+    @pytest.mark.parametrize("gain, shown", [("NaN", "nan"), ("Infinity", "inf")],
+                             ids=["nan", "inf"])
+    def test_pat_sim_rejects_non_finite_gain(self, gain, shown, capsys):
+        assert run_cli("pat-sim", "--set", f"pat.controller_gain={gain}") == 1
         captured = capsys.readouterr()
-        assert captured.err == "error: controller_gain must be finite\n"
+        assert captured.err == (
+            f"error: config key 'pat.controller_gain' must be finite, got {shown}\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize("target", ["1e-2", "1e-4"])

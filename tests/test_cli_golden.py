@@ -63,7 +63,7 @@ CASES: dict[str, tuple[list[str], int]] = {
         1,
     ),
     "pat_sim": (
-        ["pat-sim", "--duration", "0.1", "--seed", "1", "--no-timestamp",
+        ["pat-sim", "--set", "pat.duration_s=0.1", "--seed", "1", "--no-timestamp",
          "--out", "{out}/residual.csv", "--summary", "{out}/summary.json"],
         0,
     ),

@@ -279,6 +279,11 @@ class TestTrackingLoop:
         with pytest.raises(ValueError, match="m must be >= 1"):
             run_tracking_loop((0, 0), None, GEOM, m=0)
 
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0])
+    def test_duration_must_be_finite_and_positive(self, duration_s):
+        with pytest.raises(ValueError, match="^duration_s must be finite and > 0, got"):
+            run_tracking_loop((0, 0), None, GEOM, duration_s=duration_s)
+
     def test_step_budget_checked_before_allocation(self, monkeypatch):
         # 4 MiB per step and 1 MiB per reading: 4 GiB is 1000 steps of m = 96.
         monkeypatch.setattr(pat, "_STEP_BYTES", 1 << 22)

@@ -15,6 +15,7 @@ from fsolink.linkbudget import received_power_dbm
 from fsolink.modem import (
     apply_channel, count_ber, demodulate, derive_seeds, eye_stats, modulate, transmit,
 )
+from fsolink.pat import JitterParams, QdGeometry, run_tracking_loop
 from fsolink.pipeline import NoiseSpec, RunConfig
 from fsolink.reporting import as_jsonable, report_to_json
 from fsolink.spatial_filter import SolarModel, solar_noise_power
@@ -307,6 +308,21 @@ class TestScenarioSweep:
         rows = pipeline.scenario_sweep(config, "pat.m", [1, 10])
         assert rows[1]["residual_rms_m"] < rows[0]["residual_rms_m"]
 
+    @pytest.mark.parametrize("axis, value", [("pat.noise_std", 0.1), ("pat.controller_gain", 0.5)])
+    def test_pat_axis_row_is_the_default_loop_with_the_field_replaced(self, axis, value):
+        config = make_config("clear", n_symbols=20_000, seed=3)
+        (row,) = pipeline.scenario_sweep(config, axis, [value])
+        settings = dict(m=10, loop_rate_hz=1000.0, controller_gain=0.8, duration_s=0.5,
+                        noise_std=0.05)
+        settings[axis.removeprefix("pat.")] = value
+        direct = run_tracking_loop(
+            (2e-4, -1e-4), JitterParams(50e-6, 50.0), QdGeometry(), seed=3, **settings
+        )
+        assert row == {
+            "axis": axis, "value": value, "residual_rms_m": direct.residual_rms_m,
+            "residual_max_m": direct.residual_max_m,
+        }
+
     def test_empty_values(self):
         config = make_config("clear", n_symbols=20_000)
         assert pipeline.scenario_sweep(config, "scenario.visibility_km", []) == []
@@ -497,6 +513,9 @@ class TestRunConfig:
             "optics.noise_floor_dbm", "optics.pointing_error_rad",
             "optics.rx_efficiency", "optics.tx_efficiency", "optics.tx_power_dbm",
             "outage_prob",
+            "pat.controller_gain", "pat.disturbance_bw_hz", "pat.disturbance_rms",
+            "pat.duration_s", "pat.initial_offset_m", "pat.loop_rate_hz", "pat.m",
+            "pat.noise_std",
             "scenario.cloud", "scenario.fog_layer_m", "scenario.ground_cn2",
             "scenario.rain_layer_km", "scenario.rain_rate", "scenario.visibility_km",
             "scenario.wind_speed_ground",
