@@ -191,9 +191,11 @@ _FIR_FFT = 1 << 15
 _CHUNK = 1 << 16
 
 
+@functools.lru_cache(maxsize=8)
 def _fir_taps(r: float) -> np.ndarray:
     """Symmetric taps h_j, |j| <= floor(4r) + 4, sum h^2 = 1, whose
-    autocorrelation is exp(-(j/r)^2), r being tau0 in node spacings.
+    autocorrelation is exp(-(j/r)^2), r being tau0 in node spacings
+    (read-only).
 
     The taps are the square root of the sampled covariance's spectrum, over
     a period of 4*floor(4r) + 80 nodes that keeps the wrapped covariance
@@ -209,7 +211,9 @@ def _fir_taps(r: float) -> np.ndarray:
     spectrum = np.fft.rfft(np.exp(-(lag**2))).real
     h = np.fft.irfft(np.sqrt(np.maximum(spectrum, 0.0)), m)
     h = np.concatenate([h[m - half :], h[: half + 1]])
-    return h / math.sqrt(h @ h)
+    h /= math.sqrt(h @ h)
+    h.setflags(write=False)
+    return h
 
 
 def _gaussian_acf_series(

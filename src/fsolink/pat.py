@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,25 +164,35 @@ def gaussian_fraction(lo, hi, center: float, w: float):
     return 0.5 * (erf((hi - center) * s) - erf((lo - center) * s))
 
 
-def _quadrant_fractions(x: float, y: float, geometry: QdGeometry) -> list[float]:
-    """Beam fractions on Q1..Q4: ``gaussian_fraction`` of each axis on its two
-    cells, with one erf call over the eight operands (edge - offset) * s."""
+def _fraction_kernel(geometry: QdGeometry):
+    """``fractions(x, y)``: the beam fractions on Q1..Q4 at offset (x, y),
+    ``gaussian_fraction`` of each axis on its two cells, with the edges and
+    scale worked out once. Each erf is scipy's scalar kernel, the one its
+    ufunc runs per element, so the fractions are the ufunc's bit for bit
+    with no array per offset. Its module is imported on first use, not with
+    the package.
+    """
+    from scipy.special.cython_special import erf as fused_erf
+
+    erf = fused_erf["double"]
     half = 0.5 * geometry.detector_size_m
     inner = 0.5 * geometry.gap_m
     s = math.sqrt(2.0) / geometry.beam_radius_m
-    e = erf([
-        (half - x) * s, (inner - x) * s, (-inner - x) * s, (-half - x) * s,
-        (half - y) * s, (inner - y) * s, (-inner - y) * s, (-half - y) * s,
-    ]).tolist()
-    pos_x, neg_x = 0.5 * (e[0] - e[1]), 0.5 * (e[2] - e[3])
-    pos_y, neg_y = 0.5 * (e[4] - e[5]), 0.5 * (e[6] - e[7])
-    return [pos_x * pos_y, neg_x * pos_y, neg_x * neg_y, pos_x * neg_y]
+
+    def fractions(x: float, y: float) -> list[float]:
+        pos_x = 0.5 * (erf((half - x) * s) - erf((inner - x) * s))
+        neg_x = 0.5 * (erf((-inner - x) * s) - erf((-half - x) * s))
+        pos_y = 0.5 * (erf((half - y) * s) - erf((inner - y) * s))
+        neg_y = 0.5 * (erf((-inner - y) * s) - erf((-half - y) * s))
+        return [pos_x * pos_y, neg_x * pos_y, neg_x * neg_y, pos_x * neg_y]
+
+    return fractions
 
 
 def _calibrate_gain(geometry: QdGeometry) -> float:
     """Unit small-signal slope: gain = delta / normalized_difference(delta)."""
     delta = geometry.beam_radius_m / 20.0
-    diff, _ = _displacement(_quadrant_fractions(delta, 0.0, geometry), 1.0)
+    diff, _ = _displacement(_fraction_kernel(geometry)(delta, 0.0), 1.0)
     return delta / diff
 
 
@@ -227,7 +238,7 @@ def qd_response(
     noise = _NO_NOISE
     if noise_std > 0:
         noise = np.random.default_rng(seed).normal(0.0, noise_std, (4, 1)).tolist()
-    fractions = _quadrant_fractions(offset_x, offset_y, geometry)
+    fractions = _fraction_kernel(geometry)(offset_x, offset_y)
     return QdReading(*_mean_reading(fractions, noise))
 
 
@@ -326,10 +337,13 @@ def run_tracking_loop(
     is computed after the first 20 steps to skip the acquisition
     transient; the max covers the whole run. Raises
     ``TrackingDivergedError`` after 10 consecutive off-detector steps, and
-    ``ValueError``, before allocating, for a duration that is not finite
-    and > 0 or a run over 4 GiB. The beam has unit power; ``noise_std`` is
-    each reading's per-quadrant detector noise relative to it.
+    ``ValueError``, before allocating, for an ``m`` that is a bool or not
+    an integer >= 1, a duration that is not finite and > 0 or a run over
+    4 GiB. The beam has unit power; ``noise_std`` is each reading's
+    per-quadrant detector noise relative to it.
     """
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if not 0.0 <= noise_std < math.inf:
@@ -368,13 +382,14 @@ def run_tracking_loop(
     ctrl_x, ctrl_y = float(initial_offset_m[0]), float(initial_offset_m[1])
     xs, ys = [], []
     off_detector = 0
-    half = 0.5 * geometry.detector_size_m
+    limit = geometry.detector_size_m  # off the detector: past twice its half-width
+    fractions = _fraction_kernel(geometry)
     for k, (jitter_x, jitter_y) in enumerate(zip(jx.tolist(), jy.tolist())):
         true_x = ctrl_x + jitter_x
         true_y = ctrl_y + jitter_y
         xs.append(true_x)
         ys.append(true_y)
-        if max(abs(true_x), abs(true_y)) > 2 * half:
+        if max(abs(true_x), abs(true_y)) > limit:
             off_detector += 1
             if off_detector >= _DIVERGENCE_STEPS:
                 raise TrackingDivergedError(
@@ -385,8 +400,7 @@ def run_tracking_loop(
             off_detector = 0
         if controller_gain == 0.0:
             continue
-        fractions = _quadrant_fractions(true_x, true_y, geometry)
-        reading = _mean_reading(fractions, next(noise))
+        reading = _mean_reading(fractions(true_x, true_y), next(noise))
         estimate = _displacement(reading, gain)
         if estimate is None:
             continue  # beam lost: no information this step, hold position

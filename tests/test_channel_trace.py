@@ -195,6 +195,21 @@ class TestGaussianSeries:
         white = np.random.default_rng(8).standard_normal(n + 11)
         np.testing.assert_allclose(g, white[5 : n + 5], rtol=0, atol=1e-12)
 
+    def test_fir_taps_are_cached_read_only(self):
+        taps = channel_trace._fir_taps
+        taps.cache_clear()
+        built = channel_trace._gaussian_acf_series(3000, 1.0, 30.0, np.random.default_rng(2))
+        hits = taps.cache_info().hits
+        again = channel_trace._gaussian_acf_series(3000, 1.0, 30.0, np.random.default_rng(2))
+        assert taps.cache_info().hits == hits + 1
+        assert again.tobytes() == built.tobytes()
+        h = taps(30.0)
+        assert h.tobytes() == taps.__wrapped__(30.0).tobytes()
+        assert taps.cache_info().maxsize is not None
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0] = 0.0
+
     @pytest.mark.parametrize("ratio", [0.5, 5, 39, 40, 2934, 1e6])
     def test_covariance_matches_the_model(self, ratio):
         # Exact covariance, no Monte Carlo, at lags 0..4 tau0 from samples

@@ -279,6 +279,21 @@ class TestTrackingLoop:
         with pytest.raises(ValueError, match="m must be >= 1"):
             run_tracking_loop((0, 0), None, GEOM, m=0)
 
+    @pytest.mark.parametrize("noise_std", [0.0, 0.05])
+    @pytest.mark.parametrize("m", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+    def test_m_must_be_an_integer(self, m, noise_std):
+        with pytest.raises(ValueError, match=f"^m must be an integer, got {m!r}$"):
+            run_tracking_loop((0, 0), JitterParams(rms_m=50e-6), GEOM, m=m, noise_std=noise_std)
+
+    def test_numpy_integer_m_is_accepted(self):
+        runs = [
+            run_tracking_loop((2e-4, -1e-4), JitterParams(rms_m=50e-6), GEOM, m=m,
+                              duration_s=0.1, seed=3, noise_std=0.05)
+            for m in (np.int64(3), 3)
+        ]
+        assert runs[0].offsets_x_m.tobytes() == runs[1].offsets_x_m.tobytes()
+        assert runs[0].m == 3
+
     @pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0])
     def test_duration_must_be_finite_and_positive(self, duration_s):
         with pytest.raises(ValueError, match="^duration_s must be finite and > 0, got"):
@@ -352,6 +367,31 @@ class TestTrackingLoop:
     def test_non_finite_gain_rejected(self, gain):
         with pytest.raises(ValueError, match="^controller_gain must be finite$"):
             run_tracking_loop((0, 0), None, GEOM, controller_gain=gain)
+
+
+def test_scalar_erf_is_the_ufunc_bit_for_bit():
+    # The fractions call scipy's scalar erf kernel; the pinned digests were
+    # made with its ufunc. The grid spans the loop's arguments (|x| < 10),
+    # the kernel's branch edge at |x| = 1, its saturation and subnormals.
+    from scipy.special import cython_special, erf
+
+    kernel = cython_special.erf["double"]
+    tiny = np.finfo(float).smallest_subnormal
+    one = np.nextafter(1.0, [0.0, 2.0])
+    grid = np.concatenate([
+        np.linspace(0.0, 10.0, 100_001),
+        np.abs(np.random.default_rng(0).normal(0.0, 3.0, 100_000)),
+        [1.0, *one, 8.0, *np.nextafter(8.0, [0.0, 9.0]), 30.0, 1e3, 1e300, math.inf],
+        [tiny, 2 * tiny, 1e-310, np.finfo(float).smallest_normal, 1e-300, 1e-20],
+    ])
+    grid = np.concatenate([grid, -grid])
+    scalar = np.array([kernel(x) for x in grid.tolist()])
+    differ = np.flatnonzero(scalar.view(np.int64) != erf(grid).view(np.int64))
+    assert differ.size == 0, (
+        f"scipy.special.cython_special.erf differs from scipy.special.erf on "
+        f"{differ.size} of {grid.size} arguments (first at x = {grid[differ[0]]!r}): "
+        "the tracking loop's quadrant fractions no longer repeat the ufunc's"
+    )
 
 
 class TestTrackingLoopPinned:
