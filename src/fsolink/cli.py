@@ -1,15 +1,16 @@
 """Command-line interface.
 
 Subcommands: budget, trace, transmit, pat-sim, filter-sim, sweep,
-scenarios. Configuration precedence: built-in defaults < preset
-(--scenario) < config file (--config or FSO_SIM_CONFIG) < --set
-overrides. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+scenarios. Every command but scenarios reads the run config; pat-sim and
+filter-sim run its ``pat`` and ``filter`` sections. Configuration
+precedence: built-in defaults < preset (--scenario) < config file
+(--config or FSO_SIM_CONFIG) < --set overrides. Exit codes: 0 success,
+1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 
@@ -19,9 +20,8 @@ from .atmosphere import total_atmospheric_loss
 from .channel_trace import generate_trace, trace_to_binary, trace_to_csv
 from .errors import ConfigKeyError, FsoLinkError
 from .linkbudget import received_power_dbm
-from .modem import Pam4Config
 from .pat import run_loop
-from .spatial_filter import FilterDemoScenario, filtering_ber_demo, grid_from_csv
+from .spatial_filter import filtering_ber_demo, grid_from_csv
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -113,17 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter = sub.add_parser(
         "filter-sim", help="paired BER demo of n-by-n spatial selection"
     )
-    p_filter.add_argument("--n", type=int, default=2, help="partition order")
-    p_filter.add_argument("--seed", type=int, default=0)
-    # Read the defaults without building (and so validating) a scenario.
-    demo = {f.name: f.default for f in dataclasses.fields(FilterDemoScenario)}
-    p_filter.add_argument("--symbols", type=int, default=demo["n_symbols"])
-    p_filter.add_argument(
-        "--target-ber", type=float, default=demo["target_unfiltered_ber"]
-    )
-    p_filter.add_argument("--spot-x", type=float, default=demo["spot_center"][0])
-    p_filter.add_argument("--spot-y", type=float, default=demo["spot_center"][1])
-    p_filter.add_argument("--spot-radius", type=float, default=demo["spot_radius"])
+    _add_config_args(p_filter)
     p_filter.add_argument(
         "--grid", metavar="PATH", help="CSV matrix of cell intensities (overrides the beam model)"
     )
@@ -240,37 +230,25 @@ def _cmd_pat_sim(args) -> int:
 
 
 def _cmd_filter_sim(args) -> int:
-    scenario = FilterDemoScenario(
-        spot_center=(args.spot_x, args.spot_y),
-        spot_radius=args.spot_radius,
-        target_unfiltered_ber=args.target_ber,
-        n_symbols=args.symbols,
-    )
+    run_cfg = pipeline.RunConfig.from_dict(_resolve(args))
     grid = grid_from_csv(args.grid) if args.grid else None
-    config = Pam4Config()
-    result = filtering_ber_demo(scenario, args.n, config, args.seed, grid=grid)
+    result = filtering_ber_demo(
+        run_cfg.filter, run_cfg.filter.n, run_cfg.modem, run_cfg.seed, grid=grid
+    )
     rows = [
-        {
-            "selection": "off",
-            "ber_counted": result.report_off.ber_counted,
-            "ber_estimated": result.report_off.ber_estimated,
-            "noise_std": result.noise_std_unfiltered,
-            "gain_db": 0.0,
-        },
-        {
-            "selection": "on",
-            "ber_counted": result.report_on.ber_counted,
-            "ber_estimated": result.report_on.ber_estimated,
-            "noise_std": result.noise_std_filtered,
-            "gain_db": result.snr.gain_db,
-        },
+        {"selection": selection, "ber_counted": report.ber_counted,
+         "ber_estimated": report.ber_estimated, "noise_std": noise_std, "gain_db": gain_db}
+        for selection, report, noise_std, gain_db in (
+            ("off", result.report_off, result.noise_std_unfiltered, 0.0),
+            ("on", result.report_on, result.noise_std_filtered, result.snr.gain_db),
+        )
     ]
     if args.out:
         reporting.rows_to_csv(rows, args.out)
     if args.report:
         reporting.write_json(result, args.report, no_timestamp=args.no_timestamp)
     print(
-        f"n={args.n}: gain {result.snr.gain_db:.2f} dB, "
+        f"n={result.grid.n}: gain {result.snr.gain_db:.2f} dB, "
         f"BER {result.report_off.ber_counted:.3e} -> {result.report_on.ber_counted:.3e}"
     )
     return 0

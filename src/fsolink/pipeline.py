@@ -41,7 +41,7 @@ from .modem import (
 )
 from .pat import run_loop
 from .scenarios import NoiseSpec, RunConfig, replace_value
-from .spatial_filter import solar_noise_power
+from .spatial_filter import filtering_ber_demo, solar_noise_power
 
 #: Rytov variance below which the marginal is modeled as log-normal.
 LOG_NORMAL_RYTOV_LIMIT = 0.3
@@ -256,6 +256,21 @@ def sweep_axes(config: RunConfig) -> list[str]:
     return sorted(_numeric_leaves(config.to_dict()))
 
 
+def _pat_row(point: RunConfig) -> dict:
+    loop = run_loop(point.pat, point.seed)
+    return {"residual_rms_m": loop.residual_rms_m, "residual_max_m": loop.residual_max_m}
+
+
+def _filter_row(point: RunConfig) -> dict:
+    demo = filtering_ber_demo(point.filter, point.filter.n, point.modem, point.seed)
+    return {"gain_db": demo.snr.gain_db, "ber_off": demo.report_off.ber_counted,
+            "ber_on": demo.report_on.ber_counted}
+
+
+#: Sweep rows of the config sections that run their own demo, not the link.
+_SECTION_ROWS = {"pat": _pat_row, "filter": _filter_row}
+
+
 def scenario_sweep(config: RunConfig, axis: str, values) -> list[dict]:
     """One run per axis value; returns flat summary rows for CSV export.
 
@@ -264,21 +279,20 @@ def scenario_sweep(config: RunConfig, axis: str, values) -> list[dict]:
     arguments) are equal share one pass, run once per call: a loss or
     optics axis in ``target_q`` or ``fixed_std`` mode runs it once, so its
     BER columns are identical by construction. ``pat.*`` axes run the
-    tracking loop of the point's ``pat`` section at the point's seed.
+    tracking loop of the point's ``pat`` section, and ``filter.*`` axes the
+    spatial-filter demo of its ``filter`` section on its ``modem``, both at
+    the point's seed.
     """
     axes = sweep_axes(config)
     if axis not in axes:
         raise UnknownAxisError(axis, axes)
     link_pass = functools.cache(_link_pass)
+    section_row = _SECTION_ROWS.get(axis.partition(".")[0])
     rows = []
     for value in values:
         point = replace_value(config, axis, value)
-        if axis.startswith("pat."):
-            result = run_loop(point.pat, point.seed)
-            row = {
-                "residual_rms_m": result.residual_rms_m,
-                "residual_max_m": result.residual_max_m,
-            }
+        if section_row is not None:
+            row = section_row(point)
         else:
             report, _ = _run(point, None, link_pass)
             row = {

@@ -26,7 +26,7 @@ from .linkbudget import TransceiverOptics
 from .modem import MAX_WORKERS, Pam4Config, check_n_symbols
 from .pat import LoopConfig
 from .reporting import as_jsonable
-from .spatial_filter import SolarModel
+from .spatial_filter import FilterDemoScenario, SolarModel
 
 #: Resolving a class's string annotations costs about 0.1 ms; do it once.
 _type_hints = functools.cache(typing.get_type_hints)
@@ -61,8 +61,8 @@ class NoiseSpec:
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one end-to-end run (clear weather, 20 km
-    ground-to-platform uplink by default) and of its tracking loop
-    (``pat``)."""
+    ground-to-platform uplink by default), of its tracking loop (``pat``)
+    and of its spatial-filter demo (``filter``)."""
 
     scenario: WeatherScenario = WeatherScenario(visibility_km=10.0)
     geometry: LinkGeometry = LinkGeometry(distance_m=20000.0, rx_altitude_m=10000.0)
@@ -70,6 +70,7 @@ class RunConfig:
     modem: Pam4Config = Pam4Config()
     noise: NoiseSpec = NoiseSpec()
     pat: LoopConfig = LoopConfig()
+    filter: FilterDemoScenario = FilterDemoScenario()
     fading: str = "auto"
     seed: int = 0
     n_symbols: int = 10_000_000

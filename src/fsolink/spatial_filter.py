@@ -91,9 +91,14 @@ class FilterSnr:
 
 @dataclass(frozen=True)
 class FilterDemoScenario:
-    """Concentrated-beam demo setup for the paired BER comparison: a finite
-    spot, ``modem.MIN_SYMBOLS`` to ``modem.MAX_SYMBOLS`` symbols."""
+    """Concentrated-beam demo setup for the paired BER comparison, the
+    ``filter`` section of a run config: the partition order n, a finite
+    spot, the unfiltered BER to calibrate to, and ``modem.MIN_SYMBOLS`` to
+    ``modem.MAX_SYMBOLS`` symbols. The demo keeps its own ``n_symbols``
+    (1e6, against a link run's 1e7): it is a shorter run, not a second
+    default for the same one. n is checked when its grid is built."""
 
+    n: int = 2
     spot_center: tuple[float, float] = (0.25, 0.25)  # aperture units, center origin
     spot_radius: float = 0.35
     target_unfiltered_ber: float = 1e-3

@@ -9,6 +9,7 @@ from fsolink import cli, modem, pipeline, reporting, scenarios
 from fsolink.cli import main
 from fsolink.pat import LoopConfig, run_loop
 from fsolink.reporting import as_jsonable
+from fsolink.spatial_filter import FilterDemoScenario, filtering_ber_demo
 
 
 def run_cli(*args):
@@ -321,7 +322,8 @@ class TestOtherCommands:
         assert (data["m"], data["controller_gain"], data["seed"]) == (2, 0.5, 2)
         assert data["residual_rms_m"] == expected.residual_rms_m
 
-    def test_readme_cli_lines_parse(self):
+    def test_readme_cli_lines_parse(self, monkeypatch):
+        monkeypatch.delenv("FSO_SIM_CONFIG", raising=False)
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
         lines = block.replace("\\\n", " ").splitlines()
@@ -329,18 +331,50 @@ class TestOtherCommands:
         assert commands and all(argv[0] == "fsolink" for argv in commands)
         parser = cli.build_parser()
         for argv in commands:
-            parser.parse_args(argv[1:])
+            args = parser.parse_args(argv[1:])
+            if hasattr(args, "overrides"):  # the command reads the run config
+                pipeline.RunConfig.from_dict(cli._resolve(args))
 
     def test_filter_sim(self, tmp_path, capsys):
         out = tmp_path / "filter.csv"
         code = run_cli(
-            "filter-sim", "--n", "2", "--symbols", "200000", "--seed", "3",
-            "--out", str(out),
+            "filter-sim", "--set", "filter.n=2", "--set", "filter.n_symbols=200000",
+            "--seed", "3", "--out", str(out),
         )
         assert code == 0
         rows = out.read_text().splitlines()
         assert rows[0].startswith("selection,")
         assert len(rows) == 3
+
+    def test_filter_sim_runs_on_the_config_modem_and_seed(self, capsys):
+        # Unequal eyes whose BER still lands in the calibration band; the
+        # default levels give 9.835e-04 at this seed.
+        levels = (0.0, 0.3, 0.65, 1.0)
+        assert run_cli("filter-sim", "--set", "modem.levels=[0,0.3,0.65,1]", "--seed", "5") == 0
+        demo = filtering_ber_demo(FilterDemoScenario(), 2, modem.Pam4Config(levels=levels), 5)
+        assert capsys.readouterr().out == (
+            f"n=2: gain {demo.snr.gain_db:.2f} dB, BER {demo.report_off.ber_counted:.3e}"
+            f" -> {demo.report_on.ber_counted:.3e}\n"
+        )
+
+    def test_filter_sim_reads_the_config_file_filter_section(self, tmp_path, capsys):
+        path = tmp_path / "demo.json"
+        path.write_text(json.dumps({"seed": 2, "filter": {
+            "n": 3, "spot_center": [0.1, -0.2], "spot_radius": 0.3, "n_symbols": 100_000,
+        }}))
+        report = tmp_path / "demo_report.json"
+        code = run_cli(
+            "filter-sim", "--config", str(path), "--set", "filter.spot_radius=0.25",
+            "--report", str(report), "--no-timestamp",
+        )
+        assert code == 0
+        scenario = FilterDemoScenario(
+            spot_center=(0.1, -0.2), spot_radius=0.25, n_symbols=100_000
+        )
+        demo = filtering_ber_demo(scenario, 3, modem.Pam4Config(), 2)
+        expected = json.loads(reporting.report_to_json(demo, no_timestamp=True))
+        assert json.loads(report.read_text()) == expected
+        assert capsys.readouterr().out.startswith("n=3: gain ")
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -398,11 +432,25 @@ class TestOtherCommands:
         grid = tmp_path / "grid.csv"
         np.savetxt(grid, np.array([[0.9, 0.04], [0.03, 0.03]]), delimiter=",")
         code = run_cli(
-            "filter-sim", "--grid", str(grid), "--symbols", "150000", "--seed", "4",
+            "filter-sim", "--grid", str(grid), "--set", "filter.n_symbols=150000",
+            "--seed", "4",
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "gain" in out
+
+    def test_filter_sim_prints_the_order_of_the_grid_it_ran(self, tmp_path, capsys):
+        grid = tmp_path / "grid3.csv"
+        cells = np.full((3, 3), 0.02)
+        cells[0, 0] = 0.8
+        np.savetxt(grid, cells, delimiter=",")
+        code = run_cli(
+            "filter-sim", "--grid", str(grid), "--set", "filter.n_symbols=100000",
+            "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("n=3: gain ")
+        assert json.loads((tmp_path / "r.json").read_text())["grid"]["n"] == 3
 
 
 class TestRejectedInputs:
@@ -436,18 +484,15 @@ class TestRejectedInputs:
         monkeypatch.setattr(np, "fromfile", never)
         payload = tmp_path / "payload.bin"
         payload.write_bytes(bytes(5001))
-        assert run_cli("transmit", "--symbols", "10000", "--payload", str(payload)) == 1
+        # Every decoded config checks the filter demo's length too (1e6 by default).
+        code = run_cli(
+            "transmit", "--symbols", "10000", "--set", "filter.n_symbols=10000",
+            "--payload", str(payload),
+        )
+        assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: n_symbols must be in [10000, 20000]")
         assert err.rstrip().endswith("got 20004")
-
-    def test_parser_does_not_validate_the_filter_demo(self, monkeypatch, capsys):
-        # The filter-sim defaults (1e6 symbols) and the run config's (1e7)
-        # are read, not validated; the resolved run config is still
-        # checked, so both runs set an n_symbols in range.
-        monkeypatch.setattr(modem, "MAX_SYMBOLS", 20_000)
-        assert run_cli("budget", "--scenario", "clear", "--set", "n_symbols=10000") == 0
-        assert run_cli("transmit", "--scenario", "clear", "--symbols", "10000") == 0
 
     def test_sweep_rejects_a_fractional_pat_m(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -492,7 +537,7 @@ class TestRejectedInputs:
             raise AssertionError("the run started")
 
         monkeypatch.setattr(cli, "filtering_ber_demo", never)
-        assert run_cli("filter-sim", "--symbols", "1000000000000") == 1
+        assert run_cli("filter-sim", "--set", "filter.n_symbols=1000000000000") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "n_symbols" in err
         assert len(err.splitlines()) == 1
@@ -500,7 +545,10 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("n", ["1000000", "-3"])
     def test_filter_sim_rejects_bad_partition_order(self, n, capsys):
         # 10^6 is over the grid budget; numpy would also fail to allocate it.
-        assert run_cli("filter-sim", "--n", n, "--symbols", "10000") == 1
+        code = run_cli(
+            "filter-sim", "--set", f"filter.n={n}", "--set", "filter.n_symbols=10000"
+        )
+        assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: n must be in [1, 23170] (n x n cells in 4 GiB), got {n}\n"
 
@@ -508,13 +556,19 @@ class TestRejectedInputs:
     def test_filter_sim_rejects_non_finite_grid_cell(self, cell, tmp_path, capsys):
         grid = tmp_path / "grid.csv"
         grid.write_text(f"0.9,0.04\n0.03,{cell}\n")
-        assert run_cli("filter-sim", "--grid", str(grid), "--symbols", "10000") == 1
+        code = run_cli(
+            "filter-sim", "--grid", str(grid), "--set", "filter.n_symbols=10000"
+        )
+        assert code == 1
         assert capsys.readouterr().err == "error: cell powers must be finite and >= 0\n"
 
     def test_filter_sim_rejects_grid_without_signal(self, tmp_path, capsys):
         grid = tmp_path / "zeros.csv"
         grid.write_text("0,0\n0,0\n")
-        assert run_cli("filter-sim", "--grid", str(grid), "--symbols", "10000") == 1
+        code = run_cli(
+            "filter-sim", "--grid", str(grid), "--set", "filter.n_symbols=10000"
+        )
+        assert code == 1
         assert capsys.readouterr().err == (
             "error: aperture grid has no signal: every cell power is 0\n"
         )
@@ -527,21 +581,35 @@ class TestRejectedInputs:
         assert "finite" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "args, field",
-        [(("--symbols", "0"), "n_symbols"), (("--symbols", "10"), "n_symbols"),
-         (("--symbols", "-5"), "n_symbols"), (("--spot-radius", "nan"), "spot_radius"),
-         (("--spot-x", "nan"), "spot_center")],
-        ids=["zero-symbols", "ten-symbols", "negative-symbols", "nan-radius", "nan-spot-x"],
+        "override, message",
+        [("filter.n_symbols=0", "n_symbols must be"),
+         ("filter.n_symbols=10", "n_symbols must be"),
+         ("filter.n_symbols=-5", "n_symbols must be"),
+         ("filter.spot_radius=0", "spot_radius must be"),
+         ("filter.spot_radius=-0.1", "spot_radius must be"),
+         # Non-finite values are refused by the codec, which names the key.
+         ("filter.spot_radius=NaN", "config key 'filter.spot_radius' must be finite, got nan\n"),
+         ("filter.spot_radius=Infinity",
+          "config key 'filter.spot_radius' must be finite, got inf\n"),
+         ("filter.spot_center=[NaN,0]",
+          "config key 'filter.spot_center[0]' must be finite, got nan\n"),
+         ("filter.spot_center=[0,-Infinity]",
+          "config key 'filter.spot_center[1]' must be finite, got -inf\n"),
+         ("filter.target_unfiltered_ber=NaN",
+          "config key 'filter.target_unfiltered_ber' must be finite, got nan\n")],
+        ids=["zero-symbols", "ten-symbols", "negative-symbols", "zero-radius",
+             "negative-radius", "nan-radius", "inf-radius", "nan-spot-x", "inf-spot-y",
+             "nan-target"],
     )
-    def test_filter_sim_rejects_bad_scenario(self, args, field, monkeypatch, capsys):
+    def test_filter_sim_rejects_bad_scenario(self, override, message, monkeypatch, capsys):
         def never(*args, **kwargs):
             raise AssertionError("the run started")
 
         monkeypatch.setattr(cli, "filtering_ber_demo", never)
-        assert run_cli("filter-sim", *args) == 1
+        assert run_cli("filter-sim", "--set", override) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field} must be")
-        assert "nan" not in err and "np." not in err and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+        assert "np." not in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "args, field",
@@ -568,6 +636,6 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("target", ["1e-2", "1e-4"])
     def test_filter_sim_band_follows_target(self, target, capsys):
-        assert run_cli("filter-sim", "--target-ber", target) == 0
+        assert run_cli("filter-sim", "--set", f"filter.target_unfiltered_ber={target}") == 0
         off = float(capsys.readouterr().out.split("BER ")[1].split(" ->")[0])
         assert float(target) / 2 <= off <= 5 * float(target)

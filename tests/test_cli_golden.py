@@ -57,6 +57,11 @@ CASES: dict[str, tuple[list[str], int]] = {
          "--out", "{out}/sweep.csv"],
         0,
     ),
+    "sweep_filter_n": (
+        ["sweep", "--axis", "filter.n", "--values", "1,2", "--set", "filter.n_symbols=100000",
+         "--out", "{out}/sweep.csv"],
+        0,
+    ),
     "sweep_unknown_axis": (
         ["sweep", "--scenario", "clear", "--axis", "nope.nope", "--values", "1",
          "--out", "{out}/sweep.csv"],
@@ -68,7 +73,7 @@ CASES: dict[str, tuple[list[str], int]] = {
         0,
     ),
     "filter_sim": (
-        ["filter-sim", "--symbols", "100000", "--seed", "3", "--no-timestamp",
+        ["filter-sim", "--set", "filter.n_symbols=100000", "--seed", "3", "--no-timestamp",
          "--out", "{out}/filter.csv", "--report", "{out}/report.json"],
         0,
     ),

@@ -18,7 +18,7 @@ from fsolink.modem import (
 from fsolink.pat import JitterParams, QdGeometry, run_tracking_loop
 from fsolink.pipeline import NoiseSpec, RunConfig
 from fsolink.reporting import as_jsonable, report_to_json
-from fsolink.spatial_filter import SolarModel, solar_noise_power
+from fsolink.spatial_filter import SolarModel, filtering_ber_demo, solar_noise_power
 
 
 def make_config(preset="clear", **kwargs) -> RunConfig:
@@ -323,6 +323,30 @@ class TestScenarioSweep:
             "residual_max_m": direct.residual_max_m,
         }
 
+    def test_filter_axis_runs_the_demo_of_each_point(self):
+        config = make_config("clear", seed=4, filter={"n_symbols": 100_000})
+        rows = pipeline.scenario_sweep(config, "filter.n", [2, 3])
+        for row, n in zip(rows, (2, 3)):
+            demo = filtering_ber_demo(config.filter, n, config.modem, 4)
+            assert row == {
+                "axis": "filter.n", "value": n, "gain_db": demo.snr.gain_db,
+                "ber_off": demo.report_off.ber_counted, "ber_on": demo.report_on.ber_counted,
+            }
+
+    def test_filter_axis_at_n_1_gains_nothing(self):
+        # n = 1 keeps the whole aperture: the paired runs are identical.
+        config = make_config("clear", filter={"n_symbols": 100_000})
+        (row,) = pipeline.scenario_sweep(config, "filter.n", [1.0])
+        assert row["gain_db"] == 0
+        assert row["ber_on"] == row["ber_off"] > 0
+
+    def test_filter_axis_is_checked_like_a_config_file(self):
+        config = make_config("clear", filter={"n_symbols": 100_000})
+        with pytest.raises(ValueError, match="config key 'filter.n' must be int, got 1.5"):
+            pipeline.scenario_sweep(config, "filter.n", [1.5])
+        with pytest.raises(ValueError, match="spot_radius must be finite and > 0"):
+            pipeline.scenario_sweep(config, "filter.spot_radius", [0.0])
+
     def test_empty_values(self):
         config = make_config("clear", n_symbols=20_000)
         assert pipeline.scenario_sweep(config, "scenario.visibility_km", []) == []
@@ -503,6 +527,8 @@ class TestRunConfig:
 
         assert sorted(leaves(scenarios.default_config())) == [
             "fading",
+            "filter.n", "filter.n_symbols", "filter.spot_center", "filter.spot_radius",
+            "filter.target_unfiltered_ber",
             "geometry.beam_divergence_rad", "geometry.distance_m",
             "geometry.rx_altitude_m", "geometry.rx_aperture_m",
             "geometry.tx_altitude_m", "geometry.tx_aperture_m",
