@@ -309,19 +309,16 @@ def total_atmospheric_loss(
     scenario: WeatherScenario,
     geometry: LinkGeometry,
     outage_prob: float,
-    rytov_var: float | None = None,
+    rytov_var: float,
 ) -> LossBreakdown:
     """Full loss breakdown for a scenario/geometry pair.
 
     Scattering rates are multiplied by their layer thicknesses; the
-    scintillation margin is evaluated over the full path at the given
-    outage probability (``RunConfig.outage_prob`` in a run); the total
-    is the plain sum of all components.
-    A caller that already holds ``rytov_variance(geometry, scenario)``
-    passes it as ``rytov_var`` to skip recomputing it.
+    scintillation margin is evaluated at the given outage probability
+    (``RunConfig.outage_prob`` in a run) from ``rytov_var``, the path's
+    ``rytov_variance(geometry, scenario)``, which the caller computes once;
+    the total is the plain sum of all components.
     """
-    if rytov_var is None:
-        rytov_var = rytov_variance(geometry, scenario)
     wavelength = geometry.wavelength_m
     l_fog = (
         fog_attenuation_db_per_km(scenario.visibility_km, wavelength)

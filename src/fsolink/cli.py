@@ -11,15 +11,13 @@ precedence: built-in defaults < preset (--scenario) < config file
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
-
 from . import __version__, pipeline, reporting, scenarios
-from .atmosphere import total_atmospheric_loss
 from .channel_trace import generate_trace, trace_to_binary, trace_to_csv
 from .errors import ConfigKeyError, FsoLinkError
-from .linkbudget import received_power_dbm
 from .pat import run_loop
 from .spatial_filter import filtering_ber_demo, grid_from_csv
 
@@ -56,13 +54,23 @@ def _resolve(args) -> dict:
     return cfg
 
 
+def _numbers(text: str) -> list[float]:
+    """The sweep values of ``--values``: comma-separated numbers."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {exc}") from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # No parser takes a prefix of a long flag for the one flag it matches.
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = no_abbrev(
         prog="fsolink",
         description="Free-space optical link simulator and channel emulator.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
     p_budget = sub.add_parser("budget", help="print the link loss budget")
     _add_config_args(p_budget)
@@ -92,9 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--payload-out", metavar="PATH", help="write recovered payload here"
     )
     p_tx.add_argument("--report", metavar="PATH", help="write the JSON run report")
-    p_tx.add_argument(
-        "--summary-csv", metavar="PATH", help="append-style one-row CSV summary"
-    )
+    p_tx.add_argument("--summary-csv", metavar="PATH", help="write a one-row CSV summary")
     p_tx.add_argument(
         "--workers", type=int, help="threads for every stage of the link pass (results identical)"
     )
@@ -125,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(p_sweep)
     p_sweep.add_argument("--axis", required=True, metavar="NAME")
     p_sweep.add_argument(
-        "--values", required=True, metavar="V1,V2,...", help="comma-separated"
+        "--values", required=True, type=_numbers, metavar="V1,V2,...", help="comma-separated"
     )
     p_sweep.add_argument("--out", required=True, metavar="PATH")
 
@@ -136,14 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_budget(args) -> int:
-    cfg = _resolve(args)
-    run_cfg = pipeline.RunConfig.from_dict(cfg)
-    losses = total_atmospheric_loss(
-        run_cfg.scenario, run_cfg.geometry, run_cfg.outage_prob
-    )
-    budget = received_power_dbm(
-        run_cfg.optics, losses, run_cfg.geometry.beam_divergence_rad
-    )
+    *_, losses, budget = pipeline.link_budget(pipeline.RunConfig.from_dict(_resolve(args)))
     if args.format == "text":
         text = reporting.budget_text(losses, budget)
     elif args.format == "csv":
@@ -161,8 +160,7 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    cfg = _resolve(args)
-    run_cfg = pipeline.RunConfig.from_dict(cfg)
+    run_cfg = pipeline.RunConfig.from_dict(_resolve(args))
     _, model, tau0 = pipeline.turbulence(run_cfg)
     trace = generate_trace(model, tau0, args.rate, args.duration, run_cfg.seed)
     fmt = args.format or ("csv" if str(args.out).endswith(".csv") else "bin")
@@ -213,17 +211,17 @@ def _cmd_pat_sim(args) -> int:
     if args.out:
         reporting.tracking_csv(result, args.out)
     summary = {
-        "m": result.m,
-        "loop_rate_hz": result.loop_rate_hz,
-        "controller_gain": result.controller_gain,
-        "seed": result.seed,
+        "m": run_cfg.pat.m,
+        "loop_rate_hz": run_cfg.pat.loop_rate_hz,
+        "controller_gain": run_cfg.pat.controller_gain,
+        "seed": run_cfg.seed,
         "residual_rms_m": result.residual_rms_m,
         "residual_max_m": result.residual_max_m,
     }
     if args.summary:
         reporting.write_json(summary, args.summary, no_timestamp=args.no_timestamp)
     print(
-        f"m={result.m}: residual rms {result.residual_rms_m * 1e6:.2f} um, "
+        f"m={run_cfg.pat.m}: residual rms {result.residual_rms_m * 1e6:.2f} um, "
         f"max {result.residual_max_m * 1e6:.2f} um"
     )
     return 0
@@ -255,10 +253,8 @@ def _cmd_filter_sim(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _resolve(args)
-    run_cfg = pipeline.RunConfig.from_dict(cfg)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    rows = pipeline.scenario_sweep(run_cfg, args.axis, values)
+    run_cfg = pipeline.RunConfig.from_dict(_resolve(args))
+    rows = pipeline.scenario_sweep(run_cfg, args.axis, args.values)
     reporting.rows_to_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

@@ -37,8 +37,8 @@ class ConfigKeyError(FsoLinkError):
     """
 
 
-class UnknownAxisError(FsoLinkError):
-    """Sweep axis name is not a recognized numeric parameter."""
+class UnknownAxisError(ConfigKeyError):
+    """Sweep axis name is not a recognized numeric parameter: a usage error."""
 
     def __init__(self, axis: str, valid: list[str]):
         self.axis = axis

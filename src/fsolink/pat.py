@@ -144,17 +144,14 @@ class MultisampleResult:
 
 @dataclass(frozen=True)
 class TrackingResult:
-    """Closed-loop run summary plus the residual misalignment trace."""
+    """Closed-loop run summary plus the residual misalignment trace. It
+    holds only what the run measured; the settings are the caller's."""
 
     times_s: np.ndarray = field(repr=False)
     offsets_x_m: np.ndarray = field(repr=False)
     offsets_y_m: np.ndarray = field(repr=False)
     residual_rms_m: float
     residual_max_m: float
-    m: int
-    loop_rate_hz: float
-    controller_gain: float
-    seed: int
 
 
 def gaussian_fraction(lo, hi, center: float, w: float):
@@ -218,28 +215,17 @@ def _mean_reading(fractions, noise) -> list[float]:
     return means
 
 
-def qd_response(
-    offset_x: float,
-    offset_y: float,
-    geometry: QdGeometry,
-    noise_std: float = 0.0,
-    seed: int = 0,
-) -> QdReading:
-    """Quadrant powers for a unit-power Gaussian beam displaced by
+def qd_response(offset_x: float, offset_y: float, geometry: QdGeometry) -> QdReading:
+    """Noiseless quadrant powers for a unit-power Gaussian beam displaced by
     (offset_x, offset_y).
 
     Each quadrant receives the exact beam overlap with its active area
-    (separable Gaussian integrals), plus independent Gaussian noise of
-    ``noise_std`` (relative to the beam power) clamped at zero, drawn from
-    ``seed``. A centered beam with no noise yields four equal powers.
+    (separable Gaussian integrals); a centered beam yields four equal
+    powers. This is the loop's reading without noise: detector noise is
+    drawn only inside ``run_tracking_loop`` (``LoopConfig.noise_std``).
     """
-    if not 0.0 <= noise_std < math.inf:
-        raise ValueError(f"noise std must be finite and >= 0, got {noise_std}")
-    noise = _NO_NOISE
-    if noise_std > 0:
-        noise = np.random.default_rng(seed).normal(0.0, noise_std, (4, 1)).tolist()
     fractions = _fraction_kernel(geometry)(offset_x, offset_y)
-    return QdReading(*_mean_reading(fractions, noise))
+    return QdReading(*_mean_reading(fractions, _NO_NOISE))
 
 
 def _displacement(v, gain: float) -> tuple[float, float] | None:
@@ -264,18 +250,14 @@ def estimate_displacement(
     return estimate
 
 
-def multisample_snr(
-    readings: np.ndarray,
-    true_reading: QdReading | None = None,
-) -> MultisampleResult:
+def multisample_snr(readings: np.ndarray, true_reading: QdReading) -> MultisampleResult:
     """Aggregate m readings of a static channel: coherent signal sum over
     root-sum-square noise.
 
     ``readings`` is an (m, 4) array of quadrant powers, one row per reading
-    in Q1..Q4 order. With the true (noiseless) reading supplied,
-    per-sample noise is exact; otherwise it is estimated from the scatter
-    of the readings (needs m >= 2). Zero aggregate noise is flagged as
-    saturated with infinite SNR.
+    in Q1..Q4 order; ``true_reading`` is the noiseless reading, so each
+    sample's noise is its total's exact deviation from the true total.
+    Zero aggregate noise is flagged as saturated with infinite SNR.
     """
     quads = np.asarray(readings)
     if quads.ndim != 2 or quads.shape[1] != 4:
@@ -285,25 +267,11 @@ def multisample_snr(
         raise ValueError("need at least one reading")
     mean_reading = QdReading(*np.mean(quads, axis=0).tolist())
     totals = quads.sum(axis=1)
-    if true_reading is not None:
-        signal = true_reading.total
-        noise_sq = float(np.sum((totals - signal) ** 2))
-    else:
-        if m < 2:
-            raise ValueError(
-                "estimating noise from data needs m >= 2 readings "
-                "(or pass true_reading)"
-            )
-        signal = float(np.mean(totals))
-        noise_sq = float(np.sum((totals - signal) ** 2)) * m / (m - 1)
-    if noise_sq == 0.0:
-        return MultisampleResult(
-            mean_reading=mean_reading, amplitude_snr=math.inf, m=m, saturated=True
-        )
-    snr = m * signal / math.sqrt(noise_sq)
-    return MultisampleResult(
-        mean_reading=mean_reading, amplitude_snr=snr, m=m, saturated=False
-    )
+    signal = true_reading.total
+    noise_sq = float(np.sum((totals - signal) ** 2))
+    saturated = noise_sq == 0.0
+    snr = math.inf if saturated else m * signal / math.sqrt(noise_sq)
+    return MultisampleResult(mean_reading, snr, m, saturated)
 
 
 def _step_noise(rng: np.random.Generator, noise_std: float, m: int, n_steps: int):
@@ -415,10 +383,6 @@ def run_tracking_loop(
         offsets_y_m=ys,
         residual_rms_m=float(np.sqrt(np.mean(radial[_SETTLE_STEPS:] ** 2))),
         residual_max_m=float(np.max(radial)),
-        m=m,
-        loop_rate_hz=loop_rate_hz,
-        controller_gain=controller_gain,
-        seed=seed,
     )
 
 

@@ -2,7 +2,8 @@
 
 Composes the other modules in a fixed stage order (turbulence,
 atmosphere, linkbudget, trace, noise, transmit, report) and reports
-everything measured along the way; the trace, noise calibration, the
+everything measured along the way; the first three form ``link_budget``,
+which ``fsolink budget`` also runs, and the trace, noise calibration, the
 modem's one link pass ``modem.transmit`` and the trace statistics form
 ``_link_pass``, a function of the values it reads, which a sweep runs once
 per distinct set. Runs are deterministic functions of the configuration
@@ -148,21 +149,25 @@ def _link_pass(
     return noise_std, rx_bits, ber, stats
 
 
-def _run(config: RunConfig, payload_bits: np.ndarray | None, link_pass=_link_pass):
-    """Report of a run of a payload, or of random bits, and its decided bits
-    (None for random bits); ``link_pass`` runs ``_link_pass``."""
-    started = time.monotonic()
-
+def link_budget(config: RunConfig) -> tuple[float, FadingModel, float, LossBreakdown, LinkBudget]:
+    """The turbulence, atmosphere and linkbudget stages of a config:
+    (Rytov variance, fading model, tau0, losses, budget)."""
     with _stage("turbulence"):
         rytov, model, tau0 = turbulence(config)
     with _stage("atmosphere"):
         losses = total_atmospheric_loss(
-            config.scenario, config.geometry, config.outage_prob, rytov_var=rytov
+            config.scenario, config.geometry, config.outage_prob, rytov
         )
     with _stage("linkbudget"):
-        budget = received_power_dbm(
-            config.optics, losses, config.geometry.beam_divergence_rad
-        )
+        budget = received_power_dbm(config.optics, losses, config.geometry.beam_divergence_rad)
+    return rytov, model, tau0, losses, budget
+
+
+def _run(config: RunConfig, payload_bits: np.ndarray | None, link_pass=_link_pass):
+    """Report of a run of a payload, or of random bits, and its decided bits
+    (None for random bits); ``link_pass`` runs ``_link_pass``."""
+    started = time.monotonic()
+    rytov, model, tau0, losses, budget = link_budget(config)
 
     bits_seed = derive_seeds(config.seed, 4)[0]
     bits = RandomBits(config.n_symbols, bits_seed) if payload_bits is None else payload_bits

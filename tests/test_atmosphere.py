@@ -314,7 +314,7 @@ class TestTotalLoss:
     def test_clear_preset_has_only_margin_and_geometry(self):
         scen = WeatherScenario(visibility_km=10.0, wind_speed_ground=1.0)
         geom = LinkGeometry(distance_m=20000.0, rx_altitude_m=10000.0)
-        breakdown = total_atmospheric_loss(scen, geom, 1e-3)
+        breakdown = total_atmospheric_loss(scen, geom, 1e-3, rytov_variance(geom, scen))
         assert breakdown.l_fog_db == 0.0
         assert breakdown.l_rain_db == 0.0
         assert breakdown.l_cloud_db == 0.0
@@ -332,7 +332,7 @@ class TestTotalLoss:
             ground_cn2=2e-13,
         )
         geom = LinkGeometry(distance_m=20000.0, rx_altitude_m=10000.0)
-        breakdown = total_atmospheric_loss(scen, geom, 1e-3)
+        breakdown = total_atmospheric_loss(scen, geom, 1e-3, rytov_variance(geom, scen))
         assert breakdown.l_fog_db == pytest.approx(
             fog_attenuation_db_per_km(3.0, geom.wavelength_m) * 0.05, rel=1e-12
         )
@@ -359,14 +359,16 @@ class TestTotalLoss:
             rx_aperture_m=5.0,
             beam_divergence_rad=1e-6,
         )
-        breakdown = total_atmospheric_loss(scen, geom, 1e-3)
+        breakdown = total_atmospheric_loss(scen, geom, 1e-3, rytov_variance(geom, scen))
         assert breakdown.l_total_db < 0.05
 
     @settings(max_examples=60, deadline=None)
     @given(scenario=scenario_strategy)
     def test_additivity_property(self, scenario):
         geom = LinkGeometry(distance_m=20000.0, rx_altitude_m=10000.0)
-        breakdown = total_atmospheric_loss(scenario, geom, 1e-3)
+        breakdown = total_atmospheric_loss(
+            scenario, geom, 1e-3, rytov_variance(geom, scenario)
+        )
         parts = (
             breakdown.l_sci_db,
             breakdown.l_fog_db,

@@ -150,14 +150,51 @@ class TestDispatch:
             run_cli("budget", "--scenario", "clear")
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
-        # Sweeping an unknown axis is a runtime failure, not a usage error.
+        # A point the link cannot run is a runtime failure, not a usage error.
         code = run_cli(
-            "sweep", "--scenario", "clear", "--axis", "nope.nope",
-            "--values", "1,2", "--out", str(tmp_path / "s.csv"),
+            "sweep", "--scenario", "clear", "--axis", "geometry.rx_altitude_m",
+            "--values", "30000", "--out", str(tmp_path / "s.csv"),
             "--set", "n_symbols=10000",
         )
         assert code == 1
-        assert "valid axes" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: stage 'turbulence' failed")
+
+    def test_unknown_sweep_axis_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "sweep", "--scenario", "clear", "--axis", "nope.nope",
+            "--values", "1,2", "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: unknown sweep axis") and "valid axes" in err
+
+    def test_non_numeric_sweep_value_is_usage_error(self, tmp_path, capsys):
+        code = run_cli(
+            "sweep", "--axis", "seed", "--values", "1,abc", "--out", str(tmp_path / "s.csv")
+        )
+        assert code == 2
+        assert "argument --values" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["filter-sim", "--n"], ["transmit", "--sym", "100"]], ids=["n", "sym"]
+    )
+    def test_abbreviated_flag_is_usage_error(self, argv):
+        # Neither may pass as the one flag it prefixes (--no-timestamp, --symbols).
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(argv)
+        assert info.value.code == 2
+
+    def test_budget_and_transmit_fail_alike(self, capsys):
+        # Both run pipeline.link_budget, so a bad geometry fails in the same stage.
+        errors = []
+        for command in ("budget", "transmit"):
+            assert run_cli(command, "--set", "geometry.rx_altitude_m=30000") == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == (
+            "error: stage 'turbulence' failed: altitude difference 30000.0 m "
+            "exceeds link distance 20000.0 m\n"
+        )
 
     def test_scenarios_listing(self, capsys):
         assert run_cli("scenarios") == 0

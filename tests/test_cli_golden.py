@@ -65,7 +65,7 @@ CASES: dict[str, tuple[list[str], int]] = {
     "sweep_unknown_axis": (
         ["sweep", "--scenario", "clear", "--axis", "nope.nope", "--values", "1",
          "--out", "{out}/sweep.csv"],
-        1,
+        2,
     ),
     "pat_sim": (
         ["pat-sim", "--set", "pat.duration_s=0.1", "--seed", "1", "--no-timestamp",

@@ -9,17 +9,20 @@ name is a ``_``-prefixed (not dunder) function, class or constant defined
 at module level; it is read when some module loads it by name or as an
 attribute (``modem._decide``). A parameter (``self`` and ``cls`` aside) is
 read when its function's body, nested functions included, loads its name.
+The public names that only tests reach are pinned to a fixed list.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "fsolink"
 MODULES = sorted(SRC.glob("*.py"))
+BENCH = SRC.parents[1] / "perfbench"
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -75,8 +78,8 @@ def test_module_has_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def _private_definitions(tree: ast.Module) -> dict[str, int]:
-    """Module-level ``_``-prefixed function, class and constant names -> line."""
+def _definitions(tree: ast.Module) -> dict[str, int]:
+    """Module-level function, class and constant names -> line."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -93,23 +96,32 @@ def _private_definitions(tree: ast.Module) -> dict[str, int]:
         else:
             continue
         for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                names[name] = node.lineno
+            names[name] = node.lineno
     return names
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _read_names(trees) -> set[str]:
+    """Names the modules load by name or as an attribute (``modem._decide``)."""
+    read = set()
+    for tree in trees:
+        read |= _used_names(tree)
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return read
 
 
 def _unread_private_names(sources: dict[str, str]) -> list[str]:
     """``module line N: name`` for each private name no module reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        read |= _used_names(tree)
-        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read = _read_names(trees.values())
     return [
         f"{module} line {line}: {name}"
         for module, tree in trees.items()
-        for name, line in _private_definitions(tree).items()
-        if name not in read
+        for name, line in _definitions(tree).items()
+        if _private(name) and name not in read
     ]
 
 
@@ -204,3 +216,22 @@ def test_checker_finds_an_unread_parameter():
         "line 1: modulate(config)", "line 1: modulate(extra)",
         "line 6: method(value)", "line 11: lambda(unused)",
     ]
+
+
+def test_test_only_public_names():
+    # Public names that no module of the package loads and no benchmark file
+    # names: the detector-model oracles of test_pat.py (the noiseless
+    # quadrant response and the displacement estimator) and the multi-sample
+    # SNR estimator of acceptance criterion 03. A new library path that only
+    # tests reach changes this list, so it is added on purpose or not at all.
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    loaded = _read_names(trees.values())
+    bench = "\n".join(path.read_text() for path in sorted(BENCH.glob("*.py")))
+    unread = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _definitions(tree)
+        if not name.startswith("_") and name not in loaded
+        and not re.search(rf"\b{name}\b", bench)
+    ]
+    assert sorted(unread) == ["pat.estimate_displacement", "pat.multisample_snr", "pat.qd_response"]

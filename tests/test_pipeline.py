@@ -78,15 +78,15 @@ class TestRunEndToEnd:
         )
         report = pipeline.run_endtoend(config)
 
+        from fsolink.atmosphere import rytov_variance
+
+        rytov = rytov_variance(config.geometry, config.scenario)
         losses = total_atmospheric_loss(
-            config.scenario, config.geometry, config.outage_prob
+            config.scenario, config.geometry, config.outage_prob, rytov
         )
         budget = received_power_dbm(
             config.optics, losses, config.geometry.beam_divergence_rad
         )
-        from fsolink.atmosphere import rytov_variance
-
-        rytov = rytov_variance(config.geometry, config.scenario)
         tau0 = coherence_time(config.geometry, config.scenario.wind_speed_ground)
         model = pipeline.select_fading_model(config.fading, rytov)
         bits_seed, trace_seed, _, noise_seed = derive_seeds(config.seed, 4)
