@@ -11,10 +11,10 @@ independently. Everything is deterministic given the seed.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Literal
 
@@ -28,10 +28,11 @@ if TYPE_CHECKING:
     from .atmosphere import LinkGeometry
 
 #: Longest trace: a 4 GiB budget over 128 B/sample. ``generate_trace`` peaks
-#: at 9-12.5 B/sample, and followed by ``trace_stats`` at 16.0, or 38.7 when
-#: tau0 >> T widens the ACF window to n/2 lags (tracemalloc, 1e6-4.2e6
-#: samples, both marginals); the budget moves only with its own
-#: re-measurement.
+#: at 8.3-11.2 B/sample, and followed by ``trace_stats`` at 16.0, or 32.6 when
+#: tau0 >> T widens the ACF window to n/2 lags; a window just under n/8
+#: lags, two blocks on two threads, holds 54 beside the trace's 8
+#: (tracemalloc, 1e6-4.2e6 samples, both marginals). The budget moves only
+#: with its own re-measurement.
 MAX_TRACE_SAMPLES = (4 << 30) // 128
 
 _BINARY_MAGIC = b"FSOTRC01"
@@ -228,6 +229,13 @@ def _gaussian_acf_series(
     at (p - 1)*k*dt; at k = 1 it is the node itself. The covariance is
     within 4e-5 of the target at every lag (interpolation: 3.5e-6), with no
     wrap-around, and time and memory are O(n) whatever tau0.
+
+    The cubics are evaluated in place in ``out``, up to ``_CHUNK`` samples
+    of whole intervals at a time as a (rows x k) block against one row of
+    fractions u = j/k; an interval longer than ``_CHUNK``, or the trace's
+    last one, goes in pieces of at most ``_CHUNK``. Each sample takes the same Horner
+    steps as a per-sample evaluation, so the series does not depend on how
+    it is cut.
     """
     # Past 1e15 samples per tau0 the ACF is 1 to 1e-15 over any trace the
     # sample budget allows; the cap keeps k an exact int64.
@@ -251,17 +259,22 @@ def _gaussian_acf_series(
         a, b, c, d = nodes[:-3], nodes[1:-2], nodes[2:-1], nodes[3:]
         cubic = ((d - a) / 6.0 + 0.5 * (b - c), 0.5 * (a + c) - b, c - a / 3.0 - b / 2.0 - d / 6.0)
         stop = min(n, (made - 3) * k)
-        for start in range(done, stop, _CHUNK):
-            i = np.arange(start, min(start + _CHUNK, stop))
-            q = i // k
-            u = (i - q * k) / k
-            q -= first
-            y = cubic[0][q]
-            for coef in (*cubic[1:], b):
+        while done < stop:
+            q0, j = divmod(done, k)
+            rows = min(_CHUNK // k, (stop - done) // k) if j == 0 else 0
+            if rows:  # whole intervals
+                width = k
+            else:  # part of one interval
+                rows, width = 1, min(k - j, stop - done, _CHUNK)
+            u = np.arange(j, j + width) / k
+            q = slice(q0 - first, q0 - first + rows)
+            y = out[done : done + rows * width].reshape(rows, width)
+            np.multiply.outer(cubic[0][q], u, out=y)
+            for coef in cubic[1:]:
+                y += coef[q, None]
                 y *= u
-                y += coef[q]
-            out[start : start + len(y)] = y
-        done = stop
+            y += b[q, None]
+            done += rows * width
     return out
 
 
@@ -451,27 +464,66 @@ def _autocovariance(x: np.ndarray, mean: float, lags: int) -> np.ndarray:
     the block is the whole trace, transformed once. The cross-spectrum is
     formed from explicit real and imaginary parts, so for one block it is
     bit for bit the power spectrum re^2 + im^2.
+
+    With two blocks or more, the calling thread and one helper thread each
+    take one block of every consecutive pair, in buffers allocated here
+    once per call, and the cross-spectra are summed in block order: the
+    sums are bit for bit those of one thread.
     """
     n = len(x)
     block = min(n, 8 * lags)
     m = scipy.fft.next_fast_len(block + lags, real=True)
-    acc = None
-    for start in range(0, n, block):
-        ext = x[start : start + block + lags - 1] - mean
-        head = np.fft.rfft(ext[:block], m)
-        tail = np.fft.rfft(ext, m) if len(ext) > block else head
-        del ext  # each temporary goes as soon as it is used
-        re = head.real * tail.real
-        re += head.imag * tail.imag
-        im = head.real * tail.imag
-        im -= head.imag * tail.real
-        if acc is None:  # the first cross-spectrum reuses its tail's storage
-            acc = tail
+    bins = m // 2 + 1
+    starts = range(0, n, block)
+
+    def cross(start, buffers):
+        """Cross-spectrum (re, im) of the block at ``start``, in ``buffers``."""
+        work, head, tail = buffers
+        ext = work[: min(n - start, block + lags - 1)]
+        np.subtract(x[start : start + len(ext)], mean, out=ext)
+        np.fft.rfft(ext[:block], m, out=head)
+        if len(ext) > block:
+            np.fft.rfft(ext, m, out=tail)
+        else:
+            tail = head
+        # The deviations are spent and take (re, im); the tail's parts, once
+        # read, take the second products.
+        re, im = work[:bins], work[bins:]
+        np.multiply(head.real, tail.real, out=re)
+        np.multiply(head.real, tail.imag, out=im)
+        im -= np.multiply(head.imag, tail.real, out=tail.real)
+        re += np.multiply(head.imag, tail.imag, out=tail.imag)
+        return re, im
+
+    def spectra():
+        if len(starts) == 1:
+            yield cross(0, buffers[0])
+            return
+        with ThreadPoolExecutor(1) as helper:
+            for pair in range(0, len(starts), 2):
+                odd = [helper.submit(cross, s, buffers[1]) for s in starts[pair + 1 : pair + 2]]
+                yield cross(starts[pair], buffers[0])
+                yield from (job.result() for job in odd)
+
+    # Per thread: the block's deviations, then its (re, im), and the head
+    # and tail spectra; a thread whose only block is the last has no tail.
+    buffers = [
+        (
+            np.empty(2 * bins),
+            np.empty(bins, complex),
+            np.empty(bins, complex) if len(starts) > t + 1 else None,
+        )
+        for t in range(min(2, len(starts)))
+    ]
+    # A lone block's head takes the sum once its own products are made.
+    acc = np.empty(bins, complex) if len(starts) > 1 else buffers[0][1]
+    for i, (re, im) in enumerate(spectra()):
+        if i == 0:
             acc.real, acc.imag = re, im
         else:
             acc.real += re
             acc.imag += im
-        del head, tail, re, im
+    del buffers, re, im  # the inverse FFT needs only the sum
     return np.fft.irfft(acc, m)[:lags]
 
 
@@ -489,7 +541,10 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
     crossing found is the first one up to lag n//2. The next window is
     twice the lag where 1 - ACF, extrapolated from the window's middle and
     last lags as a power of the lag, would reach 1/2, and at least 8 times
-    the last window; past n/4 it is all n//2 + 1 lags, in one real FFT.
+    the last window; past n/4 it is all n//2 + 1 lags, in one real FFT. A
+    window of two blocks or more shares them between the calling thread
+    and one helper thread and sums them in block order, so every field is
+    bit for bit that of one thread.
 
     A window T of at most a few tau0 does not resolve tau0: the ACF is that
     of a near-linear drift across the trace and the estimate reads about
@@ -555,31 +610,35 @@ def trace_to_csv(trace: ChannelTrace, path) -> None:
 
 def trace_from_csv(path) -> ChannelTrace:
     """Read ``trace_to_csv``'s layout: "#" metadata comments, an optional
-    ``time_s,gain`` header, then the rows (blank ones skipped), parsed
-    ``_CHUNK`` rows at a time."""
+    ``time_s,gain`` header, then the rows (blank ones skipped), whose gain
+    column numpy's parser reads (correctly rounded, so the round trip is
+    bit-exact)."""
     meta = {}
     with open(path, newline="") as fh:
-        rows = fh
+        first = None
         for line in fh:
             if line[0] != "#":
-                if not line.lstrip().startswith("time_s"):
-                    rows = itertools.chain([line], fh)
+                first = line
                 break
             key, sep, value = line[1:].partition("=")
             if sep:
                 meta[key.strip()] = value.strip()
-        gains = (float(row.split(",")[1]) for row in rows if not row.isspace())
-        chunks = [np.empty(0)]
-        try:
-            while len(chunk := np.fromiter(itertools.islice(gains, _CHUNK), float)):
-                chunks.append(chunk)
-        except IndexError:
-            raise ValueError("trace CSV row without a gain column") from None
+        if first is None or first.isspace() or first.lstrip().startswith("time_s"):
+            first = next((row for row in fh if not row.isspace()), None)
+        gains = np.empty(0)
+        if first is not None:  # numpy warns on a file without rows
+            rows = (row for part in ([first], fh) for row in part if not row.isspace())
+            try:
+                gains = np.loadtxt(rows, delimiter=",", usecols=1, ndmin=1, comments=None)
+            except ValueError as err:
+                if "invalid column index" not in str(err):
+                    raise
+                raise ValueError("trace CSV row without a gain column") from None
     missing = [key for key in _TRACE_FIELDS if key not in meta]
     if missing:
         raise ValueError(f"trace CSV missing metadata keys: {missing}")
     return ChannelTrace(
-        gains=np.concatenate(chunks),
+        gains=gains,
         **{key: kind(meta[key]) for key, kind in _TRACE_FIELDS.items()},
     )
 
