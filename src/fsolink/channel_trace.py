@@ -28,9 +28,9 @@ if TYPE_CHECKING:
     from .atmosphere import LinkGeometry
 
 #: Longest trace: a 4 GiB budget over 128 B/sample. ``generate_trace`` peaks
-#: at 8.3-11.2 B/sample, and followed by ``trace_stats`` at 16.0, or 32.6 when
-#: tau0 >> T widens the ACF window to n/2 lags; a window just under n/8
-#: lags, two blocks on two threads, holds 54 beside the trace's 8
+#: at 8.1-10.7 B/sample, and followed by ``trace_stats`` at 16.0-19.2, 26.2
+#: at T = 10 tau0 (a window just under n/8 lags, one block: 18 beside the
+#: trace's 8), or 32.3 when tau0 >> T takes the ACF window to n/2 lags
 #: (tracemalloc, 1e6-4.2e6 samples, both marginals). The budget moves only
 #: with its own re-measurement.
 MAX_TRACE_SAMPLES = (4 << 30) // 128
@@ -449,7 +449,8 @@ def constant_trace(duration_s: float) -> ChannelTrace:
     )
 
 
-#: Lags of ``trace_stats``' first autocovariance window.
+#: Floor on the lags of ``trace_stats``' first ACF window: it bounds the block
+#: count, and so the per-block Python cost, when tau0 spans a few samples.
 _FIRST_LAGS = 4096
 
 
@@ -459,11 +460,11 @@ def _autocovariance(x: np.ndarray, mean: float, lags: int) -> np.ndarray:
     The trace is cut into blocks of 8*lags samples, each with the mean
     removed on its own. A block's real FFT is correlated with that of the
     same block extended by the next lags - 1 samples, and the cross-spectra
-    are summed before one inverse FFT. Over m >= block + lags
-    points no circular wrap reaches a lag below ``lags``. From n/8 lags on
-    the block is the whole trace, transformed once. The cross-spectrum is
-    formed from explicit real and imaginary parts, so for one block it is
-    bit for bit the power spectrum re^2 + im^2.
+    are summed before one inverse FFT. Over m >= block + lags points no
+    circular wrap reaches a lag below ``lags``. Past n/9 lags the block is
+    the whole trace, transformed once, so no block is shorter than the
+    lags. The cross-spectrum is formed from explicit real and imaginary
+    parts, so for one block it is bit for bit the power spectrum re^2 + im^2.
 
     With two blocks or more, the calling thread and one helper thread each
     take one block of every consecutive pair, in buffers allocated here
@@ -471,7 +472,7 @@ def _autocovariance(x: np.ndarray, mean: float, lags: int) -> np.ndarray:
     sums are bit for bit those of one thread.
     """
     n = len(x)
-    block = min(n, 8 * lags)
+    block = n if n < 9 * lags else 8 * lags
     m = scipy.fft.next_fast_len(block + lags, real=True)
     bins = m // 2 + 1
     starts = range(0, n, block)
@@ -535,16 +536,15 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
     below 1/2 (linearly interpolated) divided by sqrt(ln 2). Infinite for a
     constant trace; nan below 100 samples, too few to estimate it.
 
-    The autocovariance is computed over a window of the first 4096 lags
-    (all n//2 + 1 of a shorter trace). While the ACF stays at or above 1/2
-    across it, the window widens and the sums restart from lag 0, so the
-    crossing found is the first one up to lag n//2. The next window is
-    twice the lag where 1 - ACF, extrapolated from the window's middle and
-    last lags as a power of the lag, would reach 1/2, and at least 8 times
-    the last window; past n/4 it is all n//2 + 1 lags, in one real FFT. A
-    window of two blocks or more shares them between the calling thread
-    and one helper thread and sums them in block order, so every field is
-    bit for bit that of one thread.
+    The autocovariance is computed over the first ceil(1.25*tau0*rate)
+    lags, tau0 being the trace's ``coherence_time_s`` (1.5 times its
+    half-power lag), at least 4096 and at most all n//2 + 1. Without a
+    crossing below 1/2 there, the sums are taken again over all n//2 + 1
+    lags, so the crossing found is the first one up to lag n//2 whatever
+    tau0 the trace carries: tau0 sets only the cost. A window of two
+    blocks or more shares them between the calling thread and one helper
+    thread and sums them in block order, so every field is bit for bit
+    that of one thread.
 
     A window T of at most a few tau0 does not resolve tau0: the ACF is that
     of a near-linear drift across the trace and the estimate reads about
@@ -565,23 +565,15 @@ def trace_stats(trace: ChannelTrace) -> TraceStats:
         return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.nan)
 
     all_lags = n // 2 + 1
-    lags = min(_FIRST_LAGS, all_lags)
+    reach = 1.25 * trace.coherence_time_s * trace.sample_rate_hz
+    lags = min(max(_FIRST_LAGS, math.ceil(min(reach, all_lags))), all_lags)
     while True:
         acov = _autocovariance(g, mean, lags)
         acf = acov / acov[0]
         below = np.nonzero(acf < 0.5)[0]
         if len(below) or lags == all_lags:
             break
-        # 1 - ACF taken as c*k^p through lags half and 2*half, p clipped to
-        # [1, 2] (a drift to a Gaussian ACF), reaches 1/2 at ``reach``; an
-        # ACF still at 1 sends the window to all lags.
-        half = (lags - 1) // 2
-        near, far = 1.0 - acf[half], 1.0 - acf[2 * half]
-        p = min(2.0, max(1.0, math.log2(far / near))) if far > near > 0 else 1.0
-        reach = 2 * half * (0.5 / far) ** (1.0 / p) if far > 0 else n
-        lags = max(8 * lags, math.ceil(2.0 * reach))
-        if 4 * lags > n:
-            lags = all_lags
+        lags = all_lags
     if len(below) == 0:
         return TraceStats(mean=mean, sigma_i2=sigma_i2, coherence_time_s=math.inf)
     j = int(below[0])  # >= 1: acf[0] is 1

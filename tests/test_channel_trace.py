@@ -208,7 +208,7 @@ def one_thread_autocovariance(x, mean, lags):
     """``_autocovariance`` as one loop over the blocks on one thread, each
     block's temporaries allocated afresh."""
     n = len(x)
-    block = min(n, 8 * lags)
+    block = n if n < 9 * lags else 8 * lags
     m = scipy.fft.next_fast_len(block + lags, real=True)
     acc = None
     for start in range(0, n, block):
@@ -631,8 +631,9 @@ class TestTraceStats:
 
     @pytest.mark.parametrize("n, helpers", [(512, 0), (513, 1)])
     def test_helper_thread_only_for_two_blocks(self, n, helpers, monkeypatch):
-        # A window of one block, such as a link run's 100-sample trace,
-        # starts no thread.
+        # 57 lags take blocks of 456 from 9 * 57 = 513 samples on. A window
+        # of one block, such as a link run's 100-sample trace, starts no
+        # thread.
         started = []
         real = channel_trace.ThreadPoolExecutor
 
@@ -641,7 +642,7 @@ class TestTraceStats:
             return real(workers)
 
         monkeypatch.setattr(channel_trace, "ThreadPoolExecutor", spy)
-        channel_trace._autocovariance(np.random.default_rng(1).standard_normal(n), 0.0, 64)
+        channel_trace._autocovariance(np.random.default_rng(1).standard_normal(n), 0.0, 57)
         assert started == [1] * helpers
         trace_stats(generate_trace(FadingModel.log_normal(0.3), 0.0293, 2e4, 5e-3, seed=1))
         assert started == [1] * helpers
@@ -659,17 +660,9 @@ class TestTraceStats:
         frac = (acf[j - 1] - 0.5) / (acf[j - 1] - acf[j])
         return (j - 1 + frac) / trace.sample_rate_hz / math.sqrt(math.log(2.0))
 
-    @pytest.mark.parametrize(
-        "tau0, windows",
-        [(0.0293, [4096]), (0.176, [4096, 32768]), (1e3, [4096, 2**19 + 1])],
-        ids=["first-window", "wider-window", "whole-length"],
-    )
-    def test_window_growth_finds_the_first_crossing(self, tau0, windows, monkeypatch):
-        # 2^20 samples at 1e5 Hz: the hazy tau0 crosses 1/2 inside the first
-        # 4096 lags; the clear tau0 near lag 17 600, inside a second window
-        # still taken in blocks; tau0 >> T near 0.2*T, past n/4, so its
-        # second window is all n//2 + 1 lags in one block.
-        trace = generate_trace(FadingModel.log_normal(0.3), tau0, 1e5, 2**20 / 1e5, seed=5)
+    @staticmethod
+    def _windows(monkeypatch):
+        """Spy on ``_autocovariance``: the list of windows it is called with."""
         seen = []
         real = channel_trace._autocovariance
 
@@ -678,14 +671,58 @@ class TestTraceStats:
             return real(x, mean, lags)
 
         monkeypatch.setattr(channel_trace, "_autocovariance", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "tau0, windows",
+        [(0.0293, [4096]), (0.176, [22000]), (1e3, [2**19 + 1])],
+        ids=["first-window", "wider-window", "whole-length"],
+    )
+    def test_window_growth_finds_the_first_crossing(self, tau0, windows, monkeypatch):
+        # 2^20 samples at 1e5 Hz, one window of ceil(1.25*tau0*rate) lags
+        # each: the hazy tau0 takes the 4096-lag floor; the clear one
+        # crosses 1/2 near lag 17 600, inside 22 000 lags taken in blocks;
+        # tau0 >> T crosses near 0.2*T, inside all n//2 + 1 lags.
+        trace = generate_trace(FadingModel.log_normal(0.3), tau0, 1e5, 2**20 / 1e5, seed=5)
+        seen = self._windows(monkeypatch)
         est = trace_stats(trace).coherence_time_s
         assert seen == windows
         assert est == pytest.approx(self._whole_length_coherence(trace), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 100.0, math.inf])
+    def test_wrong_tau0_changes_only_the_cost(self, scale):
+        # The window is sized from the trace's tau0, but a window without a
+        # crossing is taken again over all lags: a tau0 100 times too short
+        # or too long, or inf, finds the same first crossing.
+        trace = generate_trace(FadingModel.log_normal(0.3), 0.176, 1e5, 2**20 / 1e5, seed=5)
+        exact = trace_stats(trace)
+        got = trace_stats(dataclasses.replace(trace, coherence_time_s=0.176 * scale))
+        assert (got.mean, got.sigma_i2) == (exact.mean, exact.sigma_i2)
+        assert got.coherence_time_s == pytest.approx(
+            self._whole_length_coherence(trace), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "model",
+        [FadingModel.log_normal(0.3), FadingModel.gamma_gamma_from_rytov(3.0)],
+        ids=["log_normal", "gamma_gamma"],
+    )
+    @pytest.mark.parametrize("spans", [0.3, 3.0, 30.0, 1000.0])
+    def test_generated_traces_take_one_window(self, model, spans, monkeypatch):
+        # A generated trace of T = spans*tau0 crosses 1/2 inside its first
+        # window, short of T or not.
+        n = 100_000
+        trace = generate_trace(model, n / 1e5 / spans, 1e5, n / 1e5, seed=11)
+        seen = self._windows(monkeypatch)
+        assert math.isfinite(trace_stats(trace).coherence_time_s)
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("slope", [0.5, 0.0], ids=["slow-decay", "flat"])
     def test_no_crossing_is_infinite_after_two_windows(self, slope, monkeypatch):
         # The biased ACF of any real trace falls below 1/2 by lag n//2, so a
         # stand-in autocovariance 1 - slope*k/n, at or above 3/4, stands in.
+        # Its tau0 of 1 s sizes the first window at 125 000 lags; the second
+        # is all n//2 + 1.
         n = 2**20
         trace = ChannelTrace(
             sample_rate_hz=1e5, duration_s=n / 1e5, seed=0,
@@ -699,7 +736,21 @@ class TestTraceStats:
 
         monkeypatch.setattr(channel_trace, "_autocovariance", stand_in)
         assert math.isinf(trace_stats(trace).coherence_time_s)
-        assert seen == [4096, n // 2 + 1]
+        assert seen == [125_000, n // 2 + 1]
+
+    def test_window_at_the_block_edge_memory(self):
+        # n // 8 - 1 lags, past n/9: one block of the whole trace, so no
+        # short second block takes its own buffer set on the helper thread.
+        # 18.0 B/sample measured beyond the input.
+        n = 1_000_000
+        x = np.random.default_rng(2).standard_normal(n)
+        tracemalloc.start()
+        try:
+            channel_trace._autocovariance(x, 0.0, n // 8 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 24
 
     @pytest.mark.parametrize(
         "model",
