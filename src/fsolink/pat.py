@@ -37,14 +37,14 @@ _DIVERGENCE_STEPS = 10
 #: Leading steps of the acquisition transient left out of the residual RMS.
 _SETTLE_STEPS = 20
 
-#: Run memory of ``run_tracking_loop`` (tracemalloc): 150 B/step (145-149
+#: Run memory of ``run_tracking_loop`` (tracemalloc): 150 B/step (144.9-145.7
 #: at 1e5-4e5 steps, m = 1 and 10) plus 162 B per reading of one step's noise
-#: block (161.9 and 160.3 at m = 1e4 and 5e4). It must stay within 4 GiB.
+#: block (161.6 and 160.3 at m = 1e4 and 5e4). It must stay within 4 GiB.
 _STEP_BYTES = 150
 _READING_BYTES = 162
 
-#: Most noise values ``run_tracking_loop`` draws at once. As nested lists a
-#: full block of m = 1 steps takes about 0.5 MiB.
+#: Most noise values ``run_tracking_loop`` draws at once. As one list of
+#: floats per step a full block of m = 1 steps takes about 0.2 MiB.
 _NOISE_BLOCK_VALUES = 1 << 12
 
 @dataclass(frozen=True)
@@ -193,26 +193,36 @@ def _calibrate_gain(geometry: QdGeometry) -> float:
     return delta / diff
 
 
-#: Noise of a noiseless reading: one zero draw per quadrant.
-_NO_NOISE = ([0.0], [0.0], [0.0], [0.0])
+#: Noise of a noiseless step: one reading of zero draws on Q1..Q4.
+_NO_NOISE = (0.0, 0.0, 0.0, 0.0)
 
 
 def _mean_reading(fractions, noise) -> list[float]:
-    """Per quadrant, the mean over m readings of max(fraction + draw, 0),
-    with ``noise`` holding each quadrant's m draws.
+    """Per quadrant, the mean over the step's readings of max(fraction +
+    draw, 0), with ``noise`` one flat row of the readings' Q1..Q4 draws,
+    reading after reading.
 
-    Adding the positive terms in reading order repeats numpy's axis-0 mean
-    of the clamped (m, 4) readings bit for bit.
+    Adding each quadrant's positive terms in reading order repeats numpy's
+    axis-0 mean of the clamped readings (the row as (m, 4)) bit for bit.
     """
-    means = []
-    for f, draws in zip(fractions, noise):
-        acc = 0.0
-        for r in draws:
-            v = f + r
-            if v > 0.0:
-                acc += v
-        means.append(acc / len(draws))
-    return means
+    f1, f2, f3, f4 = fractions
+    a1 = a2 = a3 = a4 = 0.0
+    draws = iter(noise)
+    for r1, r2, r3, r4 in zip(draws, draws, draws, draws):
+        v = f1 + r1
+        if v > 0.0:
+            a1 += v
+        v = f2 + r2
+        if v > 0.0:
+            a2 += v
+        v = f3 + r3
+        if v > 0.0:
+            a3 += v
+        v = f4 + r4
+        if v > 0.0:
+            a4 += v
+    n = len(noise) // 4
+    return [a1 / n, a2 / n, a3 / n, a4 / n]
 
 
 def qd_response(offset_x: float, offset_y: float, geometry: QdGeometry) -> QdReading:
@@ -275,14 +285,14 @@ def multisample_snr(readings: np.ndarray, true_reading: QdReading) -> Multisampl
 
 
 def _step_noise(rng: np.random.Generator, noise_std: float, m: int, n_steps: int):
-    """Yield each step's readings noise as four lists (one per quadrant) of m
-    draws. Step k gets the k-th (m, 4) block of ``rng``'s normal stream;
-    draws are made ``_NOISE_BLOCK_VALUES`` values (at least one step) at a
-    time, which gives the same stream as one draw per step."""
+    """Yield each step's readings noise as one flat list of 4m draws, reading
+    after reading (Q1..Q4 each): step k gets the k-th (m, 4) block of
+    ``rng``'s normal stream. Draws are made ``_NOISE_BLOCK_VALUES`` values
+    (at least one step) at a time, which gives the same stream as one draw
+    per step."""
     block = max(1, _NOISE_BLOCK_VALUES // (4 * m))
     for start in range(0, n_steps, block):
-        draws = rng.normal(0.0, noise_std, (min(block, n_steps - start), m, 4))
-        yield from draws.transpose(0, 2, 1).tolist()
+        yield from rng.normal(0.0, noise_std, (min(block, n_steps - start), 4 * m)).tolist()
 
 
 def run_tracking_loop(
@@ -357,7 +367,7 @@ def run_tracking_loop(
         true_y = ctrl_y + jitter_y
         xs.append(true_x)
         ys.append(true_y)
-        if max(abs(true_x), abs(true_y)) > limit:
+        if abs(true_x) > limit or abs(true_y) > limit:
             off_detector += 1
             if off_detector >= _DIVERGENCE_STEPS:
                 raise TrackingDivergedError(

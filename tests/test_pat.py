@@ -20,6 +20,7 @@ from fsolink.pat import (
 
 GEOM = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=0.0)
 GEOM_GAP = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=50e-6)
+GEOM_WIDE_GAP = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=1e-4)
 
 
 def overlap_oracle(offset_x, offset_y, geometry, n_nodes=160):
@@ -71,6 +72,39 @@ class TestQdResponse:
         expected = overlap_oracle(offset[0], offset[1], geometry)
         for got, want in zip((reading.v1, reading.v2, reading.v3, reading.v4), expected):
             assert got == pytest.approx(want, rel=1e-8)
+
+    #: Q1..Q4 powers as float.hex, centered, off center and far off the
+    #: detector (the loop's noiseless reading, pinned bit for bit).
+    PINNED = {
+        (GEOM, (0.0, 0.0)): ["0x1.ff1f2534962fcp-3"] * 4,
+        (GEOM, (0.15e-3, -0.05e-3)): [
+            "0x1.3a7834cb3b426p-2", "0x1.dffb7ff8991c7p-5",
+            "0x1.98dfa400b6556p-4", "0x1.0be19a9064144p-1",
+        ],
+        (GEOM, (1.2e-3, 0.3e-3)): [
+            "0x1.6c0cf8f9731bfp-20", "0x1.37e2b6f5224f0p-51",
+            "0x1.0041c707717ccp-56", "0x1.2b1e235507173p-25",
+        ],
+        (GEOM_WIDE_GAP, (0.0, 0.0)): ["0x1.16e0546f34b3fp-3"] * 4,
+        (GEOM_WIDE_GAP, (0.15e-3, -0.05e-3)): [
+            "0x1.7d4748e9154bep-3", "0x1.791caea3465efp-6",
+            "0x1.749000c2c5142p-5", "0x1.78adbceb7e7c3p-2",
+        ],
+        (GEOM_WIDE_GAP, (1.2e-3, 0.3e-3)): [
+            "0x1.61c32513af549p-20", "0x1.b8d4c934589c9p-55",
+            "0x1.41a08a316c6c0p-61", "0x1.021a2fa3d1379p-26",
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "geometry, offset", list(PINNED), ids=[
+            f"{gap}-{where}" for gap in ("no-gap", "wide-gap")
+            for where in ("centered", "off-center", "far")
+        ],
+    )
+    def test_powers_pinned(self, geometry, offset):
+        reading = qd_response(*offset, geometry)
+        assert [v.hex() for v in astuple(reading)] == self.PINNED[geometry, offset]
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -314,8 +348,8 @@ class TestTrackingLoop:
         assert peak <= 150 * steps + 162 * m
 
     def test_peak_bytes_per_step(self):
-        # 150 B/step of the run budget; about 0.5 MiB is per-run (a block of
-        # noise draws as nested lists).
+        # 150 B/step of the run budget; about 0.2 MiB is per-run (a block of
+        # noise draws, one list per step).
         n = 10_000
         tracemalloc.start()
         try:
@@ -378,7 +412,6 @@ class TestTrackingLoopPinned:
     m = 1, loses the beam on 9 of the 150 steps (hold position).
     """
 
-    GEOM_WIDE_GAP = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=1e-4)
     NOISELESS = "bc5c2b70e254fed8493b33cf578ce99a77e3e3b5d759b536aa184cf21f85119f"
 
     @staticmethod
@@ -391,7 +424,7 @@ class TestTrackingLoopPinned:
         return run_tracking_loop(
             (2e-4, -1e-4),
             JitterParams(rms_m=50e-6),
-            self.GEOM_WIDE_GAP,
+            GEOM_WIDE_GAP,
             m=m,
             duration_s=duration_s,
             seed=seed,
@@ -457,8 +490,12 @@ class TestTrackingLoopPinned:
 
         rng = RecordingRng()
         steps = list(pat._step_noise(rng, 0.1, 10, 1000))
+        # One flat row of 4m draws per step, reading after reading: the
+        # rows are one whole-run (n_steps, m, 4) draw, in order.
         assert len(steps) == 1000
-        assert all(len(quadrant) == 10 for step in steps for quadrant in step)
+        assert all(type(row) is list and len(row) == 40 for row in steps)
+        whole = np.random.default_rng(0).normal(0.0, 0.1, (1000, 10, 4)).ravel()
+        assert np.array_equal(np.concatenate(steps), whole)
         assert sum(size[0] for size in rng.sizes) == 1000
         assert max(math.prod(size) for size in rng.sizes) <= pat._NOISE_BLOCK_VALUES
 
@@ -467,7 +504,7 @@ class TestTrackingLoopPinned:
             run_tracking_loop(
                 (0.2e-3, 0.0),
                 JitterParams(rms_m=20e-6),
-                self.GEOM_WIDE_GAP,
+                GEOM_WIDE_GAP,
                 m=3,
                 controller_gain=-3.0,
                 duration_s=0.2,
