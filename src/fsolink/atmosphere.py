@@ -105,9 +105,13 @@ class LinkGeometry:
         if self.wavelength_m <= 0:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength_m}")
         if self.tx_altitude_m < 0 or self.rx_altitude_m < 0:
-            raise ValueError("altitudes must be >= 0")
+            raise ValueError(
+                f"altitudes must be >= 0, got {self.tx_altitude_m} and {self.rx_altitude_m}"
+            )
         if self.tx_aperture_m <= 0 or self.rx_aperture_m <= 0:
-            raise ValueError("apertures must be > 0")
+            raise ValueError(
+                f"apertures must be > 0, got {self.tx_aperture_m} and {self.rx_aperture_m}"
+            )
         if self.beam_divergence_rad <= 0:
             raise ValueError(
                 f"beam divergence must be > 0, got {self.beam_divergence_rad}"

@@ -409,7 +409,7 @@ def generate_trace(
         )
     n = int(round(samples))
     if n < 1:
-        raise ValueError("rate*duration rounds to zero samples")
+        raise ValueError(f"rate*duration = {samples:g} rounds to zero samples")
 
     if model.sigma_i2 == 0.0:
         gains = np.ones(n)

@@ -44,14 +44,16 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="override the run seed")
 
 
-def _resolve(args) -> dict:
+def _resolve(args, **flags) -> pipeline.RunConfig:
+    """The decoded run config of a command's config layers, with ``--seed`` and
+    ``flags`` (top-level config key -> flag value) set over them where given."""
     config_file = args.config or os.environ.get("FSO_SIM_CONFIG") or None
     cfg = scenarios.resolve_config(
         preset=args.scenario, config_file=config_file, overrides=args.overrides
     )
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    return cfg
+    flags["seed"] = args.seed
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    return pipeline.RunConfig.from_dict(cfg)
 
 
 def _numbers(text: str) -> list[float]:
@@ -142,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_budget(args) -> int:
-    *_, losses, budget = pipeline.link_budget(pipeline.RunConfig.from_dict(_resolve(args)))
+    *_, losses, budget = pipeline.link_budget(_resolve(args))
     if args.format == "text":
         text = reporting.budget_text(losses, budget)
     elif args.format == "csv":
@@ -160,7 +162,7 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    run_cfg = pipeline.RunConfig.from_dict(_resolve(args))
+    run_cfg = _resolve(args)
     _, model, tau0 = pipeline.turbulence(run_cfg)
     trace = generate_trace(model, tau0, args.rate, args.duration, run_cfg.seed)
     fmt = args.format or ("csv" if str(args.out).endswith(".csv") else "bin")
@@ -176,12 +178,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_transmit(args) -> int:
-    cfg = _resolve(args)
-    if args.symbols is not None:
-        cfg["n_symbols"] = args.symbols
-    if args.workers is not None:
-        cfg["workers"] = args.workers
-    run_cfg = pipeline.RunConfig.from_dict(cfg)
+    if args.payload_out is not None and args.payload is None:
+        print("usage error: --payload-out needs --payload", file=sys.stderr)
+        return 2
+    run_cfg = _resolve(args, n_symbols=args.symbols, workers=args.workers)
     if args.payload is not None:
         payload_out = args.payload_out or args.payload + ".out"
         report = pipeline.payload_roundtrip(args.payload, run_cfg, payload_out)
@@ -206,7 +206,7 @@ def _cmd_transmit(args) -> int:
 
 
 def _cmd_pat_sim(args) -> int:
-    run_cfg = pipeline.RunConfig.from_dict(_resolve(args))
+    run_cfg = _resolve(args)
     result = run_loop(run_cfg.pat, run_cfg.seed)
     if args.out:
         reporting.tracking_csv(result, args.out)
@@ -228,7 +228,7 @@ def _cmd_pat_sim(args) -> int:
 
 
 def _cmd_filter_sim(args) -> int:
-    run_cfg = pipeline.RunConfig.from_dict(_resolve(args))
+    run_cfg = _resolve(args)
     grid = grid_from_csv(args.grid) if args.grid else None
     result = filtering_ber_demo(
         run_cfg.filter, run_cfg.filter.n, run_cfg.modem, run_cfg.seed, grid=grid
@@ -253,7 +253,7 @@ def _cmd_filter_sim(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    run_cfg = pipeline.RunConfig.from_dict(_resolve(args))
+    run_cfg = _resolve(args)
     rows = pipeline.scenario_sweep(run_cfg, args.axis, args.values)
     reporting.rows_to_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -156,7 +156,7 @@ def _bit_array(bits) -> np.ndarray:
     (``_block_labels`` reads its bit pairs as 16-bit words)."""
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1:
-        raise ValueError("bits must be a 1-D array")
+        raise ValueError(f"bits must be a 1-D array, got shape {bits.shape}")
     if bits.size and np.max(bits) > 1:
         raise ValueError(f"bits must be 0 or 1, got {np.max(bits)}")
     return np.ascontiguousarray(bits)
@@ -171,16 +171,17 @@ def _bit_reader(bits: np.ndarray | RandomBits):
     return lambda lo, hi: bits[2 * lo : 2 * hi]
 
 
-def _unit_bits(lo: int, hi: int, seed: int) -> np.ndarray:
-    """Random bits of symbols lo..hi-1 (lo a chunk boundary), two per symbol.
+def _chunk_rngs(lo: int, hi: int, seed: int):
+    """Generators of the chunks of symbols lo..hi-1 (lo a chunk boundary), in order:
+    chunk i, symbols [i, i + 1) * ``_CHUNK_SYMBOLS``, draws from SeedSequence([seed, i])."""
+    for i in range(lo // _CHUNK_SYMBOLS, -(-hi // _CHUNK_SYMBOLS)):
+        yield np.random.default_rng(np.random.SeedSequence([seed, i]))
 
-    Chunk i, symbols [i, i + 1) * ``_CHUNK_SYMBOLS``, is the unpacked
-    ``rng.bytes(_CHUNK_SYMBOLS // 4)`` of an rng seeded by SeedSequence([seed, i]).
-    """
-    drawn = b"".join(
-        np.random.default_rng(np.random.SeedSequence([seed, i])).bytes(_CHUNK_SYMBOLS // 4)
-        for i in range(lo // _CHUNK_SYMBOLS, -(-hi // _CHUNK_SYMBOLS))
-    )
+
+def _unit_bits(lo: int, hi: int, seed: int) -> np.ndarray:
+    """Random bits of symbols lo..hi-1 (lo a chunk boundary), two per symbol:
+    each chunk's unpacked ``rng.bytes(_CHUNK_SYMBOLS // 4)``."""
+    drawn = b"".join(rng.bytes(_CHUNK_SYMBOLS // 4) for rng in _chunk_rngs(lo, hi, seed))
     return np.unpackbits(np.frombuffer(drawn, dtype=np.uint8))[: 2 * (hi - lo)]
 
 
@@ -201,17 +202,16 @@ def derive_seeds(seed: int, n: int) -> list[int]:
 
 
 def apply_channel(
-    symbols: np.ndarray, trace: ChannelTrace, noise_std: float, seed: int,
-    symbol_rate_hz: float, levels: tuple[float, ...] | None = None,
+    symbols: np.ndarray, trace: ChannelTrace, noise_std: float, seed: int, symbol_rate_hz: float
 ) -> np.ndarray:
     """r_k = H(t_k) * x_k + n_k with zero-order-hold gains and AWGN.
 
-    ``symbols`` are the transmitted intensities, or indices into ``levels``
-    when those are given, one sample each; the trace, sampled at each
-    symbol's start time, must cover the run. This is ``transmit``'s channel
-    on the whole array, with the same seeded noise, sample for sample.
+    ``symbols`` are the transmitted intensities, one sample each; the trace,
+    sampled at each symbol's start time, must cover the run. This is
+    ``transmit``'s channel on the whole array, with the same seeded noise,
+    sample for sample.
     """
-    tx = np.asarray(symbols) if levels is None else np.asarray(levels)[symbols]
+    tx = np.asarray(symbols)
     return _channel(len(tx), trace, noise_std, seed, symbol_rate_hz)(tx, 0)
 
 
@@ -248,17 +248,12 @@ def _channel(n: int, trace: ChannelTrace, noise_std: float, seed: int, symbol_ra
 
 
 def _unit_noise(lo: int, hi: int, seed: int) -> np.ndarray:
-    """Standard-normal noise for samples lo..hi-1 (lo a chunk boundary).
-
-    Chunk i, samples [i, i + 1) * ``_CHUNK_SYMBOLS``, comes from
-    SeedSequence([seed, i]); scaled by s it is ``rng.normal(0, s, m)``.
-    """
+    """Standard-normal noise for samples lo..hi-1 (lo a chunk boundary), each
+    chunk's m samples drawn as ``rng.standard_normal(m)``; scaled by s they
+    are ``rng.normal(0, s, m)``."""
     noise = np.empty(hi - lo)
-    for start in range(lo, hi, _CHUNK_SYMBOLS):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, start // _CHUNK_SYMBOLS])
-        )
-        rng.standard_normal(out=noise[start - lo : start - lo + _CHUNK_SYMBOLS])
+    for k, rng in enumerate(_chunk_rngs(lo, hi, seed)):
+        rng.standard_normal(out=noise[k * _CHUNK_SYMBOLS : (k + 1) * _CHUNK_SYMBOLS])
     return noise
 
 
@@ -324,11 +319,6 @@ def _block_moments(samples: np.ndarray, labels: np.ndarray):
     return count, mean, np.bincount(lab, weights=d * d, minlength=4)
 
 
-def _level_moments(samples: np.ndarray, labels: np.ndarray) -> list[tuple]:
-    """``_block_moments`` of each block of ``_blocks``, in block order."""
-    return [_block_moments(samples[b], labels[b]) for b in _blocks(len(labels))]
-
-
 def _merge(rows) -> LevelStats:
     """The whole run's statistics from its block moments, folded in block
     order with Chan, Golub & LeVeque's pairwise update (Am. Stat. 37(3),
@@ -364,8 +354,8 @@ def eye_stats(samples: np.ndarray, labels: np.ndarray) -> EyeStats:
     samples = np.asarray(samples, dtype=float)
     labels = np.asarray(labels)
     if samples.shape != labels.shape:
-        raise ValueError("samples and labels must have equal length")
-    return _eye(_level_moments(samples, labels))
+        raise ValueError(f"samples and labels differ in shape: {samples.shape} vs {labels.shape}")
+    return _eye([_block_moments(samples[b], labels[b]) for b in _blocks(len(labels))])
 
 
 def gaussian_tail(q) -> np.ndarray | float:
@@ -436,7 +426,7 @@ def calibrate_noise_std(
         raise ValueError(f"target_q must be > 0, got {target_q}")
     n = min((len(bits) + 1) // 2, _CALIBRATION_SYMBOLS)
     labels = _block_labels(_bit_reader(bits)(0, n))
-    r = apply_channel(labels, trace, 1.0, seed, config.symbol_rate_hz, levels=config.levels)
+    r = apply_channel(np.asarray(config.levels)[labels], trace, 1.0, seed, config.symbol_rate_hz)
     counts = np.bincount(labels, minlength=4)
     if not np.all(counts):
         raise MissingLevelError(f"every level needs samples, got counts {counts.tolist()}")

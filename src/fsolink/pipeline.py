@@ -75,8 +75,6 @@ def _stage(name: str):
     """Attach the stage name to failures raised inside the block."""
     try:
         yield
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 

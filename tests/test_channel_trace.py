@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 import sys
 import threading
@@ -30,6 +31,21 @@ from fsolink.channel_trace import (
     trace_to_csv,
 )
 from fsolink.errors import TraceLengthError
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FadingModel.log_normal(-0.1), "sigma_i2 must be >= 0, got -0.1"),
+        (lambda: constant_trace(0.0), "duration_s must be > 0, got 0.0"),
+        (lambda: generate_trace(FadingModel.log_normal(0.1), 1e-3, 1.0, 0.4, seed=0),
+         "rate*duration = 0.4 rounds to zero samples"),
+    ],
+    ids=["sigma-i2", "constant-duration", "zero-samples"],
+)
+def test_input_check_names_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def index_oracle(s):
@@ -948,6 +964,15 @@ class TestTraceSerialization:
         with open(path, "a") as fh:
             fh.write("1.0\r\n")
         with pytest.raises(ValueError, match="without a gain column"):
+            trace_from_csv(path)
+
+    def test_csv_gain_that_is_not_a_number_rejected(self, tmp_path):
+        # numpy's own parse error passes through; it names the bad field.
+        path = tmp_path / "trace.csv"
+        trace_to_csv(constant_trace(1.0), path)
+        with open(path, "a") as fh:
+            fh.write("1.0,abc\r\n")
+        with pytest.raises(ValueError, match="could not convert string 'abc'"):
             trace_from_csv(path)
 
     @pytest.mark.parametrize(

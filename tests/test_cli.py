@@ -134,6 +134,18 @@ class TestDispatch:
         assert err.startswith(f"error: config file {path}: ")
         assert len(err.splitlines()) == 1
 
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert run_cli("budget", "--config", str(path)) == 1
+        assert capsys.readouterr().err == f"error: config file {path} must contain a JSON object\n"
+
+    def test_override_without_equals_is_usage_error(self, capsys):
+        assert run_cli("budget", "--set", "seed") == 2
+        assert capsys.readouterr().err == (
+            "usage error: override 'seed' is not of the form key=value\n"
+        )
+
     def test_nested_override_of_optional_section(self, capsys):
         assert run_cli(
             "budget", "--format", "json",
@@ -370,7 +382,7 @@ class TestOtherCommands:
         for argv in commands:
             args = parser.parse_args(argv[1:])
             if hasattr(args, "overrides"):  # the command reads the run config
-                pipeline.RunConfig.from_dict(cli._resolve(args))
+                cli._resolve(args)
 
     def test_filter_sim(self, tmp_path, capsys):
         out = tmp_path / "filter.csv"
@@ -530,6 +542,16 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: n_symbols must be in [10000, 20000]")
         assert err.rstrip().endswith("got 20004")
+
+    def test_payload_out_without_payload_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(pipeline, "_run", never)
+        out = tmp_path / "recovered.bin"
+        assert run_cli("transmit", "--payload-out", str(out)) == 2
+        assert capsys.readouterr().err == "usage error: --payload-out needs --payload\n"
+        assert not out.exists()
 
     def test_sweep_rejects_a_fractional_pat_m(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -127,7 +128,7 @@ class TestApplyChannel:
         )
         tracemalloc.start()
         try:
-            apply_channel(labels, trace, 0.05, 11, CONFIG.symbol_rate_hz, CONFIG.levels)
+            apply_channel(LEVELS[labels], trace, 0.05, 11, CONFIG.symbol_rate_hz)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -473,9 +474,7 @@ class TestTransmitMatchesReference:
         rx_bits, report = transmit(bits, trace, noise_std, 11, CONFIG, workers)
 
         labels, _ = modulate(bits)
-        received = apply_channel(
-            labels, trace, noise_std, 11, CONFIG.symbol_rate_hz, CONFIG.levels
-        )
+        received = apply_channel(LEVELS[labels], trace, noise_std, 11, CONFIG.symbol_rate_hz)
         eye = eye_stats(received, labels)
         ref_bits = demodulate(received, eye.means)[: len(bits)]
         errors, n_bits, counted = count_ber(bits, ref_bits)
@@ -632,6 +631,20 @@ class TestCalibrationMatchesReference:
         with pytest.raises(MissingLevelError):
             self.reference(no_level_2, trace, CONFIG)
 
+    def test_target_below_the_eye_q_at_the_span_grows_the_bracket(self):
+        # At noise std = level span the mean eye Q is about 1/6, above this
+        # target, so the bracket grows once by 4 to hold it.
+        bits, trace = self.block(None, None)
+        labels, _ = modulate(bits)
+        new = calibrate_noise_std(bits, trace, 0.1, 9, CONFIG)
+        assert 1.0 < new < 4.0
+        assert new == pytest.approx(
+            reference_calibrate_noise_std(
+                LEVELS[labels], labels, trace, 0.1, 9, CONFIG.symbol_rate_hz
+            ),
+            rel=1e-4,
+        )
+
     def test_unreachable_target(self):
         # Fading within the block alone closes the eyes below the target.
         bits, trace = self.block(FadingModel.gamma_gamma_from_rytov(0.6), 0.1)
@@ -639,6 +652,24 @@ class TestCalibrationMatchesReference:
             calibrate_noise_std(bits, trace, 3.7, 9, CONFIG)
         with pytest.raises(ValueError, match="unreachable"):
             self.reference(bits, trace, CONFIG)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Pam4Config(levels=(0.0, 0.5, 1.0)), "need exactly 4 levels, got 3"),
+        (lambda: modulate(np.zeros((2, 2))), "bits must be a 1-D array, got shape (2, 2)"),
+        (lambda: eye_stats(np.zeros(4), np.zeros(5, dtype=np.uint8)),
+         "samples and labels differ in shape: (4,) vs (5,)"),
+        (lambda: q_for_target_ber(0.5), "target BER must be in (0, 0.375), got 0.5"),
+        (lambda: calibrate_noise_std(np.zeros(2), constant_trace(1.0), 0.0, 0, CONFIG),
+         "target_q must be > 0, got 0.0"),
+    ],
+    ids=["level-count", "2-d-bits", "eye-length", "target-ber", "target-q"],
+)
+def test_input_check_names_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 MODEM = Pam4Config()

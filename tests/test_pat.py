@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 from dataclasses import astuple
 
@@ -21,6 +22,23 @@ from fsolink.pat import (
 GEOM = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=0.0)
 GEOM_GAP = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=50e-6)
 GEOM_WIDE_GAP = QdGeometry(detector_size_m=1e-3, beam_radius_m=0.3e-3, gap_m=1e-4)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: QdGeometry(detector_size_m=0.0), "detector size must be > 0, got 0.0"),
+        (lambda: QdGeometry(beam_radius_m=-1e-4), "beam radius must be > 0, got -0.0001"),
+        (lambda: QdGeometry(gap_m=-1e-5), "gap must be >= 0, got -1e-05"),
+        (lambda: QdReading(0.25, -0.5, 0.25, 0.25), "v2 must be >= 0, got -0.5"),
+        (lambda: multisample_snr(np.ones((3, 3)), QdReading(1.0, 1.0, 1.0, 1.0)),
+         "expected (m, 4) powers, got shape (3, 3)"),
+    ],
+    ids=["detector-size", "beam-radius", "gap", "reading", "readings-shape"],
+)
+def test_input_check_names_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def overlap_oracle(offset_x, offset_y, geometry, n_nodes=160):

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import json
 import math
+import re
 import threading
 import tracemalloc
 
@@ -68,6 +70,15 @@ class TestRunEndToEnd:
         report = pipeline.run_endtoend(make_config("hazy", n_symbols=20_000))
         assert report.fading_kind == "gamma_gamma"
         assert report.rytov_var >= pipeline.LOG_NORMAL_RYTOV_LIMIT
+
+    @pytest.mark.parametrize(
+        "preset, fading", [("hazy", "log_normal"), ("clear", "gamma_gamma")]
+    )
+    def test_forced_fading_overrides_auto(self, preset, fading):
+        report = pipeline.run_endtoend(make_config(preset, fading=fading, n_symbols=20_000))
+        model = pipeline.select_fading_model(fading, report.rytov_var)
+        assert pipeline.select_fading_model("auto", report.rytov_var).kind != fading
+        assert (report.fading_kind, report.sigma_i2) == (fading, model.sigma_i2)
 
     def test_stage_composition_matches_manual(self):
         config = make_config(
@@ -232,6 +243,15 @@ class TestRunEndToEnd:
             make_config("clear", n_symbols=5000)
 
 
+def test_json_encodes_numpy_scalars_and_non_finite_floats_as_null():
+    data = {"int": np.int64(3), "float": np.float32(0.5), "inf": math.inf,
+            "minus_inf": np.float64(-math.inf), "nan": math.nan}
+    encoded = as_jsonable(data)
+    assert encoded == {"int": 3, "float": 0.5, "inf": None, "minus_inf": None, "nan": None}
+    assert [type(encoded[key]) for key in ("int", "float")] == [int, float]
+    assert json.loads(report_to_json(data, no_timestamp=True)) == encoded
+
+
 class TestPayloadRoundtrip:
     def test_clean_channel_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -287,6 +307,13 @@ class TestPayloadRoundtrip:
         src.write_bytes(bytes(5001))
         with pytest.raises(ValueError, match=r"\[10000, 20000\].*got 20004$"):
             pipeline.payload_roundtrip(src, config, tmp_path / "out.bin")
+
+    def test_unwritable_output_names_the_path(self, tmp_path):
+        src = tmp_path / "in.bin"
+        src.write_bytes(np.random.default_rng(1).bytes(5000))
+        written = re.escape(f"cannot write payload {str(tmp_path)!r}")
+        with pytest.raises(OSError, match=f"^{written}: "):
+            pipeline.payload_roundtrip(src, quiet_config(), str(tmp_path))
 
     def test_missing_input_surfaces_path(self, tmp_path):
         with pytest.raises(OSError) as info:
@@ -513,6 +540,39 @@ class TestRunConfig:
             NoiseSpec(mode="fixed_std", noise_std=None)
         with pytest.raises(ValueError):
             NoiseSpec(mode="of-course-not")
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("scenario.wind_speed_ground=-1", "wind speed must be >= 0, got -1.0"),
+            ("scenario.fog_layer_m=-5", "fog layer must be >= 0, got -5.0"),
+            ("scenario.rain_layer_km=-0.5", "rain layer must be >= 0, got -0.5"),
+            ("scenario.rain_rate=-2", "rain rate must be >= 0, got -2.0"),
+            ("scenario.ground_cn2=0", "ground Cn2 must be > 0, got 0.0"),
+            ("geometry.distance_m=0", "distance must be > 0, got 0.0"),
+            ("geometry.wavelength_m=-1e-6", "wavelength must be > 0, got -1e-06"),
+            ("geometry.tx_altitude_m=-3", "altitudes must be >= 0, got -3.0 and 10000.0"),
+            ("geometry.rx_aperture_m=0", "apertures must be > 0, got 0.05 and 0.0"),
+            ("geometry.beam_divergence_rad=0", "beam divergence must be > 0, got 0.0"),
+            ("optics.tx_efficiency=0", "tx efficiency must be in (0, 1], got 0.0"),
+            ("optics.rx_efficiency=1.5", "rx efficiency must be in (0, 1], got 1.5"),
+            ("optics.pointing_error_rad=-1e-6", "pointing error must be >= 0, got -1e-06"),
+            ("modem.symbol_rate_hz=0", "symbol rate must be > 0, got 0.0"),
+            ("modem.levels=[0,0.5,0.4,1]",
+             "levels must be strictly increasing, got (0.0, 0.5, 0.4, 1.0)"),
+            ("modem.levels=[-0.1,0.3,0.6,1]",
+             "intensity levels must be nonnegative, got (-0.1, 0.3, 0.6, 1.0)"),
+            ("noise.target_q=0", "target_q must be > 0, got 0.0"),
+        ],
+        ids=["wind", "fog-layer", "rain-layer", "rain-rate", "ground-cn2", "distance",
+             "wavelength", "altitude", "aperture", "divergence", "tx-efficiency",
+             "rx-efficiency", "pointing-error", "symbol-rate", "level-order", "level-sign",
+             "target-q"],
+    )
+    def test_field_check_names_the_bad_value(self, override, message):
+        cfg = scenarios.resolve_config(overrides=[override])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig.from_dict(cfg)
 
     def test_settable_value_count(self):
         # Each leaf of the encoded defaults is one settable value (a list or

@@ -127,6 +127,10 @@ class TestBeamOnGrid:
         grid = beam_on_grid(2, (0.25, 0.25), 0.25)
         assert select_cell(grid) == (0, 1)  # +x +y quadrant = top right
 
+    def test_spot_radius_checked(self):
+        with pytest.raises(ValueError, match=r"^spot radius must be > 0, got 0\.0$"):
+            beam_on_grid(2, (0.0, 0.0), 0.0)
+
     def test_peak_bytes_per_cell(self):
         # The 8 B/cell behind the partition-order limit: the float64 cells
         # and nothing of their size besides, the sign check included.
